@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -62,14 +62,11 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _file_crc(path: Path) -> int:
-    return zlib.crc32(path.read_bytes())
-
-
 def _write_manifest(out: Path, cfg: ExperimentConfig, files: list[Path]) -> None:
+    """manifest.txt: the config hash, then the SHA-256 of every file."""
     lines = [f"config {cfg.config_hash()}"]
     for f in sorted(files):
-        lines.append(f"{_file_crc(f):08x}  {f.name}")
+        lines.append(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 

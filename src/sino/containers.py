@@ -15,6 +15,7 @@ Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -54,29 +55,42 @@ def write_field_container(path, grid: GridSpec, cadence: float, snaps: np.ndarra
     _atomic_write(path, bytes(header) + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
+def _take(blob: bytes, pos: int, size: int, path) -> tuple[bytes, int]:
+    """blob[pos:pos+size] and the end offset; ContainerError if the file ends first."""
+    end = pos + size
+    if end > len(blob):
+        raise ContainerError(f"{path}: truncated: {len(blob)} bytes, needs {end}")
+    return blob[pos:end], end
+
+
+def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple[tuple, int]:
+    raw, end = _take(blob, pos, struct.calcsize(fmt), path)
+    return struct.unpack(fmt, raw), end
+
+
 def read_field_container(path) -> tuple[GridSpec, float, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != FIELD_MAGIC:
         raise ContainerError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    (version, ndim), pos = _unpack("<IB", blob, 8, path)
     if version != VERSION:
         raise ContainerError(f"{path}: unsupported version {version}")
-    pos = 12
-    (ndim,) = struct.unpack_from("<B", blob, pos); pos += 1
-    (channels,) = struct.unpack_from("<I", blob, pos); pos += 4
-    points = struct.unpack_from(f"<{ndim}Q", blob, pos); pos += 8 * ndim
-    lengths = struct.unpack_from(f"<{ndim}d", blob, pos); pos += 8 * ndim
-    (snapshots,) = struct.unpack_from("<Q", blob, pos); pos += 8
-    (cadence,) = struct.unpack_from("<d", blob, pos); pos += 8
-    count = snapshots * channels * int(np.prod(points))
-    payload = blob[pos : pos + 8 * count]
-    if len(payload) != 8 * count or len(blob) < pos + 8 * count + 4:
-        raise ContainerError(f"{path}: truncated payload")
-    (crc,) = struct.unpack_from("<I", blob, pos + 8 * count)
+    if ndim not in (2, 3):
+        raise ContainerError(f"{path}: ndim {ndim} is not 2 or 3")
+    (channels,), pos = _unpack("<I", blob, pos, path)
+    points, pos = _unpack(f"<{ndim}Q", blob, pos, path)
+    lengths, pos = _unpack(f"<{ndim}d", blob, pos, path)
+    (snapshots, cadence), pos = _unpack("<Qd", blob, pos, path)
+    try:
+        grid = GridSpec(points=points, length=lengths)
+    except ValueError as err:
+        raise ContainerError(f"{path}: bad grid: {err}") from err
+    # Python integers: a huge declared count cannot wrap round to a small one
+    payload, pos = _take(blob, pos, 8 * snapshots * channels * grid.n_points, path)
+    (crc,), _ = _unpack("<I", blob, pos, path)
     if crc != zlib.crc32(payload):
         raise ContainerError(f"{path}: payload CRC mismatch")
-    grid = GridSpec(points=tuple(int(n) for n in points), length=tuple(lengths))
     data = np.frombuffer(payload, dtype="<f8").reshape((snapshots, channels) + grid.points)
     return grid, cadence, data.astype(np.float64)
 
@@ -104,31 +118,27 @@ def read_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         blob = fh.read()
     if blob[:8] != CKPT_MAGIC:
         raise ContainerError(f"{path}: bad magic")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    (version,), pos = _unpack("<I", blob, 8, path)
     if version != VERSION:
         raise ContainerError(f"{path}: unsupported version {version}")
-    body = blob[12:-4]
+    _take(blob, pos, 4, path)  # the trailing CRC
+    body = blob[pos:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if crc != zlib.crc32(body):
         raise ContainerError(f"{path}: checkpoint CRC mismatch")
-    pos = 0
-    (cfg_len,) = struct.unpack_from("<Q", body, pos); pos += 8
-    config_echo = body[pos : pos + cfg_len].decode("utf-8"); pos += cfg_len
-    (n_tensors,) = struct.unpack_from("<I", body, pos); pos += 4
+    (cfg_len,), pos = _unpack("<Q", body, 0, path)
+    config_echo, pos = _take(body, pos, cfg_len, path)
+    (n_tensors,), pos = _unpack("<I", body, pos, path)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
-        (name_len,) = struct.unpack_from("<I", body, pos); pos += 4
-        name = body[pos : pos + name_len].decode("utf-8"); pos += name_len
-        (rank,) = struct.unpack_from("<B", body, pos); pos += 1
-        shape = struct.unpack_from(f"<{rank}Q", body, pos) if rank else ()
-        pos += 8 * rank
-        count = int(np.prod(shape)) if rank else 1
-        tensors[name] = (
-            np.frombuffer(body, dtype="<f8", count=count, offset=pos)
-            .reshape(shape)
-            .astype(np.float64)
+        (name_len,), pos = _unpack("<I", body, pos, path)
+        name, pos = _take(body, pos, name_len, path)
+        (rank,), pos = _unpack("<B", body, pos, path)
+        shape, pos = _unpack(f"<{rank}Q", body, pos, path)
+        data, pos = _take(body, pos, 8 * math.prod(shape), path)
+        tensors[name.decode("utf-8")] = (
+            np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
         )
-        pos += 8 * count
     if pos != len(body):
         raise ContainerError(f"{path}: trailing bytes in checkpoint body")
-    return config_echo, tensors
+    return config_echo.decode("utf-8"), tensors

@@ -11,6 +11,14 @@ product w = a*b pulls back as g_a = conj(b)*g, and the pullback of the
 unnormalized FFT is prod(N) times the normalized inverse FFT. Where a real
 tensor feeds a complex op, the real part of the complex pullback is the
 gradient.
+
+Half spectrum: rfftn keeps the modes 0..N/2 of the last transformed axis,
+and irfftn rebuilds a real field from them, taking each interior mode
+1..N/2-1 for itself and its conjugate partner -k. So an interior mode is
+weighted twice in the real field and the edge modes (0 and N/2) once, and
+the pullbacks carry that weighting: rfftn pulls back as prod(N) * irfftn
+of the cotangent with its interior modes halved, irfftn as rfftn of the
+cotangent over prod(N) with its interior modes doubled.
 """
 
 from __future__ import annotations
@@ -370,3 +378,36 @@ def ifftn_real(a, axes, hermitian_rtol: float | None = 1e-8) -> Tensor:
         return (np.fft.fftn(g.astype(np.complex128), axes=axes) / scale,)
 
     return _node(np.ascontiguousarray(u.real), (a,), vjp)
+
+
+def _weight_interior(h: np.ndarray, axis: int, n: int, factor: float) -> np.ndarray:
+    """Scale, in place, the modes 1..n/2-1 of a half spectrum along axis:
+    the modes whose conjugate partner the half spectrum leaves out."""
+    idx = [slice(None)] * h.ndim
+    idx[axis] = slice(1, (n + 1) // 2)
+    h[tuple(idx)] *= factor
+    return h
+
+
+def rfftn(a, axes) -> Tensor:
+    """Unnormalized FFT of a real field; the last of axes keeps modes 0..N/2."""
+    a = as_tensor(a)
+    shape = tuple(a.data.shape[ax] for ax in axes)
+
+    def vjp(g):
+        g = _weight_interior(g.copy(), axes[-1], shape[-1], 0.5)
+        return (math.prod(shape) * np.fft.irfftn(g, s=shape, axes=axes),)
+
+    return _node(np.fft.rfftn(a.data, axes=axes), (a,), vjp)
+
+
+def irfftn(a, axes, s) -> Tensor:
+    """Normalized inverse of rfftn: a half spectrum to the real field of shape s."""
+    a = as_tensor(a)
+    s = tuple(s)
+
+    def vjp(g):
+        gh = np.fft.rfftn(g, axes=axes) / math.prod(s)
+        return (_weight_interior(gh, axes[-1], s[-1], 2.0),)
+
+    return _node(np.fft.irfftn(a.data, s=s, axes=axes), (a,), vjp)

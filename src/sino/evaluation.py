@@ -176,15 +176,17 @@ class PatternIC:
 
 
 def _bilinear(raster: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sample the raster over the domain (image edge-to-edge, pixel centers).
+    """Sample the raster at the grid points: the image spans the domain edge
+    to edge, grid point j sits at fraction j/N of it (GridSpec.coords), and
+    pixel i's centre at fraction (i + 0.5)/H.
 
-    Pixel centers sit at fractions (i + 0.5)/H, so rasterizations of the
-    same image at different resolutions align in continuum coordinates.
+    So rasterizations of the same image at different resolutions, and grids
+    of different resolutions, all align in continuum coordinates.
     """
     h, w = raster.shape
 
     def positions(n_out, n_px):
-        frac = (np.arange(n_out) + 0.5) / n_out
+        frac = np.arange(n_out) / n_out
         return np.clip(frac * n_px - 0.5, 0.0, n_px - 1.0)
 
     xi = positions(grid.points[0], h)

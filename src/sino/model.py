@@ -7,6 +7,11 @@ and the result feeds a linear 1x1 branch plus a multiplicative Pi-block
 (with a 2/3 low-pass) whose outputs are recombined by a final 1x1 map.
 Time stepping is RK4 over that learned right-hand side.
 
+Spectra are real-FFT half spectra: the last grid axis keeps its modes
+0..N/2 (engine.rfftn / engine.irfftn), so every field stays real by
+construction. Freq2Vec still builds the full Hermitian table; each graph
+slices it to the half spectrum once.
+
 All forward functions come in two flavors: module-level wrappers that take
 and return numpy arrays, and tape-building internals (prefixed with an
 underscore) used by the training loop.
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import engine as eg
 from .engine import Tensor
-from .errors import IncompatibleDomain, NonFinite
+from .errors import HermitianViolation, IncompatibleDomain, NonFinite
 from .spectral import GridSpec, freq_grid, two_thirds_mask
 
 ACTIVATIONS = ("quad", "tanh", "sin")
@@ -203,6 +208,19 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
     return eg.mul(eg.add(psi, mirrored), 0.5)
 
 
+def _half(grid: GridSpec) -> tuple:
+    """Index of the half spectrum in a full one: last-axis columns 0..N/2.
+
+    Column N/2 holds the mode -N/2 of the full spectrum's numpy order.
+    """
+    return (Ellipsis, slice(0, grid.points[-1] // 2 + 1))
+
+
+def _half_table(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    """The Freq2Vec table on the half spectrum, (K, *half points), complex."""
+    return eg.getitem(_freq2vec(pt, cfg, grid), _half(grid))
+
+
 def _mix(w: Tensor, b: Tensor, x: Tensor, grid: GridSpec) -> Tensor:
     """1x1 channel mixing: (C_out, C_in) applied pointwise over the grid."""
     flat = eg.reshape(x, (x.shape[0], grid.n_points))
@@ -211,13 +229,13 @@ def _mix(w: Tensor, b: Tensor, x: Tensor, grid: GridSpec) -> Tensor:
 
 
 def _slb(u: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    axes = tuple(range(1, grid.dim + 1))
-    uh = eg.fftn(u, axes)
+    """table is the half-spectrum table of _half_table."""
+    uh = eg.rfftn(u, grid.axes)
     prod = eg.mul(
-        eg.reshape(uh, (cfg.c_in, 1) + grid.points),
-        eg.reshape(table, (1, cfg.K) + grid.points),
+        eg.reshape(uh, (cfg.c_in, 1) + uh.shape[1:]),
+        eg.reshape(table, (1, cfg.K) + uh.shape[1:]),
     )
-    d = eg.ifftn_real(prod, tuple(range(2, grid.dim + 2)))
+    d = eg.irfftn(prod, tuple(range(2, grid.dim + 2)), grid.points)
     return eg.reshape(d, (cfg.slb_channels,) + grid.points)
 
 
@@ -230,9 +248,8 @@ def _pi_block(d: Tensor, pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec
         pre_filter_out.append(v)
     if cfg.no_filter:
         return v
-    axes = tuple(range(1, grid.dim + 1))
-    mask = Tensor(two_thirds_mask(grid))
-    return eg.ifftn_real(eg.mul(eg.fftn(v, axes), mask), axes)
+    mask = Tensor(two_thirds_mask(grid)[_half(grid)])
+    return eg.irfftn(eg.mul(eg.rfftn(v, grid.axes), mask), grid.axes, grid.points)
 
 
 def _rhs(u: Tensor, table: Tensor, pt: dict[str, Tensor], cfg: ModelConfig,
@@ -280,10 +297,21 @@ def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpe
 
 
 def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
-    """Apply K multipliers to every input channel; output is (c_in*K, *points)."""
+    """Apply K multipliers to every input channel; output is (c_in*K, *points).
+
+    table is a full (K, *points) table, as freq2vec_eval returns. It must be
+    Hermitian, table(-k) == conj(table(k)), to within 1e-8 of its largest
+    entry, else HermitianViolation is raised: the half spectrum would
+    silently drop the part that maps real fields to complex ones.
+    """
     u = _check_state(u, cfg, grid)
+    table = np.asarray(table, dtype=np.complex128)
+    mirrored = np.conj(eg.flip_modes(Tensor(table), grid.axes).data)
+    residue = float(np.max(np.abs(table - mirrored)))
+    if residue > 1e-8 * float(np.max(np.abs(table))):
+        raise HermitianViolation(f"multiplier table is not Hermitian: residue {residue:.3e}")
     with eg.no_grad():
-        return _slb(Tensor(u), Tensor(table), cfg, grid).data
+        return _slb(Tensor(u), Tensor(table[_half(grid)]), cfg, grid).data
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
@@ -300,7 +328,7 @@ def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
+        table = _half_table(pt, cfg, grid)
         return _rhs(Tensor(u), table, pt, cfg, grid).data
 
 
@@ -310,7 +338,7 @@ def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
+        table = _half_table(pt, cfg, grid)
         out = _step(Tensor(u), table, pt, cfg, grid).data
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
@@ -326,7 +354,7 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     snaps = [u.copy()]
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
+        table = _half_table(pt, cfg, grid)
         state = Tensor(u)
         for step in range(n_steps):
             state = _step(state, table, pt, cfg, grid)
@@ -343,7 +371,7 @@ def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
+        table = _half_table(pt, cfg, grid)
         d = _slb(Tensor(u), table, cfg, grid)
         pre: list = []
         _pi_block(d, pt, cfg, grid, pre_filter_out=pre)

@@ -135,15 +135,17 @@ def biot_savart(omega_hat: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.n
 
     k_perp = (k_y, -k_x), the orientation that makes curl(u) reproduce the
     vorticity (u = (d_y psi, -d_x psi) with -lap(psi) = omega). The k=0
-    velocity mode is set to zero (zero mean flow).
+    velocity mode is set to zero (zero mean flow), and the derivatives drop
+    their odd-order Nyquist bins, as FreqGrid.derivative_multiplier does, so
+    a real vorticity gives real velocities.
     """
     if grid.dim != 2:
         raise ValueError("Biot-Savart inversion is defined for 2D grids")
     fg = freq_grid(grid)
     k_sq = fg.k_sq.copy()
     k_sq.flat[0] = 1.0  # avoid 0/0; the mode is zeroed below
-    ux = 1j * fg.wavenumber[1] / k_sq * omega_hat
-    uy = 1j * (-fg.wavenumber[0]) / k_sq * omega_hat
+    ux = fg.derivative_multiplier((0, 1)) / k_sq * omega_hat
+    uy = -fg.derivative_multiplier((1, 0)) / k_sq * omega_hat
     zero = tuple([slice(None)] + [0] * grid.dim)
     ux[zero] = 0.0
     uy[zero] = 0.0

@@ -141,16 +141,19 @@ def spectral_derivative(s: np.ndarray, grid: GridSpec, orders) -> np.ndarray:
     return s * freq_grid(grid).derivative_multiplier(orders)
 
 
+@lru_cache(maxsize=64)
 def two_thirds_mask(grid: GridSpec) -> np.ndarray:
     """De-aliasing mask: 1.0 where max_i |k_i| <= floor(2*k_max/3), else 0.0.
 
     k_max is min_i N_i/2; flooring the cutoff is the conservative rounding.
+    Built once per grid and shared, so the array is read-only.
     """
     fg = freq_grid(grid)
     k_max = min(grid.points) // 2
     cutoff = (2 * k_max) // 3
-    keep = np.max(np.abs(fg.index), axis=0) <= cutoff
-    return keep.astype(np.float64)
+    mask = (np.max(np.abs(fg.index), axis=0) <= cutoff).astype(np.float64)
+    mask.flags.writeable = False
+    return mask
 
 
 def apply_spectral_multiplier(s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -160,12 +163,6 @@ def apply_spectral_multiplier(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     if m.shape != s.shape[-m.ndim:]:
         raise ValueError(f"multiplier shape {m.shape} does not match spectrum {s.shape}")
     return s * m
-
-
-def dealias_field(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Zero all modes of a real field above the 2/3 cutoff."""
-    fh = forward_transform(f, grid) * two_thirds_mask(grid)
-    return inverse_transform(fh, grid)
 
 
 def spectral_resample(f: np.ndarray, grid: GridSpec, target: GridSpec) -> np.ndarray:

@@ -1,0 +1,114 @@
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from sino import cli
+from sino.config import presets
+from sino.containers import (
+    read_checkpoint,
+    read_field_container,
+    write_checkpoint,
+    write_field_container,
+)
+from sino.errors import ContainerError
+from sino.spectral import GridSpec
+
+GRID = GridSpec(points=(4, 6), length=(2 * math.pi, 1.0))
+# magic, version, ndim, channels, points, lengths, snapshots, cadence
+FIELD_HEADER = 8 + 4 + 1 + 4 + 8 * 2 + 8 * 2 + 8 + 8
+
+
+def field_file(tmp_path, name="f.sino", seed=0):
+    snaps = np.random.default_rng(seed).standard_normal((2, 1) + GRID.points)
+    path = tmp_path / name
+    write_field_container(path, GRID, 0.5, snaps)
+    return path, snaps
+
+
+def checkpoint_file(tmp_path):
+    path = tmp_path / "c.sino"
+    write_checkpoint(path, "case: x\n", {"a.w": np.arange(6.0).reshape(2, 3), "step": np.array(3.0)})
+    return path
+
+
+def cut(path, n):
+    blob = path.read_bytes()
+    out = path.with_name(f"cut{n}.sino")
+    out.write_bytes(blob[:n])
+    return out
+
+
+class TestFieldContainer:
+    def test_roundtrip(self, tmp_path):
+        path, snaps = field_file(tmp_path)
+        grid, cadence, back = read_field_container(path)
+        assert grid == GRID and cadence == 0.5
+        assert np.array_equal(back, snaps)
+
+    def test_every_truncation_raises_container_error(self, tmp_path):
+        path, _ = field_file(tmp_path)
+        size = path.stat().st_size
+        assert size > FIELD_HEADER
+        for n in range(size):
+            with pytest.raises(ContainerError):
+                read_field_container(cut(path, n))
+
+    def test_bad_ndim(self, tmp_path):
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        for ndim in (0, 1, 4, 255):
+            blob[12] = ndim
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ContainerError, match="ndim"):
+                read_field_container(path)
+
+    @pytest.mark.parametrize("offset, value", [
+        (17, 2**63),           # points[0]: the payload cannot fit
+        (17, 2**64 - 2),       # a product that wraps in 64-bit arithmetic
+        (49, 2**62),           # snapshots
+        (17, 5),               # an odd point count is no grid
+    ])
+    def test_implausible_counts(self, tmp_path, offset, value):
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Q", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError):
+            read_field_container(path)
+
+
+class TestCheckpoint:
+    def test_roundtrip(self, tmp_path):
+        echo, tensors = read_checkpoint(checkpoint_file(tmp_path))
+        assert echo == "case: x\n"
+        assert np.array_equal(tensors["a.w"], np.arange(6.0).reshape(2, 3))
+        assert tensors["step"].shape == () and tensors["step"] == 3.0
+
+    def test_every_truncation_raises_container_error(self, tmp_path):
+        path = checkpoint_file(tmp_path)
+        for n in range(path.stat().st_size):
+            with pytest.raises(ContainerError):
+                read_checkpoint(cut(path, n))
+
+
+class TestCli:
+    def test_truncated_container_exits_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        path, _ = field_file(data, "train_000.sino")
+        cut(path, 30).replace(path)
+        (data / "manifest.txt").write_text("config x\n")
+        assert cli.main(["train", "--preset", "E6-desk", "--out", str(tmp_path)]) == 4
+        assert "truncated" in capsys.readouterr().err
+
+    def test_manifest_tells_files_apart(self, tmp_path):
+        # same grid, length and header, different payloads: a whole-file
+        # CRC-32 over payload + crc32(payload) is the same for all of them
+        files = [field_file(tmp_path, f"train_{i:03d}.sino", seed=i)[0] for i in range(3)]
+        cli._write_manifest(tmp_path, presets()["E6-desk"], files)
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()[1:]
+        digests = [line.split()[0] for line in lines]
+        assert [line.split()[1] for line in lines] == [f.name for f in files]
+        assert len(set(digests)) == 3

@@ -136,6 +136,53 @@ class TestComplexOps:
         assert out.data.shape == (1, 4, 4)
 
 
+class TestHalfSpectrumOps:
+    # last axis of even length 6: mode 3 is the Nyquist column, which the
+    # random inputs and weights load like every other column
+    CASES = [((2, 4, 6), (1, 2)), ((1, 4, 2, 6), (1, 2, 3))]
+
+    @pytest.mark.parametrize("shape, axes", CASES)
+    def test_rfftn_gradient(self, shape, axes):
+        rng = np.random.default_rng(8)
+        x = parameter(rng.standard_normal(shape))
+        half = np.fft.rfftn(x.data, axes=axes).shape
+        y = Tensor(rng.standard_normal(half) + 1j * rng.standard_normal(half))
+        assert np.abs(np.fft.rfftn(x.data, axes=axes)[..., -1]).min() > 0
+
+        def build():
+            w = eg.real(eg.mul(eg.rfftn(x, axes), y))
+            return eg.sum_all(eg.mul(w, w))
+
+        fd_check(build, [x])
+
+    @pytest.mark.parametrize("shape, axes", CASES)
+    def test_irfftn_gradient(self, shape, axes):
+        # a general half spectrum, not Hermitian in its edge columns:
+        # irfftn projects those, and the pullback must follow the projection
+        rng = np.random.default_rng(9)
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        re = parameter(rng.standard_normal(half))
+        im = parameter(rng.standard_normal(half))
+        w = Tensor(rng.standard_normal(shape))
+        s = tuple(shape[ax] for ax in axes)
+
+        def build():
+            u = eg.irfftn(eg.to_complex(re, im), axes, s)
+            return eg.sum_all(eg.mul(eg.mul(u, u), w))
+
+        fd_check(build, [re, im])
+
+    @pytest.mark.parametrize("shape, axes", CASES)
+    def test_match_full_fft_ops(self, shape, axes):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(shape)
+        full = eg.fftn(Tensor(x), axes).data
+        half = eg.rfftn(Tensor(x), axes).data
+        assert np.allclose(half, full[..., : shape[-1] // 2 + 1], rtol=0, atol=1e-12)
+        back = eg.irfftn(Tensor(half), axes, tuple(shape[ax] for ax in axes)).data
+        assert np.allclose(back, eg.ifftn_real(Tensor(full), axes).data, rtol=0, atol=1e-13)
+
+
 class TestGraphMechanics:
     def test_no_grad_blocks_taping(self):
         x = parameter(np.ones(3))

@@ -295,3 +295,16 @@ class TestExportCsv:
         export_csv(self.make_report(), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+class TestPatternGridAlignment:
+    def test_ic_independent_of_grid_resolution(self):
+        # one image made into ICs on 64^2 and 128^2 grids: at the points the
+        # grids share (every other point of 128^2), the fields agree
+        n, sub = 128, 16
+        c = -1.0 + (2.0 * np.arange(n * sub) + 1.0) / (n * sub)
+        y, x = np.meshgrid(c, c, indexing="ij")
+        disk = (np.hypot(x, y) <= 0.62).astype(float).reshape(n, sub, n, sub).mean(axis=(1, 3))
+        coarse = pattern_ic(PatternIC(raster=disk, grid=grid2(64), amplitude=1.0, cutoff=6))
+        fine = pattern_ic(PatternIC(raster=disk, grid=grid2(128), amplitude=1.0, cutoff=6))
+        assert math.sqrt(float(np.mean((coarse - fine[:, ::2, ::2]) ** 2))) < 0.01

@@ -342,3 +342,56 @@ class TestDumpFeatures:
             forward_transform(u[:1], g) * freq_grid(g).derivative_multiplier((1, 0)), g
         )
         assert np.max(np.abs(feats["slb.c0.k1"] - dx[0])) < 1e-10
+
+
+class TestHalfSpectrumMatchesFullFFT:
+    """The half-spectrum model against the same graph on full-FFT ops.
+
+    Patching the half-spectrum index to the whole table and rfftn/irfftn to
+    fftn/ifftn_real rebuilds the full-spectrum model; every output and
+    gradient must agree to roundoff.
+    """
+
+    @staticmethod
+    def full_fft(monkeypatch):
+        from sino import engine as eg
+        from sino import model as sino_model
+        monkeypatch.setattr(sino_model, "_half", lambda grid: (Ellipsis,))
+        monkeypatch.setattr(eg, "rfftn", lambda a, axes: eg.fftn(a, axes))
+        monkeypatch.setattr(eg, "irfftn", lambda a, axes, s: eg.ifftn_real(a, axes))
+
+    @staticmethod
+    def rel(a, b):
+        return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("flag", ["none", "no_filter", "no_freq2vec"])
+    def test_rollout_and_gradients(self, monkeypatch, dim, flag):
+        from sino.training import backward
+        n = 16 if dim == 2 else 8
+        g = GridSpec(points=(n,) * dim, length=(TWO_PI,) * dim)
+        flags = {} if flag == "none" else {flag: True}
+        cfg = small_cfg(g, c_in=2, K=2, C=3, dt_model=0.05, **flags)
+        params = init_params(cfg, 11)
+        rng = np.random.default_rng(12)
+        # full-band states: energy in every mode, the Nyquist columns included
+        u0 = rng.standard_normal((2,) + g.points)
+        segment = rollout(u0, init_params(cfg, 14), cfg, g, 3)
+        half = (rollout(u0, params, cfg, g, 3), backward(params, cfg, g, segment))
+        self.full_fft(monkeypatch)
+        full = (rollout(u0, params, cfg, g, 3), backward(params, cfg, g, segment))
+        for a, b in zip(half[0][1:], full[0][1:]):
+            assert self.rel(a, b) < 1e-12
+        assert half[1][0] == pytest.approx(full[1][0], rel=1e-12)
+        for name in params:
+            assert self.rel(half[1][1][name], full[1][1][name]) < 1e-12, name
+
+    def test_slb_apply_rejects_non_hermitian_table(self):
+        from sino.errors import HermitianViolation
+        g = grid2()
+        cfg = small_cfg(g, K=1)
+        table = np.ones((1,) + g.points, dtype=complex)
+        table[0, 1, 2] = 1j  # its partner (-1, -2) stays 1
+        u = bandlimited(g, 13, cutoff=7)
+        with pytest.raises(HermitianViolation):
+            slb_apply(u, table, cfg, g)

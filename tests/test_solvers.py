@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sino.config import presets
 from sino.errors import NonFinite
 from sino.solvers import (
     PDESpec,
@@ -16,6 +18,7 @@ from sino.solvers import (
     make_rhs,
     nse_rhs,
     rk4_step,
+    sample_ic,
 )
 from sino.spectral import (
     GridSpec,
@@ -356,3 +359,20 @@ class TestGenerateDataset:
         cfg = SolverConfig(dt=1e-3, t_end=0.01, save_dt=2e-3)
         ds = generate_dataset(spec, cfg, g, g, 1, split="val")
         assert ds.n_snapshots == 6
+
+
+class TestEveryPresetFirstStep:
+    """One solver step from every preset's default GRF initial condition,
+    on a reduced grid of the preset's own domain. The GRF loads every mode,
+    the Nyquist bins included, which band-limited test fields never do."""
+
+    @pytest.mark.parametrize("case", sorted(presets()))
+    def test_first_step_is_finite(self, case):
+        c = presets()[case]
+        points = (32, 32) if c.pde.dim == 2 else (16, 16, 16)
+        g = GridSpec(points=points, length=c.domain_length)
+        ic = sample_ic(c.pde, g, 0, 0, c.grf)
+        one_step = replace(c.solver, t_end=c.solver.dt, save_dt=c.solver.dt)
+        snaps = integrate(c.pde, one_step, g, ic)
+        assert len(snaps) == 2 and np.isfinite(snaps[1]).all()
+        assert not np.array_equal(snaps[1], snaps[0])

@@ -263,3 +263,14 @@ class TestGrfSample:
         y = np.log(power[sel])
         slope = np.polyfit(x, y, 1)[0]
         assert abs(slope - (-alpha)) < 0.1 * alpha
+
+
+class TestTwoThirdsMaskCache:
+    def test_built_once_per_grid_and_read_only(self):
+        g = grid2(32)
+        mask = two_thirds_mask(g)
+        assert two_thirds_mask(GridSpec(points=(32, 32), length=(TWO_PI, TWO_PI))) is mask
+        assert two_thirds_mask(grid2(16)) is not mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0.0
+        assert mask[0, 0] == 1.0
