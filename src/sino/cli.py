@@ -1,17 +1,34 @@
 """Command-line entry points: dataset generation, training, evaluation,
 ablation and hyperparameter sweeps, and teacher-side distillation data.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+A run takes a case preset (--preset) or a YAML config (--config). The YAML
+schema is the dataclass field names: the top-level keys are the fields of
+config.ExperimentConfig, and pde, solver, model and train hold the fields of
+PDESpec, SolverConfig, ModelConfig and TrainConfig. Lists become tuples, a
+missing field takes its dataclass default, and an unknown key or a missing
+required one is a validation error. For example:
+
+    case: burgers-16
+    pde: {kind: burgers, nu: 0.01}
+    domain_length: [6.283185307179586, 6.283185307179586]
+    gen_points: [32, 32]
+    train_points: [16, 16]
+    solver: {dt: 0.001, t_end: 0.5, save_dt: 0.005}
+    model: {c_in: 2, K: 4, C: 16, dt_model: 0.005, freq_norm: [8, 8]}
+    train: {iterations: 200}
+    out_dir: runs/burgers-16
+
+Exit codes: 0 success, 2 validation error (including a malformed config),
+3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,18 +37,10 @@ import numpy as np
 from . import containers, evaluation, model as sino_model, training
 from .config import ExperimentConfig, from_dict, load_yaml, presets
 from .errors import ContainerError, NonFinite, SinoError
-from .solvers import SPLIT_SEEDS, TrajectoryDataset, generate_dataset, sample_ic
+from .model import ABLATION_FLAGS
+from .solvers import SPLIT_SEEDS, TrajectoryDataset, generate_dataset, sample_ic, simulate
 from .spectral import GridSpec, spectral_resample
-from .training import ResumeState, TrainConfig, train
-
-import json
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SINO_THREADS", "1")))
-    except ValueError:
-        return 1
+from .training import ResumeState, train
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -47,18 +56,12 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         raise ValueError("one of --preset or --config is required")
     if args.out:
-        cfg.out_dir = args.out
+        cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train = replace(cfg.train, seed=args.seed)
-    flags = {}
-    for flag in ("no_pi", "no_filter", "no_freq2vec", "no_linear"):
-        if getattr(args, flag, False):
-            flags[flag] = True
-    if getattr(args, "euler", False):
-        flags["euler_time"] = True
+        cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=args.seed))
+    flags = {flag: True for flag in ABLATION_FLAGS if getattr(args, flag)}
     if flags:
-        cfg.model = replace(cfg.model, **flags)
+        cfg = replace(cfg, model=replace(cfg.model, **flags))
     return cfg
 
 
@@ -72,26 +75,12 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, files: list[Path]) -> None
 
 def _generate_split(cfg: ExperimentConfig, split: str, n_traj: int, out: Path) -> list[Path]:
     solver = cfg.test_solver() if split == "test" else cfg.solver
-    gen_grid, train_grid = cfg.gen_grid, cfg.train_grid
-    if _workers() > 1 and n_traj > 1:
-        from .solvers import integrate
-
-        def one_traj(t):
-            ic = sample_ic(cfg.pde, gen_grid, SPLIT_SEEDS[split], t, cfg.grf)
-            snaps = integrate(cfg.pde, solver, gen_grid, ic)
-            return np.stack([spectral_resample(s, gen_grid, train_grid) for s in snaps])
-
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            trajs = list(pool.map(one_traj, range(n_traj)))
-        ds = TrajectoryDataset(grid=train_grid, cadence=solver.save_dt, data=np.stack(trajs))
-    else:
-        ds = generate_dataset(
-            cfg.pde, solver, gen_grid, train_grid, n_traj, split=split, grf=cfg.grf
-        )
+    ds = generate_dataset(cfg.pde, solver, cfg.gen_grid, cfg.train_grid, n_traj,
+                          split=split, grf=cfg.grf)
     files = []
-    for t in range(n_traj):
+    for t, snaps in enumerate(ds.data):
         path = out / f"{split}_{t:03d}.sino"
-        containers.write_field_container(path, train_grid, ds.cadence, ds.data[t])
+        containers.write_field_container(path, cfg.train_grid, ds.cadence, snaps)
         files.append(path)
     return files
 
@@ -140,13 +129,16 @@ def _checkpoint_tensors(params, opt=None, best_params=None, best_val=None, best_
     return tensors
 
 
+def _strip(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The tensors whose names start with prefix, keyed by the rest of the name."""
+    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+
+
 def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
     """Config and parameter tensors from a checkpoint (best params if present)."""
     echo, tensors = containers.read_checkpoint(path)
     cfg = from_dict(json.loads(echo))
-    prefix = "best." if any(k.startswith("best.") for k in tensors) else "param."
-    params = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
-    return cfg, params
+    return cfg, _strip(tensors, "best.") or _strip(tensors, "param.")
 
 
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
@@ -155,16 +147,17 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
     ds_val = load_split(data_dir, "val")
     resume = None
     if resume_path:
-        echo, tensors = containers.read_checkpoint(resume_path)
-        params = {k[6:]: v for k, v in tensors.items() if k.startswith("param.")}
-        best = {k[5:]: v for k, v in tensors.items() if k.startswith("best.")}
-        opt = training.adam_init(params, cfg.train.beta1, cfg.train.beta2, cfg.train.eps)
-        opt.m = {k[7:]: v for k, v in tensors.items() if k.startswith("adam_m.")}
-        opt.v = {k[7:]: v for k, v in tensors.items() if k.startswith("adam_v.")}
-        opt.step = int(tensors["meta.step"])
+        _, tensors = containers.read_checkpoint(resume_path)
+        if "meta.step" not in tensors:
+            raise ContainerError(f"{resume_path} holds no optimizer state; "
+                                 "resume from a ckpt_last.sino")
+        params = _strip(tensors, "param.")
+        opt = training.OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),
+                                      step=int(tensors["meta.step"]))
         resume = ResumeState(
             params=params, opt_state=opt, start_iteration=opt.step,
-            best_params=best or params, best_val=float(tensors.get("meta.best_val", np.inf)),
+            best_params=_strip(tensors, "best.") or params,
+            best_val=float(tensors.get("meta.best_val", np.inf)),
             best_iteration=int(tensors.get("meta.best_iteration", 0)),
         )
         print(f"[train] resuming from {resume_path} at iteration {opt.step}")
@@ -220,11 +213,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
             ic = np.repeat(ic, cfg.pde.channels, axis=0)
         solver = cfg.test_solver()
         ic_gen = spectral_resample(ic, cfg.train_grid, cfg.gen_grid)
-        from .solvers import integrate
-        truth = np.stack([
-            spectral_resample(s, cfg.gen_grid, cfg.train_grid)
-            for s in integrate(cfg.pde, solver, cfg.gen_grid, ic_gen)
-        ])
+        truth = simulate(cfg.pde, solver, cfg.gen_grid, cfg.train_grid, ic_gen)
         ood_set = TrajectoryDataset(grid=cfg.train_grid, cadence=solver.save_dt,
                                     data=truth[np.newaxis])
         report = evaluation.evaluate_rollout(params, model_cfg, ood_set,
@@ -234,37 +223,41 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     return 0
 
 
-ABLATION_VARIANTS = ("full", "no_pi", "no_filter", "no_freq2vec", "no_linear", "euler_time")
+def _load_splits(cfg: ExperimentConfig) -> list[TrajectoryDataset]:
+    """The train, val and test splits under out_dir/data, generated first if absent."""
+    data_dir = Path(cfg.out_dir) / "data"
+    if not (data_dir / "manifest.txt").exists():
+        cmd_generate(cfg)
+    return [load_split(data_dir, split) for split in ("train", "val", "test")]
+
+
+def _train_and_score(cfg: ExperimentConfig, ds_train, ds_val, ds_test) -> str:
+    """Train, then score the best parameters on the test split: the pooled
+    rel-l2 as a CSV cell, or NaN if training or every test rollout diverged."""
+    try:
+        result = train(ds_train, ds_val, cfg.model, cfg.train)
+    except NonFinite:
+        return "NaN"
+    err = evaluation.evaluate_rollout(result.best_params, cfg.model, ds_test).aggregate_rel_l2
+    return f"{err:.17g}" if math.isfinite(err) else "NaN"
+
+
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    data_dir = out / "data"
-    if not (data_dir / "manifest.txt").exists():
-        cmd_generate(cfg)
-    ds_train = load_split(data_dir, "train")
-    ds_val = load_split(data_dir, "val")
-    ds_test = load_split(data_dir, "test")
+    ds_train, ds_val, ds_test = _load_splits(cfg)
     rows = []
-    for variant in ABLATION_VARIANTS:
-        model_cfg = cfg.model if variant == "full" else replace(cfg.model, **{variant: True})
-        try:
-            result = train(ds_train, ds_val, model_cfg, cfg.train)
-            report = evaluation.evaluate_rollout(result.best_params, model_cfg, ds_test)
-            err = report.aggregate_rel_l2
-            cell = "NaN" if not math.isfinite(err) or (report.failures and
-                   len(report.failures) == ds_test.n_traj) else f"{err:.17g}"
-            if report.failures and len(report.failures) == ds_test.n_traj:
-                cell = "NaN"
-        except NonFinite:
-            cell = "NaN"
-        rows.append((variant, cell))
+    for variant in ("full",) + ABLATION_FLAGS:
+        flags = {} if variant == "full" else {variant: True}
+        cell = _train_and_score(replace(cfg, model=replace(cfg.model, **flags)),
+                                ds_train, ds_val, ds_test)
+        rows.append(f"{variant},{cell}")
         print(f"[ablate] {variant}: {cell}")
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ablation.csv", "w", newline="\n") as fh:
-        fh.write("variant,rel_l2\n")
-        for variant, cell in rows:
-            fh.write(f"{variant},{cell}\n")
+    _write_csv(Path(cfg.out_dir) / "ablation.csv", "variant,rel_l2", rows)
     return 0
 
 
@@ -309,64 +302,34 @@ def cmd_distill_generate(cfg: ExperimentConfig, checkpoint, n_traj: int,
 
 def cmd_sweep(cfg: ExperimentConfig, channels: str | None, embed: str | None,
               n_traj: str | None) -> int:
-    out = Path(cfg.out_dir)
-    data_dir = out / "data"
-    if not (data_dir / "manifest.txt").exists():
-        cmd_generate(cfg)
-    ds_train_full = load_split(data_dir, "train")
-    ds_val = load_split(data_dir, "val")
-    ds_test = load_split(data_dir, "test")
-
-    points = []
+    ds_train, ds_val, ds_test = _load_splits(cfg)
+    points = []  # (label, config, training set or None if the split is too small)
     if n_traj:
         for n in (int(x) for x in n_traj.split(",")):
-            points.append({"n_traj": n})
+            subset = None
+            if n <= ds_train.n_traj:
+                subset = TrajectoryDataset(grid=ds_train.grid, cadence=ds_train.cadence,
+                                           data=ds_train.data[:n])
+            points.append((f"n_traj={n}", replace(cfg, n_train=n), subset))
     else:
         cs = [int(x) for x in channels.split(",")] if channels else [cfg.model.C]
         ks = [int(x) for x in embed.split(",")] if embed else [cfg.model.K]
         for c in cs:
             for k in ks:
-                points.append({"C": c, "K": k})
-
+                points.append((f"C={c},K={k}", replace(cfg, model=replace(cfg.model, C=c, K=k)),
+                               ds_train))
     rows = []
-    for point in points:
-        model_cfg = cfg.model
-        ds_train = ds_train_full
-        label = ",".join(f"{k}={v}" for k, v in point.items())
-        if "n_traj" in point:
-            n = point["n_traj"]
-            if n > ds_train_full.n_traj:
-                rows.append((label, "", "NaN"))
-                continue
-            ds_train = TrajectoryDataset(grid=ds_train_full.grid, cadence=ds_train_full.cadence,
-                                         data=ds_train_full.data[:n])
-        else:
-            model_cfg = replace(cfg.model, C=point["C"], K=point["K"])
-        sub_cfg = replace_experiment_model(cfg, model_cfg)
-        try:
-            result = train(ds_train, ds_val, model_cfg, cfg.train)
-            report = evaluation.evaluate_rollout(result.best_params, model_cfg, ds_test)
-            cell = f"{report.aggregate_rel_l2:.17g}"
-        except (NonFinite, SinoError):
-            cell = "NaN"
-        rows.append((label, sub_cfg.config_hash(), cell))
+    for label, point_cfg, subset in points:
+        cell = "NaN" if subset is None else _train_and_score(point_cfg, subset, ds_val, ds_test)
+        rows.append(f"\"{label}\",{point_cfg.config_hash()},{cell}")
         print(f"[sweep] {label}: {cell}")
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        fh.write("point,config_hash,rel_l2\n")
-        for label, h, cell in rows:
-            fh.write(f"\"{label}\",{h},{cell}\n")
+    _write_csv(Path(cfg.out_dir) / "sweep.csv", "point,config_hash,rel_l2", rows)
     return 0
 
 
-def replace_experiment_model(cfg: ExperimentConfig, model_cfg) -> ExperimentConfig:
-    clone = ExperimentConfig(**{**cfg.__dict__})
-    clone.model = model_cfg
-    return clone
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sino", description=__doc__)
+    parser = argparse.ArgumentParser(prog="sino", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -374,11 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="case preset id (E1..E7, E1-desk..E7-desk)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-pi", dest="no_pi", action="store_true")
-        p.add_argument("--no-filter", dest="no_filter", action="store_true")
-        p.add_argument("--no-freq2vec", dest="no_freq2vec", action="store_true")
-        p.add_argument("--no-linear", dest="no_linear", action="store_true")
-        p.add_argument("--euler", action="store_true")
+        for flag in ABLATION_FLAGS:
+            option = "--euler" if flag == "euler_time" else "--" + flag.replace("_", "-")
+            p.add_argument(option, dest=flag, action="store_true")
 
     common(sub.add_parser("generate", help="simulate and write train/val/test datasets"))
 

@@ -2,21 +2,28 @@
 
 Cases E1-E7 mirror the benchmark table (generation grid/step, operator-
 learning grid/step, trajectory counts); each also has a reduced "-desk"
-variant sized for a desktop CPU. Configs serialize to a canonical
-key-sorted JSON form whose SHA-256 prefix is the config hash.
+variant sized for a desktop CPU.
+
+The schema is the dataclasses themselves: a config document is a mapping of
+ExperimentConfig's field names, and its pde, solver, model and train values
+are mappings of the fields of PDESpec, SolverConfig, ModelConfig and
+TrainConfig. to_dict is dataclasses.asdict, and the SHA-256 prefix of its
+key-sorted JSON form is the config hash.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import yaml
 
 from .model import ModelConfig
-from .solvers import PDESpec, SolverConfig
+from .solvers import GRF_DEFAULTS, PDESpec, SolverConfig
 from .spectral import GridSpec
 from .training import TrainConfig
 
@@ -33,13 +40,18 @@ class ExperimentConfig:
     solver: SolverConfig
     model: ModelConfig
     train: TrainConfig
-    n_train: int
-    n_val: int
-    n_test: int
+    n_train: int = 2
+    n_val: int = 2
+    n_test: int = 5
     grf: dict = field(default_factory=dict)
     test_t_end: float | None = None
     out_dir: str = "runs/out"
     seed: int = 0
+
+    def __post_init__(self):
+        unknown = sorted(set(self.grf) - set(GRF_DEFAULTS[self.pde.kind]))
+        if unknown:
+            raise ValueError(f"unknown grf key {unknown[0]!r}")
 
     @property
     def gen_grid(self) -> GridSpec:
@@ -56,64 +68,7 @@ class ExperimentConfig:
         return replace(self.solver, t_end=self.test_t_end)
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "pde": {
-                "kind": self.pde.kind,
-                "nu": self.pde.nu,
-                "forcing": self.pde.forcing,
-                "dim": self.pde.dim,
-            },
-            "domain": {"length": list(self.domain_length)},
-            "gen_grid": {"points": list(self.gen_points)},
-            "train_grid": {"points": list(self.train_points)},
-            "solver": {
-                "dt": self.solver.dt,
-                "t_end": self.solver.t_end,
-                "save_dt": self.solver.save_dt,
-                "dealias": self.solver.dealias,
-                "method": self.solver.method,
-            },
-            "model": {
-                "c_in": self.model.c_in,
-                "K": self.model.K,
-                "C": self.model.C,
-                "P": self.model.P,
-                "mlp_hidden": list(self.model.mlp_hidden),
-                "dt_model": self.model.dt_model,
-                "freq_norm": list(self.model.freq_norm),
-                "activation": self.model.activation,
-                "combine": self.model.combine,
-                "no_pi": self.model.no_pi,
-                "no_filter": self.model.no_filter,
-                "no_freq2vec": self.model.no_freq2vec,
-                "no_linear": self.model.no_linear,
-                "euler_time": self.model.euler_time,
-            },
-            "train": {
-                "iterations": self.train.iterations,
-                "max_lr": self.train.max_lr,
-                "n1": self.train.n1,
-                "n2": self.train.n2,
-                "batch": self.train.batch,
-                "loss": self.train.loss,
-                "grad_clip": self.train.grad_clip,
-                "seed": self.train.seed,
-                "val_every": self.train.val_every,
-                "warmup_frac": self.train.warmup_frac,
-                "div_factor": self.train.div_factor,
-                "final_div_factor": self.train.final_div_factor,
-            },
-            "data": {
-                "n_train": self.n_train,
-                "n_val": self.n_val,
-                "n_test": self.n_test,
-                "grf": dict(self.grf),
-                "test_t_end": self.test_t_end,
-            },
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -122,71 +77,54 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
 
+def _from_fields(cls, d, where: str):
+    """Build the dataclass cls from a mapping of its field names.
+
+    Nested dataclass fields are built the same way; missing fields take the
+    dataclass defaults and lists become tuples. An unknown key, a missing
+    required one, or a value the dataclass rejects raises ValueError.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where or 'config'} must be a mapping, got {type(d).__name__}")
+    prefix = f"{where}." if where else ""
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unknown key {prefix}{key}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in d:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"missing key {prefix}{f.name}")
+            continue
+        value = d[f.name]
+        if dataclasses.is_dataclass(hints[f.name]):
+            value = _from_fields(hints[f.name], value, prefix + f.name)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{where or 'config'}: {err}") from err
+
+
 def from_dict(d: dict) -> ExperimentConfig:
-    pde = PDESpec(**d["pde"])
-    model = d["model"]
-    train = d["train"]
-    data = d.get("data", {})
-    return ExperimentConfig(
-        case=d.get("case", "custom"),
-        pde=pde,
-        domain_length=tuple(d["domain"]["length"]),
-        gen_points=tuple(d["gen_grid"]["points"]),
-        train_points=tuple(d["train_grid"]["points"]),
-        solver=SolverConfig(**d["solver"]),
-        model=ModelConfig(
-            c_in=model["c_in"],
-            K=model["K"],
-            C=model["C"],
-            P=model.get("P", 2),
-            mlp_hidden=tuple(model.get("mlp_hidden", (64, 64))),
-            dt_model=model["dt_model"],
-            freq_norm=tuple(model["freq_norm"]),
-            activation=model.get("activation", "quad"),
-            combine=model.get("combine", "concat"),
-            no_pi=model.get("no_pi", False),
-            no_filter=model.get("no_filter", False),
-            no_freq2vec=model.get("no_freq2vec", False),
-            no_linear=model.get("no_linear", False),
-            euler_time=model.get("euler_time", False),
-        ),
-        train=TrainConfig(
-            iterations=train["iterations"],
-            max_lr=train.get("max_lr", 0.01),
-            n1=train.get("n1", 4),
-            n2=train.get("n2", 8),
-            batch=train.get("batch", 1),
-            loss=train.get("loss", "mse"),
-            grad_clip=train.get("grad_clip", 1.0),
-            seed=train.get("seed", 0),
-            val_every=train.get("val_every", 200),
-            warmup_frac=train.get("warmup_frac", 0.3),
-            div_factor=train.get("div_factor", 25.0),
-            final_div_factor=train.get("final_div_factor", 1e4),
-        ),
-        n_train=data.get("n_train", 2),
-        n_val=data.get("n_val", 2),
-        n_test=data.get("n_test", 5),
-        grf=data.get("grf", {}),
-        test_t_end=data.get("test_t_end"),
-        out_dir=d.get("out_dir", "runs/out"),
-        seed=d.get("seed", 0),
-    )
+    return _from_fields(ExperimentConfig, d, "")
 
 
 def load_yaml(path) -> ExperimentConfig:
     with open(path) as fh:
-        return from_dict(yaml.safe_load(fh))
-
-
-def save_yaml(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ValueError(f"{path} is not valid YAML: {err}") from err
+    return from_dict(doc)
 
 
 def _build(case, pde, length, gen_points, gen_dt, train_points, pol_dt, t_end,
-           n_traj, iterations, K, C, test_t_end=None, n_train=None) -> ExperimentConfig:
-    dim = len(length)
+           n_traj, iterations, K, C, test_t_end=None) -> ExperimentConfig:
     model = ModelConfig(
         c_in=pde.channels, K=K, C=C, dt_model=pol_dt,
         freq_norm=tuple(n // 2 for n in train_points),
@@ -197,12 +135,13 @@ def _build(case, pde, length, gen_points, gen_dt, train_points, pol_dt, t_end,
         domain_length=length,
         gen_points=gen_points,
         train_points=train_points,
-        solver=SolverConfig(dt=gen_dt, t_end=t_end, save_dt=pol_dt),
+        # the KSE's stiff linear part is advanced exactly: E1-desk's dt puts
+        # its k^4 term outside RK4's stability region
+        solver=SolverConfig(dt=gen_dt, t_end=t_end, save_dt=pol_dt,
+                            method="ifrk4" if pde.kind == "kse" else "rk4"),
         model=model,
         train=TrainConfig(iterations=iterations),
-        n_train=n_train if n_train is not None else n_traj,
-        n_val=2,
-        n_test=5,
+        n_train=n_traj,
         test_t_end=test_t_end,
         out_dir=f"runs/{case.lower()}",
     )

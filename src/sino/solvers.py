@@ -156,17 +156,22 @@ def _dealias_spectrum(s: np.ndarray, grid: GridSpec, enabled: bool) -> np.ndarra
     return s * two_thirds_mask(grid) if enabled else s
 
 
+def _kse_quadratic(uh: np.ndarray, grid: GridSpec, dealias: bool) -> np.ndarray:
+    """Spectrum of the KSE's quadratic term -0.5*|grad u|^2, from u's spectrum."""
+    fg = freq_grid(grid)
+    grad_sq = sum(
+        inverse_transform(uh * fg.derivative_multiplier(_unit(axis, grid.dim)), grid) ** 2
+        for axis in range(grid.dim)
+    )
+    return _dealias_spectrum(forward_transform(-0.5 * grad_sq, grid), grid, dealias)
+
+
 def kse_rhs(u: np.ndarray, grid: GridSpec, dealias: bool = True) -> np.ndarray:
     """-lap(u) - lap^2(u) - 0.5*|grad u|^2 with the quadratic term de-aliased."""
     fg = freq_grid(grid)
     uh = forward_transform(u, grid)
     linear = inverse_transform((fg.k_sq - fg.k_sq**2) * uh, grid)
-    grad_sq = np.zeros_like(u)
-    for axis in range(grid.dim):
-        g = inverse_transform(uh * fg.derivative_multiplier(_unit(axis, grid.dim)), grid)
-        grad_sq += g * g
-    nl_hat = _dealias_spectrum(forward_transform(-0.5 * grad_sq, grid), grid, dealias)
-    return linear + inverse_transform(nl_hat, grid)
+    return linear + inverse_transform(_kse_quadratic(uh, grid, dealias), grid)
 
 
 def nse_rhs(
@@ -224,18 +229,23 @@ def make_rhs(spec: PDESpec, grid: GridSpec, dealias: bool = True) -> Callable[[n
     return lambda u: burgers_rhs(u, grid, spec.nu, dealias)
 
 
+def _finite(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(v).all():
+        raise NonFinite(f"RK4 {what} is non-finite")
+    return v
+
+
 def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], u: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 step. Raises NonFinite if any stage blows up."""
+    """Classical RK4 step. Raises NonFinite if the input of stage 2, 3 or 4,
+    or the result, is not finite, before the right-hand side sees it; the
+    stage-1 input u is the previous step's checked result."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    for i, k in enumerate((k1, k2, k3, k4)):
-        if not np.isfinite(k).all():
-            raise NonFinite(f"RK4 stage {i + 1} produced non-finite values")
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(_finite(u + 0.5 * dt * k1, "stage 2 input"))
+    k3 = rhs(_finite(u + 0.5 * dt * k2, "stage 3 input"))
+    k4 = rhs(_finite(u + dt * k3, "stage 4 input"))
+    return _finite(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "result")
 
 
 def _integrate_ifrk4_kse(grid: GridSpec, cfg: SolverConfig, ic: np.ndarray) -> list[np.ndarray]:
@@ -246,15 +256,7 @@ def _integrate_ifrk4_kse(grid: GridSpec, cfg: SolverConfig, ic: np.ndarray) -> l
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half
-    mask = two_thirds_mask(grid) if cfg.dealias else 1.0
-
-    def nonlin(uh):
-        grad_sq = np.zeros(ic.shape)
-        for axis in range(grid.dim):
-            g = inverse_transform(uh * fg.derivative_multiplier(_unit(axis, grid.dim)), grid)
-            grad_sq += g * g
-        return forward_transform(-0.5 * grad_sq, grid) * mask
-
+    nonlin = lambda uh: _kse_quadratic(uh, grid, cfg.dealias)
     uh = forward_transform(ic, grid)
     snaps = [ic.copy()]
     for step in range(cfg.n_steps):
@@ -331,6 +333,14 @@ def sample_ic(spec: PDESpec, grid: GridSpec, split_seed: int, traj: int,
     )
 
 
+def simulate(spec: PDESpec, cfg: SolverConfig, gen_grid: GridSpec, train_grid: GridSpec,
+             ic: np.ndarray) -> np.ndarray:
+    """One trajectory from an IC on the generation grid, its snapshots
+    resampled to the training grid: (n_snapshots, channels, *train points)."""
+    snaps = integrate(spec, cfg, gen_grid, ic)
+    return np.stack([spectral_resample(s, gen_grid, train_grid) for s in snaps])
+
+
 def generate_dataset(
     spec: PDESpec,
     cfg: SolverConfig,
@@ -349,13 +359,10 @@ def generate_dataset(
     """
     if split_seed is None:
         split_seed = SPLIT_SEEDS[split]
-    trajs = []
-    for t in range(n_traj):
-        ic = sample_ic(spec, gen_grid, split_seed, t, grf)
-        snaps = integrate(spec, cfg, gen_grid, ic)
-        trajs.append(
-            np.stack([spectral_resample(s, gen_grid, train_grid) for s in snaps])
-        )
+    trajs = [
+        simulate(spec, cfg, gen_grid, train_grid, sample_ic(spec, gen_grid, split_seed, t, grf))
+        for t in range(n_traj)
+    ]
     n_snap = cfg.n_steps // cfg.save_every + 1
     data = (
         np.stack(trajs)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import HermitianViolation, IncompatibleDomain
+from .errors import HermitianViolation, IncompatibleDomain, NonFinite
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,13 @@ def _check_field(f: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:
 
 
 def forward_transform(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real field (C, *N) -> unnormalized spectral coefficients (C, *N)."""
+    """Real field (C, *N) -> unnormalized spectral coefficients (C, *N).
+
+    Raises NonFinite on a NaN or Inf value: a solver right-hand side that
+    overflows from a finite state fails here, as the blow-up it is."""
     f = _check_field(f, grid, "field")
     if not np.isfinite(f).all():
-        raise ValueError("field contains non-finite values")
+        raise NonFinite("field contains non-finite values")
     return np.fft.fftn(f.astype(np.float64, copy=False), axes=grid.axes)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as eg
+from . import evaluation
 from . import model as sino_model
 from .engine import Tensor
 from .errors import DegenerateTruth, InsufficientLength, NonFinite
@@ -40,9 +41,6 @@ class TrainConfig:
     warmup_frac: float = 0.3
     div_factor: float = 25.0
     final_div_factor: float = 1e4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -230,7 +228,6 @@ class ResumeState:
     best_params: dict[str, np.ndarray]
     best_val: float
     best_iteration: int
-    rng_draws: int = 0
 
 
 def validation_rel_l2(
@@ -238,21 +235,10 @@ def validation_rel_l2(
     model_cfg: ModelConfig,
     dataset: TrajectoryDataset,
 ) -> float:
-    """Full-horizon pooled relative l2 over all validation trajectories."""
-    err_sq = 0.0
-    truth_sq = 0.0
-    for t in range(dataset.n_traj):
-        truth = dataset.data[t]
-        try:
-            pred = sino_model.rollout(
-                truth[0], params, model_cfg, dataset.grid, dataset.n_snapshots - 1
-            )
-        except NonFinite:
-            return float("inf")
-        pred = np.stack(pred[1:])
-        err_sq += float(np.sum((pred - truth[1:]) ** 2))
-        truth_sq += float(np.sum(truth[1:] ** 2))
-    return math.sqrt(err_sq / truth_sq) if truth_sq > 0 else float("inf")
+    """Full-horizon pooled relative l2 over all validation trajectories
+    (evaluation.evaluate_rollout), or inf if any of them diverged."""
+    report = evaluation.evaluate_rollout(params, model_cfg, dataset)
+    return float("inf") if report.failures else report.aggregate_rel_l2
 
 
 def train(
@@ -288,7 +274,7 @@ def train(
             sample_curriculum(dataset_train, train_cfg, rng)
     else:
         params = sino_model.init_params(model_cfg, train_cfg.seed)
-        opt = adam_init(params, train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+        opt = adam_init(params)
         start = 0
         best_params = copy.deepcopy(params)
         best_val = float("inf")

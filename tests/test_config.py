@@ -1,0 +1,123 @@
+import dataclasses
+import json
+from dataclasses import replace
+
+import pytest
+import yaml
+
+from sino.config import ExperimentConfig, from_dict, load_yaml, presets
+from sino.model import ModelConfig
+from sino.solvers import PDESpec, SolverConfig
+from sino.training import TrainConfig
+
+CASES = sorted(presets())
+
+
+NESTED = {"pde": PDESpec, "solver": SolverConfig, "model": ModelConfig, "train": TrainConfig}
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("case", CASES)
+class TestPresetSchema:
+    def test_round_trip(self, case):
+        c = presets()[case]
+        assert from_dict(c.to_dict()) == c
+        assert from_dict(json.loads(c.canonical_json())) == c
+
+    def test_yaml_round_trip(self, case, tmp_path):
+        c = presets()[case]
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(c.to_dict()))
+        assert load_yaml(path) == c
+
+    def test_hash_is_stable(self, case):
+        c = presets()[case]
+        h = c.config_hash()
+        assert len(h) == 12
+        assert presets()[case].config_hash() == h
+        assert from_dict(json.loads(c.canonical_json())).config_hash() == h
+
+    def test_keys_are_the_dataclass_fields(self, case):
+        d = presets()[case].to_dict()
+        assert list(d) == field_names(ExperimentConfig)
+        assert {k for k, v in d.items() if isinstance(v, dict)} == set(NESTED) | {"grf"}
+        for key, cls in NESTED.items():
+            assert list(d[key]) == field_names(cls)
+
+
+class TestHashCoversEveryLevel:
+    @pytest.mark.parametrize("change", [
+        lambda c: replace(c, n_train=c.n_train + 1),
+        lambda c: replace(c, grf={"alpha": 3.0}),
+        lambda c: replace(c, pde=replace(c.pde, nu=0.02)),
+        lambda c: replace(c, solver=replace(c.solver, dealias=False)),
+        lambda c: replace(c, model=replace(c.model, mlp_hidden=(32,))),
+        lambda c: replace(c, train=replace(c.train, final_div_factor=10.0)),
+    ])
+    def test_a_change_moves_the_hash(self, change):
+        c = presets()["E6-desk"]
+        assert change(c).config_hash() != c.config_hash()
+
+
+class TestFromDict:
+    def base(self):
+        return presets()["E6-desk"].to_dict()
+
+    def test_missing_fields_take_defaults(self):
+        d = self.base()
+        for key in ("n_val", "grf", "seed"):
+            del d[key]
+        del d["train"]["max_lr"]
+        del d["model"]["mlp_hidden"]
+        c = from_dict(d)
+        assert c.n_val == 2 and c.grf == {} and c.seed == 0
+        assert c.train.max_lr == TrainConfig(iterations=1).max_lr
+        assert c.model.mlp_hidden == (64, 64)
+
+    def test_lists_become_tuples(self):
+        d = json.loads(presets()["E6-desk"].canonical_json())
+        c = from_dict(d)
+        assert isinstance(c.domain_length, tuple) and isinstance(c.model.freq_norm, tuple)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "bogus"), (("solver",), "bogus"), (("train",), "beta2"), (("model",), "width"),
+    ])
+    def test_unknown_key_is_named(self, path, key):
+        d = self.base()
+        target = d
+        for p in path:
+            target = target[p]
+        target[key] = 1
+        with pytest.raises(ValueError, match=key):
+            from_dict(d)
+
+    @pytest.mark.parametrize("path, key", [((), "model"), (("model",), "dt_model"),
+                                           (("train",), "iterations")])
+    def test_missing_required_key_is_named(self, path, key):
+        d = self.base()
+        target = d
+        for p in path:
+            target = target[p]
+        del target[key]
+        with pytest.raises(ValueError, match=key):
+            from_dict(d)
+
+    def test_unknown_grf_key(self):
+        d = self.base()
+        d["grf"] = {"alpha": 2.0, "sigma": 1.0}
+        with pytest.raises(ValueError, match="sigma"):
+            from_dict(d)
+
+    @pytest.mark.parametrize("doc", [None, [1, 2], "text"])
+    def test_not_a_mapping(self, doc):
+        with pytest.raises(ValueError, match="mapping"):
+            from_dict(doc)
+
+    def test_bad_value_is_a_value_error(self):
+        d = self.base()
+        d["solver"]["dt"] = "fast"
+        with pytest.raises(ValueError, match="solver"):
+            from_dict(d)

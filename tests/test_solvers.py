@@ -376,3 +376,26 @@ class TestEveryPresetFirstStep:
         snaps = integrate(c.pde, one_step, g, ic)
         assert len(snaps) == 2 and np.isfinite(snaps[1]).all()
         assert not np.array_equal(snaps[1], snaps[0])
+
+
+class TestBlowUpIsNonFinite:
+    def test_rk4_blow_up_raises_nonfinite_with_step(self):
+        # KSE on 64^2 at dt = 5e-3: dt*k^4 is far outside RK4's stability region
+        c = presets()["E1-desk"]
+        ic = sample_ic(c.pde, c.gen_grid, 0, 0)
+        cfg = SolverConfig(dt=5e-3, t_end=0.5, save_dt=5e-3)
+        with pytest.raises(NonFinite) as info:
+            integrate(c.pde, cfg, c.gen_grid, ic)
+        assert info.value.step is not None and 1 <= info.value.step < cfg.n_steps
+        assert info.value.time == pytest.approx(info.value.step * cfg.dt)
+
+    def test_rk4_step_checks_stage_inputs(self):
+        calls = []
+
+        def rhs(v):
+            calls.append(v.copy())
+            return np.full_like(v, np.inf) if len(calls) == 1 else -v
+
+        with pytest.raises(NonFinite, match="stage 2"):
+            rk4_step(rhs, np.ones(3), 0.1)
+        assert len(calls) == 1
