@@ -6,7 +6,6 @@ solvers that generate its data and a self-contained training engine.
 from .errors import (
     ContainerError,
     DegenerateTruth,
-    HermitianViolation,
     IncompatibleDomain,
     InsufficientLength,
     NonFinite,

@@ -141,6 +141,18 @@ def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]
     return cfg, _strip(tensors, "best.") or _strip(tensors, "param.")
 
 
+def _history_until(path: Path, step: int) -> list[tuple]:
+    """The rows of an earlier history.csv up to iteration step, as train's tuples."""
+    if not path.exists():
+        return []
+    rows = []
+    for line in path.read_text().splitlines()[1:]:
+        it, lr, loss, val = line.split(",")
+        if int(it) <= step:
+            rows.append((int(it), float(lr), float(loss), float(val) if val else None))
+    return rows
+
+
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
     data_dir = Path(cfg.out_dir) / "data"
     ds_train = load_split(data_dir, "train")
@@ -173,7 +185,9 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
         _checkpoint_tensors(result.final_params, result.opt_state,
                             result.best_params, result.best_val, result.best_iteration),
     )
-    training.write_history_csv(result.history, out / "history.csv")
+    # a resumed run continues the history up to its checkpoint
+    kept = _history_until(out / "history.csv", resume.start_iteration) if resume else []
+    training.write_history_csv(kept + result.history, out / "history.csv")
     print(f"[train] best val rel_l2 {result.best_val:.6g} at iteration {result.best_iteration}")
     return 0
 

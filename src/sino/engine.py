@@ -7,18 +7,16 @@ walks the tape in reverse topological order.
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the
 pullback of a C-linear map A is its conjugate transpose, the elementwise
-product w = a*b pulls back as g_a = conj(b)*g, and the pullback of the
-unnormalized FFT is prod(N) times the normalized inverse FFT. Where a real
-tensor feeds a complex op, the real part of the complex pullback is the
-gradient.
+product w = a*b pulls back as g_a = conj(b)*g. Where a real tensor feeds
+a complex op, the real part of the complex pullback is the gradient.
 
-Half spectrum: rfftn keeps the modes 0..N/2 of the last transformed axis,
-and irfftn rebuilds a real field from them, taking each interior mode
-1..N/2-1 for itself and its conjugate partner -k. So an interior mode is
-weighted twice in the real field and the edge modes (0 and N/2) once, and
-the pullbacks carry that weighting: rfftn pulls back as prod(N) * irfftn
-of the cotangent with its interior modes halved, irfftn as rfftn of the
-cotangent over prod(N) with its interior modes doubled.
+Spectra are real-FFT half spectra: rfftn keeps the modes 0..N/2 of the
+last transformed axis, and irfftn rebuilds a real field from them, taking
+each interior mode 1..N/2-1 for itself and its conjugate partner -k. So an
+interior mode is weighted twice in the real field and the edge modes (0
+and N/2) once, and the pullbacks carry that weighting: rfftn pulls back as
+prod(N) * irfftn of the cotangent with its interior modes halved, irfftn
+as rfftn of the cotangent over prod(N) with its interior modes doubled.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-
-from .errors import HermitianViolation
 
 _GRAD_ENABLED = True
 
@@ -291,8 +287,10 @@ def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g):
+        # add.at, not assignment: an index array may repeat an entry, and
+        # each occurrence contributes
         full = np.zeros_like(a.data)
-        full[idx] = g
+        np.add.at(full, idx, g)
         return (full,)
 
     return _node(a.data[idx], (a,), vjp)
@@ -326,54 +324,6 @@ def real(a) -> Tensor:
         return (g.astype(np.complex128),)
 
     return _node(np.ascontiguousarray(a.data.real), (a,), vjp)
-
-
-def flip_modes(a, axes) -> Tensor:
-    """Index reversal k -> -k (mod N) along the given axes; self-inverse."""
-    a = as_tensor(a)
-
-    def rev(x):
-        return np.roll(np.flip(x, axis=axes), shift=[1] * len(axes), axis=axes)
-
-    def vjp(g):
-        return (rev(g),)
-
-    return _node(rev(a.data), (a,), vjp)
-
-
-def fftn(a, axes) -> Tensor:
-    a = as_tensor(a)
-    scale = math.prod(a.data.shape[ax] for ax in axes)
-
-    def vjp(g):
-        return (scale * np.fft.ifftn(g, axes=axes),)
-
-    return _node(np.fft.fftn(a.data, axes=axes), (a,), vjp)
-
-
-def ifftn_real(a, axes, hermitian_rtol: float | None = 1e-8) -> Tensor:
-    """Normalized inverse FFT followed by taking the real part.
-
-    If hermitian_rtol is given, the discarded imaginary residue must stay
-    below rtol * field RMS, else HermitianViolation is raised.
-    """
-    a = as_tensor(a)
-    scale = math.prod(a.data.shape[ax] for ax in axes)
-    u = np.fft.ifftn(a.data, axes=axes)
-    if hermitian_rtol is not None:
-        rms = math.sqrt(float(np.mean(np.abs(u) ** 2)))
-        residue = float(np.max(np.abs(u.imag))) if u.size else 0.0
-        if residue > hermitian_rtol * rms:
-            raise HermitianViolation(
-                f"imaginary residue {residue:.3e} exceeds {hermitian_rtol:.1e} * RMS {rms:.3e}"
-            )
-
-    def vjp(g):
-        # adjoint of (real . ifftn): embed the real cotangent and push
-        # through the forward transform with the inverse normalization
-        return (np.fft.fftn(g.astype(np.complex128), axes=axes) / scale,)
-
-    return _node(np.ascontiguousarray(u.real), (a,), vjp)
 
 
 def _weight_interior(h: np.ndarray, axis: int, n: int, factor: float) -> np.ndarray:

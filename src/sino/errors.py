@@ -5,10 +5,6 @@ class SinoError(Exception):
     """Base class for all package-specific errors."""
 
 
-class HermitianViolation(SinoError):
-    """Spectral coefficients of a supposedly real field lost Hermitian symmetry."""
-
-
 class IncompatibleDomain(SinoError):
     """Two grids that must share a physical domain do not."""
 

@@ -7,10 +7,10 @@ and the result feeds a linear 1x1 branch plus a multiplicative Pi-block
 (with a 2/3 low-pass) whose outputs are recombined by a final 1x1 map.
 Time stepping is RK4 over that learned right-hand side.
 
-Spectra are real-FFT half spectra: the last grid axis keeps its modes
-0..N/2 (engine.rfftn / engine.irfftn), so every field stays real by
-construction. Freq2Vec still builds the full Hermitian table; each graph
-slices it to the half spectrum once.
+Spectra are real-FFT half spectra (engine.rfftn / engine.irfftn), laid
+out as in spectral: the last grid axis keeps its modes 0..N/2, the last
+one indexed -N/2. Freq2Vec evaluates its multipliers on that half
+spectrum, so every field stays real by construction.
 
 All forward functions come in two flavors: module-level wrappers that take
 and return numpy arrays, and tape-building internals (prefixed with an
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine as eg
 from .engine import Tensor
-from .errors import HermitianViolation, IncompatibleDomain, NonFinite
+from .errors import IncompatibleDomain, NonFinite
 from .spectral import GridSpec, freq_grid, two_thirds_mask
 
 ACTIVATIONS = ("quad", "tanh", "sin")
@@ -178,47 +178,40 @@ def _activation(cfg: ModelConfig):
 
 
 def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    """Hermitian-symmetrized multiplier table, shape (K, *points), complex."""
-    fg = freq_grid(grid)
-    axes = tuple(range(1, grid.dim + 1))
+    """Multiplier table on the half spectrum, shape (K, *half points), complex.
+
+    psi is evaluated at every half-spectrum index k and at its wrapped
+    negation -k (the index -N/2 is its own negation), in one pass, and the
+    table is (psi(k) + conj psi(-k)) / 2. Where k and -k both lie in the
+    half spectrum (its edge columns), the table is conjugate-symmetric, and
+    odd multipliers vanish on each Nyquist index, as in
+    FreqGrid.derivative_multiplier.
+    """
+    n = math.prod(grid.half_points)
+    index = freq_grid(grid).index.reshape(grid.dim, n)
+    points = np.array(grid.points)[:, None]
+    modes = np.concatenate([index, np.where(index == -(points // 2), index, -index)], axis=1)
     if cfg.no_freq2vec:
         if grid.points != cfg.native_points:
             raise IncompatibleDomain(
                 "the free multiplier table is bound to the native resolution "
                 f"{cfg.native_points}, got {grid.points}"
             )
-        raw = pt["freq2vec.table"]
-        psi = eg.to_complex(raw[: cfg.K, :], raw[cfg.K :, :])
-        psi = eg.reshape(psi, (cfg.K,) + grid.points)
+        # the table holds every mode of the full grid, in numpy fft order
+        flat = np.ravel_multi_index(tuple(modes % points), grid.points)
+        raw = eg.getitem(pt["freq2vec.table"], (slice(None), flat))
+        psi = eg.to_complex(raw[: cfg.K], raw[cfg.K :])
     else:
-        q = np.stack(
-            [fg.index[i].ravel() / cfg.freq_norm[i] for i in range(grid.dim)], axis=1
-        )
-        h: Tensor = Tensor(q)
+        h: Tensor = Tensor(np.ascontiguousarray(modes.T) / np.array(cfg.freq_norm))
         act = _activation(cfg)
         n_layers = len(cfg.mlp_hidden) + 1
         for i in range(n_layers):
             h = eg.add(eg.matmul(h, pt[f"freq2vec.w{i}"]), pt[f"freq2vec.b{i}"])
             if i < n_layers - 1:
                 h = act(h)
-        psi = eg.to_complex(h[:, : cfg.K], h[:, cfg.K :])
-        psi = eg.reshape(eg.transpose(psi, (1, 0)), (cfg.K,) + grid.points)
-    # enforce psi(-k) == conj(psi(k)) so real fields map to real fields
-    mirrored = eg.conj(eg.flip_modes(psi, axes))
-    return eg.mul(eg.add(psi, mirrored), 0.5)
-
-
-def _half(grid: GridSpec) -> tuple:
-    """Index of the half spectrum in a full one: last-axis columns 0..N/2.
-
-    Column N/2 holds the mode -N/2 of the full spectrum's numpy order.
-    """
-    return (Ellipsis, slice(0, grid.points[-1] // 2 + 1))
-
-
-def _half_table(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    """The Freq2Vec table on the half spectrum, (K, *half points), complex."""
-    return eg.getitem(_freq2vec(pt, cfg, grid), _half(grid))
+        psi = eg.transpose(eg.to_complex(h[:, : cfg.K], h[:, cfg.K :]), (1, 0))
+    table = eg.mul(eg.add(psi[:, :n], eg.conj(psi[:, n:])), 0.5)
+    return eg.reshape(table, (cfg.K,) + grid.half_points)
 
 
 def _mix(w: Tensor, b: Tensor, x: Tensor, grid: GridSpec) -> Tensor:
@@ -229,7 +222,6 @@ def _mix(w: Tensor, b: Tensor, x: Tensor, grid: GridSpec) -> Tensor:
 
 
 def _slb(u: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    """table is the half-spectrum table of _half_table."""
     uh = eg.rfftn(u, grid.axes)
     prod = eg.mul(
         eg.reshape(uh, (cfg.c_in, 1) + uh.shape[1:]),
@@ -248,7 +240,7 @@ def _pi_block(d: Tensor, pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec
         pre_filter_out.append(v)
     if cfg.no_filter:
         return v
-    mask = Tensor(two_thirds_mask(grid)[_half(grid)])
+    mask = Tensor(two_thirds_mask(grid))
     return eg.irfftn(eg.mul(eg.rfftn(v, grid.axes), mask), grid.axes, grid.points)
 
 
@@ -291,7 +283,7 @@ def _check_state(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
 
 
 def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
-    """Evaluate the (symmetrized) multiplier table on a grid, (K, *points) complex."""
+    """Evaluate the multiplier table on a grid's half spectrum, (K, *half points) complex."""
     with eg.no_grad():
         return _freq2vec(_wrap_params(params, False), cfg, grid).data
 
@@ -299,19 +291,17 @@ def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpe
 def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     """Apply K multipliers to every input channel; output is (c_in*K, *points).
 
-    table is a full (K, *points) table, as freq2vec_eval returns. It must be
-    Hermitian, table(-k) == conj(table(k)), to within 1e-8 of its largest
-    entry, else HermitianViolation is raised: the half spectrum would
-    silently drop the part that maps real fields to complex ones.
+    table is a half-spectrum (K, *half points) table, as freq2vec_eval
+    returns; the output is real for any table.
     """
     u = _check_state(u, cfg, grid)
     table = np.asarray(table, dtype=np.complex128)
-    mirrored = np.conj(eg.flip_modes(Tensor(table), grid.axes).data)
-    residue = float(np.max(np.abs(table - mirrored)))
-    if residue > 1e-8 * float(np.max(np.abs(table))):
-        raise HermitianViolation(f"multiplier table is not Hermitian: residue {residue:.3e}")
+    if table.shape != (cfg.K,) + grid.half_points:
+        raise ValueError(
+            f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
+        )
     with eg.no_grad():
-        return _slb(Tensor(u), Tensor(table[_half(grid)]), cfg, grid).data
+        return _slb(Tensor(u), Tensor(table), cfg, grid).data
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
@@ -328,7 +318,7 @@ def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _half_table(pt, cfg, grid)
+        table = _freq2vec(pt, cfg, grid)
         return _rhs(Tensor(u), table, pt, cfg, grid).data
 
 
@@ -338,7 +328,7 @@ def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _half_table(pt, cfg, grid)
+        table = _freq2vec(pt, cfg, grid)
         out = _step(Tensor(u), table, pt, cfg, grid).data
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
@@ -354,7 +344,7 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     snaps = [u.copy()]
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _half_table(pt, cfg, grid)
+        table = _freq2vec(pt, cfg, grid)
         state = Tensor(u)
         for step in range(n_steps):
             state = _step(state, table, pt, cfg, grid)
@@ -371,7 +361,7 @@ def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
     u = _check_state(u, cfg, grid)
     with eg.no_grad():
         pt = _wrap_params(params, False)
-        table = _half_table(pt, cfg, grid)
+        table = _freq2vec(pt, cfg, grid)
         d = _slb(Tensor(u), table, cfg, grid)
         pre: list = []
         _pi_block(d, pt, cfg, grid, pre_filter_out=pre)
@@ -402,10 +392,10 @@ def exact_burgers_params(grid: GridSpec, nu: float, dt_model: float,
     z = sum_a (k_a / k_ref)^2 cross a squaring layer as the pair
     ((y + 1)^2 - (y - 1)^2) / 4 = y; the squares of layer 0 also give
     q_a^2 = ((q_a + 1)^2 + (q_a - 1)^2) / 2 - 1. The output layer scales q_a
-    by 2*pi*freq_norm_a/L_a and z by k_ref^2. The Hermitian symmetrization
-    in Freq2Vec zeroes the odd multipliers at the Nyquist mode, as
-    FreqGrid.derivative_multiplier does. The Pi-block forms the d^2
-    convection products u_j * d_j u_c and the output map assembles
+    by 2*pi*freq_norm_a/L_a and z by k_ref^2. Freq2Vec averages psi(k) with
+    conj psi(-k), which zeroes i*k_a on the Nyquist index k_a = -N_a/2, its
+    own negation, as FreqGrid.derivative_multiplier does. The Pi-block forms
+    the d^2 convection products u_j * d_j u_c and the output map assembles
     nu*lap(u_c) - sum_j u_j d_j u_c per component.
     """
     d = grid.dim

@@ -3,8 +3,15 @@ resampling, and Gaussian-random-field sampling.
 
 Conventions (normative for everything built on top):
   * fields are float64 arrays of shape (channels, *points), C-order;
-  * spectra are complex128 arrays of the same shape, mode ordering
-    [0, 1, ..., N/2-1, -N/2, ..., -1] per axis (numpy fft order);
+  * spectra are real-FFT half spectra: complex128 arrays of shape
+    (channels, *half_points), where every axis but the last keeps all N
+    modes in numpy fft order [0, 1, ..., N/2-1, -N/2, ..., -1] and the last
+    axis keeps the N/2+1 modes [0, 1, ..., N/2-1, -N/2]. The last column is
+    the Nyquist mode, indexed -N/2 as in the full order, so the odd-order
+    Nyquist rule and the Freq2Vec inputs read it as in a full spectrum;
+  * a mode k and its partner -k carry conjugate coefficients, so the half
+    spectrum holds a real field's whole content and the inverse transform
+    returns a real field by construction;
   * the forward transform is unnormalized, the inverse divides by prod(N).
 """
 
@@ -16,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import HermitianViolation, IncompatibleDomain, NonFinite
+from .errors import IncompatibleDomain, NonFinite
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,11 @@ class GridSpec:
         return math.prod(self.points)
 
     @property
+    def half_points(self) -> tuple[int, ...]:
+        """Mode counts of the half spectrum: the last axis keeps N/2+1."""
+        return self.points[:-1] + (self.points[-1] // 2 + 1,)
+
+    @property
     def axes(self) -> tuple[int, ...]:
         """Grid axes of a (channels, *points) array."""
         return tuple(range(1, self.dim + 1))
@@ -59,16 +71,22 @@ class GridSpec:
         return np.stack(np.meshgrid(*axes_1d, indexing="ij"))
 
 
+def _fft_order(n: int) -> np.ndarray:
+    """Integer mode indices of an n-point axis in numpy fft order."""
+    return np.r_[0 : n // 2, -(n // 2) : 0]
+
+
 class FreqGrid:
     """Frequency bookkeeping for a grid: integer indices and physical wavenumbers.
 
-    index[i] holds the integer mode index k_i per mode; wavenumber[i] holds
-    2*pi*k_i/L_i. Ordering matches the spectrum layout.
+    index[i] holds the integer mode index k_i per mode of the half
+    spectrum, shape (dim, *half_points); wavenumber[i] holds 2*pi*k_i/L_i.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        idx_1d = [np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in grid.points]
+        idx_1d = [_fft_order(n) for n in grid.points]
+        idx_1d[-1] = idx_1d[-1][: grid.half_points[-1]]
         self.index = np.stack(np.meshgrid(*idx_1d, indexing="ij"))
         self.wavenumber = np.stack(
             [2.0 * np.pi * self.index[i] / grid.length[i] for i in range(grid.dim)]
@@ -80,7 +98,7 @@ class FreqGrid:
         orders = tuple(int(o) for o in orders)
         if len(orders) != self.grid.dim:
             raise ValueError("orders must have one entry per axis")
-        mult = np.ones(self.grid.points, dtype=np.complex128)
+        mult = np.ones(self.grid.half_points, dtype=np.complex128)
         for axis, order in enumerate(orders):
             if order == 0:
                 continue
@@ -98,49 +116,35 @@ def freq_grid(grid: GridSpec) -> FreqGrid:
     return FreqGrid(grid)
 
 
-def _check_field(f: np.ndarray, grid: GridSpec, name: str) -> np.ndarray:
+def _check_shape(f: np.ndarray, points: tuple[int, ...], name: str) -> np.ndarray:
     f = np.asarray(f)
-    if f.ndim != grid.dim + 1 or f.shape[1:] != grid.points:
+    if f.ndim != len(points) + 1 or f.shape[1:] != points:
         raise ValueError(
-            f"{name} must have shape (channels, {', '.join(map(str, grid.points))}), got {f.shape}"
+            f"{name} must have shape (channels, {', '.join(map(str, points))}), got {f.shape}"
         )
     return f
 
 
 def forward_transform(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real field (C, *N) -> unnormalized spectral coefficients (C, *N).
+    """Real field (C, *points) -> unnormalized half spectrum (C, *half_points).
 
     Raises NonFinite on a NaN or Inf value: a solver right-hand side that
     overflows from a finite state fails here, as the blow-up it is."""
-    f = _check_field(f, grid, "field")
+    f = _check_shape(f, grid.points, "field")
     if not np.isfinite(f).all():
         raise NonFinite("field contains non-finite values")
-    return np.fft.fftn(f.astype(np.float64, copy=False), axes=grid.axes)
+    return np.fft.rfftn(f.astype(np.float64, copy=False), axes=grid.axes)
 
 
-def inverse_transform(s: np.ndarray, grid: GridSpec, rtol: float = 1e-8) -> np.ndarray:
-    """Spectral coefficients -> real field.
-
-    The imaginary residue after the inverse FFT is asserted to be below
-    rtol relative to the field's RMS, then discarded.
-
-    Raises HermitianViolation if the residue exceeds the tolerance; that
-    signals a non-Hermitian spectrum produced by a bug upstream.
-    """
-    s = _check_field(s, grid, "spectrum")
-    u = np.fft.ifftn(s, axes=grid.axes)
-    scale = math.sqrt(float(np.mean(np.abs(u) ** 2)))
-    residue = float(np.max(np.abs(u.imag))) if u.size else 0.0
-    if residue > rtol * scale:
-        raise HermitianViolation(
-            f"imaginary residue {residue:.3e} exceeds {rtol:.1e} * field RMS {scale:.3e}"
-        )
-    return np.ascontiguousarray(u.real)
+def inverse_transform(s: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Half spectrum (C, *half_points) -> real field (C, *points)."""
+    s = _check_shape(s, grid.half_points, "spectrum")
+    return np.fft.irfftn(s, s=grid.points, axes=grid.axes)
 
 
 def spectral_derivative(s: np.ndarray, grid: GridSpec, orders) -> np.ndarray:
     """Differentiate a spectrum exactly: coefficients times prod_i (i*k_i)^o_i."""
-    s = _check_field(s, grid, "spectrum")
+    s = _check_shape(s, grid.half_points, "spectrum")
     return s * freq_grid(grid).derivative_multiplier(orders)
 
 
@@ -171,11 +175,11 @@ def apply_spectral_multiplier(s: np.ndarray, m: np.ndarray) -> np.ndarray:
 def spectral_resample(f: np.ndarray, grid: GridSpec, target: GridSpec) -> np.ndarray:
     """Resample a real field between commensurate grids.
 
-    Downsampling truncates high modes, upsampling zero-pads them; both drop
-    the Nyquist bins of the smaller grid, preserve DC exactly, and keep the
-    field real.
+    Downsampling truncates high modes, upsampling zero-pads them; both keep
+    the modes |k_i| <= min(N_i)/2 - 1, so they drop the Nyquist bins of the
+    smaller grid and preserve DC exactly.
     """
-    f = _check_field(f, grid, "field")
+    f = _check_shape(f, grid.points, "field")
     if grid.dim != target.dim or any(
         abs(a - b) > 1e-12 * max(abs(a), abs(b)) for a, b in zip(grid.length, target.length)
     ):
@@ -184,19 +188,18 @@ def spectral_resample(f: np.ndarray, grid: GridSpec, target: GridSpec) -> np.nda
         )
     if target.points == grid.points:
         return f.copy()
-    src = np.fft.fftn(f, axes=grid.axes)
-    out = np.zeros(f.shape[:1] + target.points, dtype=np.complex128)
-    sel_src = [slice(None)]
-    sel_dst = [slice(None)]
-    for ns, nt in zip(grid.points, target.points):
+    src = forward_transform(f, grid)
+    out = np.zeros(f.shape[:1] + target.half_points, dtype=np.complex128)
+    sel_src = [np.arange(f.shape[0])]
+    sel_dst = [np.arange(f.shape[0])]
+    for axis, (ns, nt) in enumerate(zip(grid.points, target.points)):
         half = min(ns, nt) // 2 - 1
-        modes = np.r_[0 : half + 1, -half:0] if half > 0 else np.array([0])
+        last = axis == grid.dim - 1
+        modes = np.arange(half + 1) if last else np.r_[0 : half + 1, -half:0]
         sel_src.append(modes % ns)
         sel_dst.append(modes % nt)
     scale = target.n_points / grid.n_points
-    out[np.ix_(np.arange(f.shape[0]), *sel_dst[1:])] = (
-        src[np.ix_(np.arange(f.shape[0]), *sel_src[1:])] * scale
-    )
+    out[np.ix_(*sel_dst)] = src[np.ix_(*sel_src)] * scale
     return inverse_transform(out, target)
 
 
@@ -212,13 +215,16 @@ def grf_sample(
     Per-mode standard deviation sigma(k) = scale * (4*pi^2*|k|^2 + tau^2)^(-alpha/2)
     with k the integer mode index; the k=0 coefficient is forced to zero.
     scale defaults to tau^(alpha - dim/2). Deterministic given the seed.
+
+    The noise is drawn on the full spectrum and synthesized with a full
+    inverse FFT, keeping its real part, which fixes the draw for a seed.
     """
     if not alpha > grid.dim / 2:
         raise ValueError(f"alpha must exceed dim/2 for integrability, got {alpha}")
     if scale is None:
         scale = tau ** (alpha - grid.dim / 2)
-    fg = freq_grid(grid)
-    idx_sq = np.sum(fg.index.astype(np.float64) ** 2, axis=0)
+    idx_1d = [_fft_order(n).astype(np.float64) ** 2 for n in grid.points]
+    idx_sq = sum(np.meshgrid(*idx_1d, indexing="ij"))
     sigma = scale * (4.0 * np.pi**2 * idx_sq + tau**2) ** (-alpha / 2.0)
     sigma.flat[0] = 0.0
     rng = np.random.default_rng(seed)

@@ -154,7 +154,7 @@ def _rollout_loss_graph(
     segment: list[np.ndarray] | np.ndarray,
     loss_kind: str,
 ) -> Tensor:
-    table = sino_model._half_table(pt, model_cfg, grid)
+    table = sino_model._freq2vec(pt, model_cfg, grid)
     state = Tensor(np.asarray(segment[0], dtype=np.float64))
     step_losses = []
     for target in segment[1:]:

@@ -73,8 +73,10 @@ class TestRoundTrip:
         assert cli.main(["train", "--config", path, "--resume", ckpt]) == 0
         _, last = read_checkpoint(tmp_path / "out" / "ckpt_last.sino")
         assert int(last["meta.step"]) == 6
+        # the history keeps the rows before the checkpoint, unchanged
         rows = read_csv(tmp_path / "out" / "history.csv")
-        assert [int(r[0]) for r in rows[1:]] == [5, 6]
+        assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
+        assert rows[:5] == read_csv(out / "history.csv")
 
     def test_resume_from_a_best_checkpoint_is_refused(self, run, tmp_path):
         path, _, out = run

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sino.errors import HermitianViolation, IncompatibleDomain
+from sino.errors import IncompatibleDomain
 from sino.spectral import (
     GridSpec,
     apply_spectral_multiplier,
@@ -72,36 +72,54 @@ class TestForwardTransform:
         assert np.max(np.abs(back - f)) < 1e-13 * np.max(np.abs(f))
 
     def test_hermitian_symmetry_of_real_field(self):
+        # the half spectrum is the full one's columns 0..N/2; within the edge
+        # columns 0 and N/2, which hold both k and -k, it is conjugate-symmetric
         g = grid2(12)
-        s = forward_transform(random_field(g, 2), g)
-        mirrored = np.roll(np.flip(s, axis=(1, 2)), shift=(1, 1), axis=(1, 2))
-        assert np.max(np.abs(s - np.conj(mirrored))) < 1e-12 * np.max(np.abs(s))
+        f = random_field(g, 2)
+        s = forward_transform(f, g)
+        assert s.shape == (1,) + g.half_points == (1, 12, 7)
+        assert np.max(np.abs(s - np.fft.fftn(f, axes=(1, 2))[..., :7])) < 1e-12 * np.max(np.abs(s))
+        edges = s[..., [0, 6]]
+        mirrored = np.roll(np.flip(edges, axis=1), shift=1, axis=1)
+        assert np.max(np.abs(edges - np.conj(mirrored))) < 1e-12 * np.max(np.abs(s))
+
+    def test_nyquist_column_index(self):
+        fg = freq_grid(grid2(8))
+        assert fg.index.shape == (2, 8, 5)
+        assert list(fg.index[1, 0]) == [0, 1, 2, 3, -4]
+        assert list(fg.index[0, :, 0]) == [0, 1, 2, 3, -4, -3, -2, -1]
 
     def test_parseval(self):
+        # the interior columns 1..N/2-1 stand for themselves and their
+        # conjugate partners, so they count twice
         g = grid2(16)
         f = random_field(g, 3)
         lhs = np.sum(f**2)
-        rhs = np.sum(np.abs(forward_transform(f, g)) ** 2) / g.n_points
+        weight = np.full(g.half_points, 2.0)
+        weight[:, [0, -1]] = 1.0
+        rhs = np.sum(weight * np.abs(forward_transform(f, g)) ** 2) / g.n_points
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestInverseTransform:
     def test_zeros(self):
         g = grid2(8)
-        assert np.all(inverse_transform(np.zeros((1, 8, 8), complex), g) == 0.0)
+        assert np.all(inverse_transform(np.zeros((1, 8, 5), complex), g) == 0.0)
 
     def test_dc_inversion(self):
         g = grid2(8)
-        s = np.zeros((1, 8, 8), complex)
+        s = np.zeros((1, 8, 5), complex)
         s[0, 0, 0] = g.n_points
         assert inverse_transform(s, g) == pytest.approx(np.ones((1, 8, 8)))
 
-    def test_hermitian_violation_raised(self):
+    def test_rejects_a_spectrum_not_in_the_half_layout(self):
+        # irfftn would crop or zero-pad a mis-shaped spectrum without a word
         g = grid2(8)
-        s = np.zeros((1, 8, 8), complex)
-        s[0, 1, 0] = 1.0  # no conjugate partner
-        with pytest.raises(HermitianViolation):
-            inverse_transform(s, g)
+        for shape in ((1, 8, 8), (1, 8, 4), (1, 5, 8), (8, 5)):
+            with pytest.raises(ValueError, match="spectrum must have shape"):
+                inverse_transform(np.zeros(shape, complex), g)
+            with pytest.raises(ValueError, match="spectrum must have shape"):
+                spectral_derivative(np.zeros(shape, complex), g, (1, 0))
 
 
 class TestSpectralDerivative:
@@ -175,7 +193,7 @@ class TestApplySpectralMultiplier:
     def test_identity(self):
         g = grid2(8)
         s = forward_transform(random_field(g, 9), g)
-        assert np.array_equal(apply_spectral_multiplier(s, np.ones(g.points)), s)
+        assert np.array_equal(apply_spectral_multiplier(s, np.ones(g.half_points)), s)
 
     def test_first_derivative_multiplier(self):
         g = grid2(16)
@@ -251,11 +269,11 @@ class TestGrfSample:
         # covariance model makes the slope exactly -alpha up to sampling noise
         g = grid2(64)
         alpha, tau = 2.5, 7.0
-        power = np.zeros(g.points)
+        power = np.zeros(g.half_points)
         n_seeds = 100
         for seed in range(n_seeds):
             u = grf_sample(g, seed, alpha, tau)
-            power += np.abs(np.fft.fftn(u[0])) ** 2 / n_seeds
+            power += np.abs(forward_transform(u, g)[0]) ** 2 / n_seeds
         fg = freq_grid(g)
         idx_sq = np.sum(fg.index.astype(float) ** 2, axis=0)
         sel = idx_sq > 0

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sino.config import presets
 from sino.errors import InsufficientLength, NonFinite
 from sino.model import config_for_grid, exact_burgers_params, init_params, param_names
-from sino.solvers import TrajectoryDataset
+from sino.solvers import TrajectoryDataset, integrate, sample_ic
 from sino.spectral import (
     GridSpec,
     forward_transform,
@@ -101,12 +103,14 @@ class TestBackward:
         segment = [bandlimited(g, 10 + i, cutoff=5) for i in range(3)]
         return g, cfg, params, segment
 
-    def test_gradients_match_finite_differences_per_coordinate(self):
+    @pytest.mark.parametrize("flags", [{}, {"no_freq2vec": True}, {"no_filter": True}],
+                             ids=["full", "no_freq2vec", "no_filter"])
+    def test_gradients_match_finite_differences_per_coordinate(self, flags):
         # spec formula |an - fd| / (|an| + 1e-8) < 1e-5 with h = 1e-5; the
         # central-difference oracle carries roundoff ~eps * |loss| / h, so
         # coordinates are additionally allowed that absolute slack (the
         # analytic value was verified exact by the h-scaling study)
-        g, cfg, params, segment = self.small()
+        g, cfg, params, segment = self.small(**flags)
         loss, bundle = backward(params, cfg, g, segment)
         h = 1e-5
         noise = 50.0 * (2.2e-16 * max(abs(loss), 1.0) / h)
@@ -181,6 +185,26 @@ class TestBackward:
         assert loss_b == pytest.approx(loss_a, rel=1e-12)
         assert np.allclose(bundle_b["pi.0.w"], bundle_a["pi.1.w"], rtol=1e-12)
         assert np.allclose(bundle_b["pi.1.b"], bundle_a["pi.0.b"], rtol=1e-12)
+
+
+class TestEveryPresetFirstTrainStep:
+    """One training.backward per preset: the preset's model at a reduced
+    native grid of its own domain, on a two-step solver segment from the
+    preset's default GRF initial condition, which loads every mode."""
+
+    @pytest.mark.parametrize("case", sorted(presets()))
+    def test_first_train_step_is_finite(self, case):
+        c = presets()[case]
+        points = (16, 16) if c.pde.dim == 2 else (8, 8, 8)
+        g = GridSpec(points=points, length=c.domain_length)
+        model_cfg = replace(c.model, freq_norm=tuple(n // 2 for n in points))
+        dt_model = model_cfg.dt_model
+        solver = replace(c.solver, t_end=2 * dt_model, save_dt=dt_model)
+        segment = integrate(c.pde, solver, g, sample_ic(c.pde, g, 0, 0, c.grf))
+        loss, grads = backward(init_params(model_cfg, 0), model_cfg, g, segment)
+        assert math.isfinite(loss) and loss > 0.0
+        assert set(grads) == set(param_names(model_cfg))
+        assert all(np.isfinite(v).all() for v in grads.values())
 
 
 class TestCurriculum:
