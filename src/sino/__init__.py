@@ -15,7 +15,6 @@ from .errors import (
 from .spectral import (
     FreqGrid,
     GridSpec,
-    apply_spectral_multiplier,
     forward_transform,
     freq_grid,
     grf_sample,
@@ -33,9 +32,7 @@ from .solvers import (
     generate_dataset,
     integrate,
     kse_rhs,
-    make_rhs,
     nse_rhs,
-    rk4_step,
 )
 from .model import (
     ModelConfig,

@@ -1,5 +1,14 @@
 """Pseudo-spectral reference solvers (KSE, NSE vorticity form, 2D/3D Burgers)
-with RK4 time stepping, 2/3 de-aliasing, and trajectory dataset generation.
+and trajectory dataset generation.
+
+Each PDE is split on the real-FFT half spectrum into a real diagonal linear
+symbol and a nonlinear term whose products are de-aliased by the 2/3 rule:
+  * KSE: k^2 - k^4, and -0.5*|grad u|^2;
+  * NSE (vorticity form): -nu*k^2, and -(u . grad) w plus the forcing;
+  * Burgers: -nu*k^2, and -sum_j u_j * d_j u_c per component.
+One scheme integrates all of them: integrating-factor RK4, which advances
+the linear part exactly and steps the nonlinear term explicitly (Kassam &
+Trefethen, SIAM J. Sci. Comput. 2005).
 """
 
 from __future__ import annotations
@@ -60,7 +69,6 @@ class SolverConfig:
     t_end: float
     save_dt: float
     dealias: bool = True
-    method: str = "rk4"  # "rk4" | "ifrk4" (KSE only)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -69,8 +77,6 @@ class SolverConfig:
             raise ValueError("save_dt must be >= dt")
         if self.t_end > 0 and self.t_end < self.save_dt - 1e-12 * self.save_dt:
             raise ValueError("t_end must be >= save_dt (or 0 for a single snapshot)")
-        if self.method not in ("rk4", "ifrk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         for name, ratio in (("save_dt/dt", self.save_dt / self.dt),
                             ("t_end/save_dt", self.t_end / self.save_dt)):
             if abs(ratio - round(ratio)) > 1e-6:
@@ -120,9 +126,9 @@ class TrajectoryDataset:
 
 def forcing_field(grid: GridSpec, forcing: str) -> np.ndarray:
     """Time-independent forcing evaluated on the grid, shape (1, *points)."""
-    x = grid.coords()
     if forcing == "none":
         return np.zeros((1,) + grid.points)
+    x = grid.coords()
     if forcing == "f1":
         return 0.1 * np.cos(8.0 * np.pi * x[0])[np.newaxis]
     if forcing == "f2":
@@ -152,26 +158,60 @@ def biot_savart(omega_hat: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.n
     return ux, uy
 
 
-def _dealias_spectrum(s: np.ndarray, grid: GridSpec, enabled: bool) -> np.ndarray:
-    return s * two_thirds_mask(grid) if enabled else s
+def _unit(axis: int, dim: int) -> tuple[int, ...]:
+    orders = [0] * dim
+    orders[axis] = 1
+    return tuple(orders)
 
 
-def _kse_quadratic(uh: np.ndarray, grid: GridSpec, dealias: bool) -> np.ndarray:
-    """Spectrum of the KSE's quadratic term -0.5*|grad u|^2, from u's spectrum."""
+def _split(kind: str, nu: float, grid: GridSpec, dealias: bool,
+           forcing: np.ndarray | None = None):
+    """The PDE as d(u_hat)/dt = lin * u_hat + nonlin(u_hat) on the half spectrum.
+
+    lin is the real diagonal symbol of the linear part; nonlin maps a state
+    spectrum to the spectrum of the de-aliased nonlinear term, plus, for the
+    vorticity equation, the spectrum of forcing, a (1, *points) field. The
+    multipliers are built here, once per call.
+    """
     fg = freq_grid(grid)
-    grad_sq = sum(
-        inverse_transform(uh * fg.derivative_multiplier(_unit(axis, grid.dim)), grid) ** 2
-        for axis in range(grid.dim)
-    )
-    return _dealias_spectrum(forward_transform(-0.5 * grad_sq, grid), grid, dealias)
+    mask = two_thirds_mask(grid) if dealias else 1.0
+    grads = [fg.derivative_multiplier(_unit(axis, grid.dim)) for axis in range(grid.dim)]
+    if kind == "kse":
+        def nonlin(uh):  # -0.5*|grad u|^2
+            grad_sq = sum(inverse_transform(uh * d, grid) ** 2 for d in grads)
+            return forward_transform(-0.5 * grad_sq, grid) * mask
+
+        return fg.k_sq - fg.k_sq**2, nonlin
+    if kind == "nse":
+        f_hat = forward_transform(forcing, grid)
+        # the Biot-Savart law applied to a unit spectrum: its multipliers
+        velocity = biot_savart(np.ones((1,) + grid.half_points), grid)
+
+        def nonlin(wh):  # -(u . grad) w + f
+            conv = sum(inverse_transform(v * wh, grid) * inverse_transform(d * wh, grid)
+                       for v, d in zip(velocity, grads))
+            return f_hat - forward_transform(conv, grid) * mask
+
+        return -nu * fg.k_sq, nonlin
+
+    def nonlin(uh):  # per component: -sum_j u_j * d_j u_c
+        u = inverse_transform(uh, grid)
+        conv = sum(u[j : j + 1] * inverse_transform(uh * d, grid) for j, d in enumerate(grads))
+        return -forward_transform(conv, grid) * mask
+
+    return -nu * fg.k_sq, nonlin
+
+
+def _rhs(kind: str, nu: float, grid: GridSpec, u: np.ndarray, dealias: bool,
+         forcing: np.ndarray | None = None) -> np.ndarray:
+    lin, nonlin = _split(kind, nu, grid, dealias, forcing)
+    uh = forward_transform(u, grid)
+    return inverse_transform(lin * uh + nonlin(uh), grid)
 
 
 def kse_rhs(u: np.ndarray, grid: GridSpec, dealias: bool = True) -> np.ndarray:
     """-lap(u) - lap^2(u) - 0.5*|grad u|^2 with the quadratic term de-aliased."""
-    fg = freq_grid(grid)
-    uh = forward_transform(u, grid)
-    linear = inverse_transform((fg.k_sq - fg.k_sq**2) * uh, grid)
-    return linear + inverse_transform(_kse_quadratic(uh, grid, dealias), grid)
+    return _rhs("kse", 0.0, grid, u, dealias)
 
 
 def nse_rhs(
@@ -181,52 +221,19 @@ def nse_rhs(
     dealias: bool = True,
     forcing: np.ndarray | None = None,
 ) -> np.ndarray:
-    """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law."""
-    fg = freq_grid(grid)
-    wh = forward_transform(omega, grid)
-    ux_hat, uy_hat = biot_savart(wh, grid)
-    ux = inverse_transform(ux_hat, grid)
-    uy = inverse_transform(uy_hat, grid)
-    wx = inverse_transform(wh * fg.derivative_multiplier((1, 0)), grid)
-    wy = inverse_transform(wh * fg.derivative_multiplier((0, 1)), grid)
-    conv_hat = _dealias_spectrum(forward_transform(ux * wx + uy * wy, grid), grid, dealias)
-    rhs = inverse_transform(-fg.k_sq * spec.nu * wh, grid) - inverse_transform(conv_hat, grid)
+    """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law.
+
+    forcing, shape (1, *points), replaces the spec's forcing field if given."""
     if forcing is None:
         forcing = forcing_field(grid, spec.forcing)
-    return rhs + forcing
+    return _rhs("nse", spec.nu, grid, omega, dealias, forcing)
 
 
 def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float, dealias: bool = True) -> np.ndarray:
     """Per component: nu*lap(u_c) - sum_j u_j * d_j u_c, products de-aliased."""
     if u.shape[0] != grid.dim:
         raise ValueError(f"Burgers state needs {grid.dim} channels, got {u.shape[0]}")
-    fg = freq_grid(grid)
-    uh = forward_transform(u, grid)
-    grads = [
-        inverse_transform(uh * fg.derivative_multiplier(_unit(axis, grid.dim)), grid)
-        for axis in range(grid.dim)
-    ]
-    conv = np.zeros_like(u)
-    for j in range(grid.dim):
-        conv += u[j : j + 1] * grads[j]
-    conv_hat = _dealias_spectrum(forward_transform(conv, grid), grid, dealias)
-    return inverse_transform(-fg.k_sq * nu * uh, grid) - inverse_transform(conv_hat, grid)
-
-
-def _unit(axis: int, dim: int) -> tuple[int, ...]:
-    orders = [0] * dim
-    orders[axis] = 1
-    return tuple(orders)
-
-
-def make_rhs(spec: PDESpec, grid: GridSpec, dealias: bool = True) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind a PDE to a grid, returning a state -> time-derivative map."""
-    if spec.kind == "kse":
-        return lambda u: kse_rhs(u, grid, dealias)
-    if spec.kind == "nse":
-        f = forcing_field(grid, spec.forcing)
-        return lambda w: nse_rhs(w, grid, spec, dealias, forcing=f)
-    return lambda u: burgers_rhs(u, grid, spec.nu, dealias)
+    return _rhs("burgers", nu, grid, u, dealias)
 
 
 def _finite(v: np.ndarray, what: str) -> np.ndarray:
@@ -236,8 +243,9 @@ def _finite(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], u: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 step. Raises NonFinite if the input of stage 2, 3 or 4,
-    or the result, is not finite, before the right-hand side sees it; the
+    """Classical RK4 step, the physical-space reference the tests compare
+    integrate against. Raises NonFinite if the input of stage 2, 3 or 4, or
+    the result, is not finite, before the right-hand side sees it; the
     stage-1 input u is the previous step's checked result."""
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -248,60 +256,41 @@ def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], u: np.ndarray, dt: float) 
     return _finite(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "result")
 
 
-def _integrate_ifrk4_kse(grid: GridSpec, cfg: SolverConfig, ic: np.ndarray) -> list[np.ndarray]:
-    """Integrating-factor RK4 for the KSE: the stiff linear part (k^2 - k^4)
-    is advanced exactly, only the quadratic term is stepped explicitly."""
-    fg = freq_grid(grid)
-    lin = fg.k_sq - fg.k_sq**2
-    dt = cfg.dt
-    e_half = np.exp(0.5 * dt * lin)
-    e_full = e_half * e_half
-    nonlin = lambda uh: _kse_quadratic(uh, grid, cfg.dealias)
-    uh = forward_transform(ic, grid)
-    snaps = [ic.copy()]
-    for step in range(cfg.n_steps):
-        k1 = nonlin(uh)
-        m2 = nonlin(e_half * (uh + 0.5 * dt * k1))
-        m3 = nonlin(e_half * uh + 0.5 * dt * m2)
-        m4 = nonlin(e_full * uh + dt * e_half * m3)
-        uh = e_full * uh + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (m2 + m3) + m4)
-        if not np.isfinite(uh).all():
-            raise NonFinite("IF-RK4 produced non-finite values",
-                            time=(step + 1) * dt, step=step + 1)
-        if (step + 1) % cfg.save_every == 0:
-            snaps.append(inverse_transform(uh, grid))
-    return snaps
-
-
 def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray) -> list[np.ndarray]:
     """Integrate from an initial condition, recording a snapshot every save_dt.
 
-    Returns the list [state(0), state(save_dt), ...]; snapshot count is
-    n_steps // save_every + 1.
+    Integrating-factor RK4 on the half spectrum: the diagonal linear part is
+    advanced exactly by exp(dt * lin), only the nonlinear term (and forcing)
+    is stepped explicitly. Returns the list [state(0), state(save_dt), ...];
+    snapshot count is n_steps // save_every + 1. A non-finite stage or result
+    raises NonFinite carrying the step and time of the failed step.
     """
     ic = np.asarray(ic, dtype=np.float64)
     if ic.shape != (spec.channels,) + grid.points:
         raise ValueError(
             f"initial condition must have shape ({spec.channels}, {grid.points}), got {ic.shape}"
         )
-    if cfg.method == "ifrk4":
-        if spec.kind != "kse":
-            raise ValueError("the integrating-factor scheme is implemented for the KSE only")
-        return _integrate_ifrk4_kse(grid, cfg, ic)
-    rhs = make_rhs(spec, grid, cfg.dealias)
-    u = ic.copy()
-    snaps = [u.copy()]
+    lin, nonlin = _split(spec.kind, spec.nu, grid, cfg.dealias, forcing_field(grid, spec.forcing))
+    dt = cfg.dt
+    e_half = np.exp(0.5 * dt * lin)
+    e_full = e_half * e_half
+    uh = forward_transform(ic, grid)
+    snaps = [ic.copy()]
     for step in range(cfg.n_steps):
         try:
-            u = rk4_step(rhs, u, cfg.dt)
+            k1 = nonlin(uh)
+            m2 = nonlin(e_half * (uh + 0.5 * dt * k1))
+            m3 = nonlin(e_half * uh + 0.5 * dt * m2)
+            m4 = nonlin(e_full * uh + dt * e_half * m3)
+            uh = e_full * uh + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (m2 + m3) + m4)
+            if not np.isfinite(uh).all():
+                raise NonFinite("the step's result is non-finite")
         except NonFinite as err:
-            raise NonFinite(
-                f"solver blew up at t={(step + 1) * cfg.dt:.6g} (step {step + 1}): {err}",
-                time=(step + 1) * cfg.dt,
-                step=step + 1,
-            ) from err
+            t = (step + 1) * dt
+            raise NonFinite(f"solver blew up at t={t:.6g} (step {step + 1}): {err}",
+                            time=t, step=step + 1) from err
         if (step + 1) % cfg.save_every == 0:
-            snaps.append(u.copy())
+            snaps.append(inverse_transform(uh, grid))
     return snaps
 
 

@@ -163,15 +163,6 @@ def two_thirds_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def apply_spectral_multiplier(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Elementwise product of a spectrum with a per-mode multiplier table."""
-    s = np.asarray(s)
-    m = np.asarray(m)
-    if m.shape != s.shape[-m.ndim:]:
-        raise ValueError(f"multiplier shape {m.shape} does not match spectrum {s.shape}")
-    return s * m
-
-
 def spectral_resample(f: np.ndarray, grid: GridSpec, target: GridSpec) -> np.ndarray:
     """Resample a real field between commensurate grids.
 

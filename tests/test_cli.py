@@ -129,10 +129,12 @@ class TestExitCodes:
         assert self.generate(tmp_path, "case: [unclosed\n") == 2
 
     def test_unknown_solver_key(self, tmp_path, capsys):
-        d = tiny_config(tmp_path).to_dict()
-        d["solver"]["bogus"] = 1
-        assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
-        assert "bogus" in capsys.readouterr().err
+        # solver.method selected an integrator; there is only one now
+        for key, value in (("bogus", 1), ("method", "rk4")):
+            d = tiny_config(tmp_path).to_dict()
+            d["solver"][key] = value
+            assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
+            assert key in capsys.readouterr().err
 
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2
@@ -143,12 +145,13 @@ class TestExitCodes:
         assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
 
     def test_solver_blow_up_exits_3(self, tmp_path, capsys):
-        # KSE on 64^2 with RK4 at dt = 5e-3: far outside RK4's stability region
-        c = presets()["E1-desk"]
-        blow_up = replace(c, solver=replace(c.solver, dt=5e-3, save_dt=5e-3, t_end=0.1,
-                                            method="rk4"), n_train=1)
+        # Burgers from a GRF at scale 1000 (default 5) at dt = 0.05 overflows at step 3
+        c = presets()["E6-desk"]
+        blow_up = replace(c, solver=replace(c.solver, dt=0.05, save_dt=0.05, t_end=1.0),
+                          grf={"scale": 1000}, n_train=1)
         assert self.generate(tmp_path, yaml.safe_dump(blow_up.to_dict())) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "(step 3)" in err
 
 
 def test_docstring_example_loads(tmp_path):

@@ -18,7 +18,7 @@ from sino.model import (
     rollout,
     slb_apply,
 )
-from sino.solvers import PDESpec, SolverConfig, integrate, make_rhs, rk4_step
+from sino.solvers import PDESpec, SolverConfig, integrate
 from sino.spectral import (
     GridSpec,
     forward_transform,

@@ -6,7 +6,6 @@ import pytest
 from sino.errors import IncompatibleDomain
 from sino.spectral import (
     GridSpec,
-    apply_spectral_multiplier,
     forward_transform,
     freq_grid,
     grf_sample,
@@ -187,30 +186,6 @@ class TestTwoThirdsMask:
         b = inverse_transform(forward_transform(random_field(g, 8), g) * mask, g)
         prod_hat = forward_transform(a * b, g) * mask
         assert np.max(np.abs(prod_hat * (1.0 - mask))) == 0.0
-
-
-class TestApplySpectralMultiplier:
-    def test_identity(self):
-        g = grid2(8)
-        s = forward_transform(random_field(g, 9), g)
-        assert np.array_equal(apply_spectral_multiplier(s, np.ones(g.half_points)), s)
-
-    def test_first_derivative_multiplier(self):
-        g = grid2(16)
-        x = g.coords()
-        s = forward_transform(np.sin(x[0])[np.newaxis], g)
-        fg = freq_grid(g)
-        mult = fg.derivative_multiplier((1, 0))
-        d = inverse_transform(apply_spectral_multiplier(s, mult), g)
-        assert np.max(np.abs(d - np.cos(x[0])[np.newaxis])) < 1e-12
-
-    def test_laplacian_multiplier_matches_derivative_path(self):
-        g = grid2(16)
-        fg = freq_grid(g)
-        s = forward_transform(random_field(g, 10), g)
-        via_mult = apply_spectral_multiplier(s, -fg.k_sq + 0j)
-        via_orders = spectral_derivative(s, g, (2, 0)) + spectral_derivative(s, g, (0, 2))
-        assert np.max(np.abs(via_mult - via_orders)) < 1e-13 * np.max(np.abs(s))
 
 
 class TestSpectralResample:
