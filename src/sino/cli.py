@@ -1,5 +1,5 @@
 """Command-line entry points: dataset generation, training, evaluation,
-ablation and hyperparameter sweeps, and teacher-side distillation data.
+ablation and hyperparameter sweeps.
 
 A run takes a case preset (--preset) or a YAML config (--config). The YAML
 schema is the dataclass field names: the top-level keys are the fields of
@@ -34,11 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers, evaluation, model as sino_model, training
+from . import containers, evaluation, training
 from .config import ExperimentConfig, from_dict, load_yaml, presets
 from .errors import ContainerError, NonFinite, SinoError
 from .model import ABLATION_FLAGS
-from .solvers import SPLIT_SEEDS, TrajectoryDataset, generate_dataset, sample_ic, simulate
+from .solvers import TrajectoryDataset, generate_dataset, simulate
 from .spectral import GridSpec, spectral_resample
 from .training import ResumeState, train
 
@@ -58,7 +58,7 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=args.seed))
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     flags = {flag: True for flag in ABLATION_FLAGS if getattr(args, flag)}
     if flags:
         cfg = replace(cfg, model=replace(cfg.model, **flags))
@@ -204,9 +204,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
         )
     model_cfg = ck_cfg.model
     ds_test = load_split(out / "data", "test")
-    report = evaluation.evaluate_rollout(
-        params, model_cfg, ds_test, train_horizon=cfg.solver.t_end
-    )
+    report = evaluation.evaluate_rollout(params, model_cfg, ds_test)
     evaluation.export_csv(report, out / "eval_test.csv")
     print(f"[evaluate] aggregate rel_l2 {report.aggregate_rel_l2:.6g} "
           f"({len(report.failures or [])} failures)")
@@ -230,8 +228,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
         truth = simulate(cfg.pde, solver, cfg.gen_grid, cfg.train_grid, ic_gen)
         ood_set = TrajectoryDataset(grid=cfg.train_grid, cadence=solver.save_dt,
                                     data=truth[np.newaxis])
-        report = evaluation.evaluate_rollout(params, model_cfg, ood_set,
-                                             train_horizon=cfg.solver.t_end)
+        report = evaluation.evaluate_rollout(params, model_cfg, ood_set)
         evaluation.export_csv(report, out / f"eval_ood_{ood}.csv")
         print(f"[evaluate] OOD {ood}: rel_l2 {report.aggregate_rel_l2:.6g}")
     return 0
@@ -275,59 +272,35 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_distill_generate(cfg: ExperimentConfig, checkpoint, n_traj: int,
-                         cadence: float, t_end: float) -> int:
-    ck_cfg, params = load_model_checkpoint(checkpoint)
-    model_cfg = ck_cfg.model
-    grid = GridSpec(points=model_cfg.native_points, length=cfg.domain_length)
-    steps_per_snap = round(cadence / model_cfg.dt_model)
-    if abs(steps_per_snap * model_cfg.dt_model - cadence) > 1e-9 * cadence:
-        raise ValueError(
-            f"synthetic cadence {cadence} must be an integer multiple of "
-            f"dt_model {model_cfg.dt_model}"
-        )
-    n_steps = round(t_end / cadence) * steps_per_snap
-    out = Path(cfg.out_dir) / "distill"
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    written = 0
-    for t in range(n_traj):
-        ic = sample_ic(cfg.pde, grid, SPLIT_SEEDS["train"] + 3, t, cfg.grf)
-        try:
-            snaps = sino_model.rollout(ic, params, model_cfg, grid, n_steps,
-                                       record_every=steps_per_snap)
-        except NonFinite as err:
-            print(f"[distill] trajectory {t} skipped: {err}")
-            continue
-        path = out / f"distill_{written:03d}.sino"
-        containers.write_field_container(path, grid, cadence, np.stack(snaps))
-        files.append(path)
-        written += 1
-    if n_traj == 0:
-        path = out / "distill_000.sino"
-        containers.write_field_container(
-            path, grid, cadence, np.zeros((0, model_cfg.c_in) + grid.points)
-        )
-        files.append(path)
-    _write_manifest(out, cfg, files)
-    print(f"[distill] wrote {written} synthetic trajectories to {out}")
-    return 0
+def _positive_ints(option: str, text: str) -> list[int]:
+    """The values of a comma-list option, each a positive integer."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be a comma list of integers, got {text!r}") from None
+    if any(v < 1 for v in values):
+        raise ValueError(f"{option} entries must be >= 1, got {text!r}")
+    return values
 
 
 def cmd_sweep(cfg: ExperimentConfig, channels: str | None, embed: str | None,
               n_traj: str | None) -> int:
+    if n_traj and (channels or embed):
+        raise ValueError("--n-traj sweeps the training-set size alone; "
+                         "it cannot be combined with --channels or --embed")
+    ns = _positive_ints("--n-traj", n_traj) if n_traj else []
+    cs = _positive_ints("--channels", channels) if channels else [cfg.model.C]
+    ks = _positive_ints("--embed", embed) if embed else [cfg.model.K]
     ds_train, ds_val, ds_test = _load_splits(cfg)
     points = []  # (label, config, training set or None if the split is too small)
-    if n_traj:
-        for n in (int(x) for x in n_traj.split(",")):
+    if ns:
+        for n in ns:
             subset = None
             if n <= ds_train.n_traj:
                 subset = TrajectoryDataset(grid=ds_train.grid, cadence=ds_train.cadence,
                                            data=ds_train.data[:n])
             points.append((f"n_traj={n}", replace(cfg, n_train=n), subset))
     else:
-        cs = [int(x) for x in channels.split(",")] if channels else [cfg.model.C]
-        ks = [int(x) for x in embed.split(",")] if embed else [cfg.model.K]
         for c in cs:
             for k in ks:
                 points.append((f"C={c},K={k}", replace(cfg, model=replace(cfg.model, C=c, K=k)),
@@ -350,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--preset", help="case preset id (E1..E7, E1-desk..E7-desk)")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None,
+                       help="training seed: parameter init and curriculum sampling")
         for flag in ABLATION_FLAGS:
             option = "--euler" if flag == "euler_time" else "--" + flag.replace("_", "-")
             p.add_argument(option, dest=flag, action="store_true")
@@ -370,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate an out-of-distribution pattern initial condition")
 
     common(sub.add_parser("ablate", help="train and score the six architecture variants"))
-
-    p_dist = sub.add_parser("distill-generate", help="synthetic data from a trained teacher")
-    common(p_dist)
-    p_dist.add_argument("--checkpoint", required=True)
-    p_dist.add_argument("--n-traj", type=int, required=True)
-    p_dist.add_argument("--cadence", type=float, required=True,
-                        help="snapshot spacing of the synthetic data (s)")
-    p_dist.add_argument("--t-end", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="grid over C x K or training-set size")
     common(p_sweep)
@@ -401,9 +367,6 @@ def main(argv=None) -> int:
                                 superres=args.superres, ood=args.ood)
         if args.command == "ablate":
             return cmd_ablate(cfg)
-        if args.command == "distill-generate":
-            return cmd_distill_generate(cfg, args.checkpoint, args.n_traj,
-                                        args.cadence, args.t_end)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.channels, args.embed, args.sweep_n_traj)
         raise ValueError(f"unknown command {args.command!r}")

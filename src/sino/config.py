@@ -15,7 +15,9 @@ The schema is the dataclasses themselves: a config document is a mapping of
 ExperimentConfig's field names, and its pde, solver, model and train values
 are mappings of the fields of PDESpec, SolverConfig, ModelConfig and
 TrainConfig. to_dict is dataclasses.asdict, and the SHA-256 prefix of its
-key-sorted JSON form is the config hash.
+key-sorted JSON form is the config hash. Every value must fit its field's
+type hint: an int is accepted for a float field, a bool only for a bool
+field, and a list for a tuple field whose elements fit its element type.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import types
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -53,12 +56,17 @@ class ExperimentConfig:
     grf: dict = field(default_factory=dict)
     test_t_end: float | None = None
     out_dir: str = "runs/out"
-    seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_train", "n_val", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         unknown = sorted(set(self.grf) - set(GRF_DEFAULTS[self.pde.kind]))
         if unknown:
             raise ValueError(f"unknown grf key {unknown[0]!r}")
+        for key, value in self.grf.items():
+            if value is not None and not _fits(value, float):
+                raise ValueError(f"grf.{key} must be a number or null, got {value!r}")
 
     @property
     def gen_grid(self) -> GridSpec:
@@ -84,12 +92,25 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value fits a field's type hint."""
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        return isinstance(value, tuple) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _from_fields(cls, d, where: str):
     """Build the dataclass cls from a mapping of its field names.
 
     Nested dataclass fields are built the same way; missing fields take the
     dataclass defaults and lists become tuples. An unknown key, a missing
-    required one, or a value the dataclass rejects raises ValueError.
+    required one, a value that does not fit its field's type hint, or one
+    the dataclass rejects raises ValueError.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where or 'config'} must be a mapping, got {type(d).__name__}")
@@ -105,11 +126,15 @@ def _from_fields(cls, d, where: str):
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"missing key {prefix}{f.name}")
             continue
-        value = d[f.name]
-        if dataclasses.is_dataclass(hints[f.name]):
-            value = _from_fields(hints[f.name], value, prefix + f.name)
-        elif isinstance(value, list):
-            value = tuple(value)
+        value, hint = d[f.name], hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            value = _from_fields(hint, value, prefix + f.name)
+        else:
+            if isinstance(value, list):
+                value = tuple(value)
+            if not _fits(value, hint):
+                expected = str(hint) if typing.get_origin(hint) else hint.__name__
+                raise ValueError(f"{prefix}{f.name} must be {expected}, got {value!r}")
         kwargs[f.name] = value
     try:
         return cls(**kwargs)

@@ -219,35 +219,6 @@ def mean_all(a) -> Tensor:
     return mul(sum_all(a), 1.0 / a.data.size)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    root = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g / (2.0 * root),)
-
-    return _node(root, (a,), vjp)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    t = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - t * t),)
-
-    return _node(t, (a,), vjp)
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g * np.cos(a.data),)
-
-    return _node(np.sin(a.data), (a,), vjp)
-
-
 # -- shape manipulation ----------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Evaluation: relative l2 / Pearson correlation metrics, full-horizon rollout
-reports with extrapolation markers, zero-shot super-resolution comparison,
-and out-of-distribution initial conditions built from raster patterns.
+reports, zero-shot super-resolution comparison, and out-of-distribution
+initial conditions built from raster patterns.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class EvalReport:
     aggregate_rel_l2: float           # pooled over all snapshots and trajectories
     pcc_curves: np.ndarray            # (n_traj, S)
     rel_l2_cum: np.ndarray            # (n_traj, S) cumulative-in-time rel l2
-    train_horizon: float | None = None  # seconds; beyond it is extrapolation
     failures: list[tuple[int, str]] | None = None
 
     @property
@@ -66,7 +65,6 @@ def evaluate_rollout(
     cfg: ModelConfig,
     test_set: TrajectoryDataset,
     horizon: int | None = None,
-    train_horizon: float | None = None,
 ) -> EvalReport:
     """Roll the model from each test IC and score against the stored truth.
 
@@ -123,7 +121,6 @@ def evaluate_rollout(
         aggregate_rel_l2=aggregate,
         pcc_curves=pcc_curves,
         rel_l2_cum=cum,
-        train_horizon=train_horizon,
         failures=failures,
     )
 
@@ -262,36 +259,6 @@ def builtin_raster(name: str, size: int = 128) -> np.ndarray:
     else:
         raise ValueError(f"unknown builtin raster {name!r}")
     return img
-
-
-def load_pgm(path) -> np.ndarray:
-    """Read a portable graymap (P2 ascii or P5 binary) as floats in [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(blob):
-        # skip whitespace and comment lines
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(blob[start:pos])
-    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a P2/P5 portable graymap")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if tokens[0] == b"P5":
-        pos += 1  # single whitespace after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        raw = np.frombuffer(blob, dtype=dtype, count=width * height, offset=pos)
-    else:
-        raw = np.array(blob[pos:].split(), dtype=np.float64)[: width * height]
-    return (raw.reshape(height, width).astype(np.float64)) / maxval
 
 
 # -- CSV export ----------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The SINO forward pass.
 
 The network predicts the right-hand side of an unknown PDE: a shared MLP
-(Freq2Vec) maps each frequency index to K complex multiplier values, the
-spectral learning block applies those multipliers to the input's spectrum,
-and the result feeds a linear 1x1 branch plus a multiplicative Pi-block
-(with a 2/3 low-pass) whose outputs are recombined by a final 1x1 map.
-Time stepping is RK4 over that learned right-hand side.
+(Freq2Vec, squaring activations) maps each frequency index to K complex
+multiplier values, the spectral learning block applies those multipliers to
+the input's spectrum, and the result feeds a linear 1x1 branch and a
+multiplicative Pi-block (the product of two 1x1 maps, then a 2/3 low-pass).
+The two branches are concatenated and mixed by a final 1x1 map. Time
+stepping is RK4 over that learned right-hand side.
 
 Spectra are real-FFT half spectra (engine.rfftn / engine.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
@@ -20,7 +21,7 @@ underscore) used by the training loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .engine import Tensor
 from .errors import IncompatibleDomain, NonFinite
 from .spectral import GridSpec, freq_grid, two_thirds_mask
 
-ACTIVATIONS = ("quad", "tanh", "sin")
-COMBINE_MODES = ("concat", "sum")
 ABLATION_FLAGS = ("no_pi", "no_filter", "no_freq2vec", "no_linear", "euler_time")
 
 
@@ -49,10 +48,7 @@ class ModelConfig:
     C: int
     dt_model: float
     freq_norm: tuple[int, ...]
-    P: int = 2
     mlp_hidden: tuple[int, ...] = (64, 64)
-    activation: str = "quad"
-    combine: str = "concat"
     no_pi: bool = False
     no_filter: bool = False
     no_freq2vec: bool = False
@@ -64,14 +60,8 @@ class ModelConfig:
         object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         if self.c_in < 1 or self.K < 1 or self.C < 1:
             raise ValueError("c_in, K and C must be positive")
-        if not self.no_pi and self.P < 2:
-            raise ValueError("the Pi-block needs at least two factors")
         if not self.dt_model > 0:
             raise ValueError("dt_model must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.combine not in COMBINE_MODES:
-            raise ValueError(f"unknown combine mode {self.combine!r}")
         if any(f < 2 for f in self.freq_norm):
             raise ValueError("freq_norm entries must be >= 2")
 
@@ -94,13 +84,13 @@ class ModelConfig:
     @property
     def mix_width(self) -> int:
         """Input width of the output 1x1 map."""
-        if self.no_linear or self.combine == "sum":
+        if self.no_linear:
             return self.C
         return 2 * self.C
 
     @property
     def n_pi_factors(self) -> int:
-        return 1 if self.no_pi else self.P
+        return 1 if self.no_pi else 2
 
 
 def config_for_grid(grid: GridSpec, **kwargs) -> ModelConfig:
@@ -169,14 +159,6 @@ def _wrap_params(params: dict[str, np.ndarray], requires_grad: bool) -> dict[str
 # -- forward graph -----------------------------------------------------------
 
 
-def _activation(cfg: ModelConfig):
-    if cfg.activation == "quad":
-        return lambda t: eg.mul(t, t)
-    if cfg.activation == "tanh":
-        return eg.tanh
-    return eg.sin
-
-
 def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor:
     """Multiplier table on the half spectrum, shape (K, *half points), complex.
 
@@ -203,12 +185,11 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
         psi = eg.to_complex(raw[: cfg.K], raw[cfg.K :])
     else:
         h: Tensor = Tensor(np.ascontiguousarray(modes.T) / np.array(cfg.freq_norm))
-        act = _activation(cfg)
         n_layers = len(cfg.mlp_hidden) + 1
         for i in range(n_layers):
             h = eg.add(eg.matmul(h, pt[f"freq2vec.w{i}"]), pt[f"freq2vec.b{i}"])
             if i < n_layers - 1:
-                h = act(h)
+                h = eg.mul(h, h)
         psi = eg.transpose(eg.to_complex(h[:, : cfg.K], h[:, cfg.K :]), (1, 0))
     table = eg.mul(eg.add(psi[:, :n], eg.conj(psi[:, n:])), 0.5)
     return eg.reshape(table, (cfg.K,) + grid.half_points)
@@ -252,10 +233,7 @@ def _rhs(u: Tensor, table: Tensor, pt: dict[str, Tensor], cfg: ModelConfig,
         combined = nonlinear
     else:
         linear = _mix(pt["linear.w"], pt["linear.b"], d, grid)
-        if cfg.combine == "concat":
-            combined = eg.concat([linear, nonlinear], axis=0)
-        else:
-            combined = eg.add(linear, nonlinear)
+        combined = eg.concat([linear, nonlinear], axis=0)
     return _mix(pt["out.w"], pt["out.b"], combined, grid)
 
 
@@ -306,7 +284,8 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
-    """Product of P affine projections of SLB features, then the low-pass."""
+    """Product of two affine projections of SLB features (one under no_pi),
+    then the low-pass (none under no_filter)."""
     with eg.no_grad():
         return _pi_block(Tensor(np.asarray(d, dtype=np.float64)),
                          _wrap_params(params, False), cfg, grid).data
@@ -386,7 +365,7 @@ def exact_burgers_params(grid: GridSpec, nu: float, dt_model: float,
     """Hand-set parameters that reproduce the de-aliased Burgers right-hand side.
 
     The multipliers [1, i*k_1, ..., i*k_d, -|k|^2] come from an exact
-    Freq2Vec MLP (quad activation, hidden widths (2d, 2d+2)), not from a
+    Freq2Vec MLP (squaring activations, hidden widths (2d, 2d+2)), not from a
     table of grid values, so the same parameters run on any grid of the
     same domain. Each normalized index q_a = k_a / freq_norm_a and the sum
     z = sum_a (k_a / k_ref)^2 cross a squaring layer as the pair
@@ -402,9 +381,9 @@ def exact_burgers_params(grid: GridSpec, nu: float, dt_model: float,
     K = d + 2
     C = d * d
     cfg = ModelConfig(
-        c_in=d, K=K, C=C, P=2, dt_model=dt_model,
+        c_in=d, K=K, C=C, dt_model=dt_model,
         freq_norm=tuple(n // 2 for n in grid.points),
-        mlp_hidden=(2 * d, 2 * d + 2), activation="quad", no_filter=no_filter,
+        mlp_hidden=(2 * d, 2 * d + 2), no_filter=no_filter,
     )
     # physical wavenumber per unit of q_a; z is kept O(1) by k_ref
     scale = [2.0 * math.pi * f / length for f, length in zip(cfg.freq_norm, grid.length)]

@@ -68,7 +68,6 @@ class SolverConfig:
     dt: float
     t_end: float
     save_dt: float
-    dealias: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -164,8 +163,7 @@ def _unit(axis: int, dim: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def _split(kind: str, nu: float, grid: GridSpec, dealias: bool,
-           forcing: np.ndarray | None = None):
+def _split(kind: str, nu: float, grid: GridSpec, forcing: np.ndarray | None = None):
     """The PDE as d(u_hat)/dt = lin * u_hat + nonlin(u_hat) on the half spectrum.
 
     lin is the real diagonal symbol of the linear part; nonlin maps a state
@@ -174,7 +172,7 @@ def _split(kind: str, nu: float, grid: GridSpec, dealias: bool,
     multipliers are built here, once per call.
     """
     fg = freq_grid(grid)
-    mask = two_thirds_mask(grid) if dealias else 1.0
+    mask = two_thirds_mask(grid)
     grads = [fg.derivative_multiplier(_unit(axis, grid.dim)) for axis in range(grid.dim)]
     if kind == "kse":
         def nonlin(uh):  # -0.5*|grad u|^2
@@ -202,23 +200,22 @@ def _split(kind: str, nu: float, grid: GridSpec, dealias: bool,
     return -nu * fg.k_sq, nonlin
 
 
-def _rhs(kind: str, nu: float, grid: GridSpec, u: np.ndarray, dealias: bool,
+def _rhs(kind: str, nu: float, grid: GridSpec, u: np.ndarray,
          forcing: np.ndarray | None = None) -> np.ndarray:
-    lin, nonlin = _split(kind, nu, grid, dealias, forcing)
+    lin, nonlin = _split(kind, nu, grid, forcing)
     uh = forward_transform(u, grid)
     return inverse_transform(lin * uh + nonlin(uh), grid)
 
 
-def kse_rhs(u: np.ndarray, grid: GridSpec, dealias: bool = True) -> np.ndarray:
+def kse_rhs(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """-lap(u) - lap^2(u) - 0.5*|grad u|^2 with the quadratic term de-aliased."""
-    return _rhs("kse", 0.0, grid, u, dealias)
+    return _rhs("kse", 0.0, grid, u)
 
 
 def nse_rhs(
     omega: np.ndarray,
     grid: GridSpec,
     spec: PDESpec,
-    dealias: bool = True,
     forcing: np.ndarray | None = None,
 ) -> np.ndarray:
     """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law.
@@ -226,14 +223,14 @@ def nse_rhs(
     forcing, shape (1, *points), replaces the spec's forcing field if given."""
     if forcing is None:
         forcing = forcing_field(grid, spec.forcing)
-    return _rhs("nse", spec.nu, grid, omega, dealias, forcing)
+    return _rhs("nse", spec.nu, grid, omega, forcing)
 
 
-def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float, dealias: bool = True) -> np.ndarray:
+def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     """Per component: nu*lap(u_c) - sum_j u_j * d_j u_c, products de-aliased."""
     if u.shape[0] != grid.dim:
         raise ValueError(f"Burgers state needs {grid.dim} channels, got {u.shape[0]}")
-    return _rhs("burgers", nu, grid, u, dealias)
+    return _rhs("burgers", nu, grid, u)
 
 
 def _finite(v: np.ndarray, what: str) -> np.ndarray:
@@ -270,7 +267,7 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray) 
         raise ValueError(
             f"initial condition must have shape ({spec.channels}, {grid.points}), got {ic.shape}"
         )
-    lin, nonlin = _split(spec.kind, spec.nu, grid, cfg.dealias, forcing_field(grid, spec.forcing))
+    lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half

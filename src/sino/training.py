@@ -19,12 +19,13 @@ from . import engine as eg
 from . import evaluation
 from . import model as sino_model
 from .engine import Tensor
-from .errors import DegenerateTruth, InsufficientLength, NonFinite
+from .errors import InsufficientLength, NonFinite
 from .model import ModelConfig
 from .solvers import TrajectoryDataset
 from .spectral import GridSpec
 
-LOSS_KINDS = ("mse", "rel_l2")
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class TrainConfig:
     n1: int = 4
     n2: int = 8
     batch: int = 1
-    loss: str = "mse"
     grad_clip: float = 1.0
     seed: int = 0
     val_every: int = 200
@@ -47,10 +47,13 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.n1 < 0 or self.n2 < 1:
             raise ValueError("need n1 >= 0 and n2 >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.batch < 1 or self.val_every < 1:
+            raise ValueError("batch and val_every must be >= 1")
+        for name in ("max_lr", "grad_clip", "div_factor", "final_div_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ValueError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
 
 
 @dataclass
@@ -60,14 +63,11 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: dict[str, np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
+def adam_init(params: dict[str, np.ndarray]) -> OptimizerState:
     zeros = lambda: {k: np.zeros_like(v) for k, v in params.items()}
-    return OptimizerState(m=zeros(), v=zeros(), beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(m=zeros(), v=zeros())
 
 
 def adam_step(
@@ -78,16 +78,16 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; mutates state, returns new params."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     out = {}
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return out
 
 
@@ -152,7 +152,6 @@ def _rollout_loss_graph(
     model_cfg: ModelConfig,
     grid: GridSpec,
     segment: list[np.ndarray] | np.ndarray,
-    loss_kind: str,
 ) -> Tensor:
     table = sino_model._freq2vec(pt, model_cfg, grid)
     state = Tensor(np.asarray(segment[0], dtype=np.float64))
@@ -162,14 +161,7 @@ def _rollout_loss_graph(
         if not np.isfinite(state.data).all():
             raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
         diff = eg.sub(state, Tensor(np.asarray(target, dtype=np.float64)))
-        sq = eg.mul(diff, diff)
-        if loss_kind == "mse":
-            step_losses.append(eg.mean_all(sq))
-        else:
-            denom = float(np.sum(np.asarray(target) ** 2))
-            if denom == 0.0:
-                raise DegenerateTruth("relative loss against an all-zero target")
-            step_losses.append(eg.sqrt(eg.mul(eg.sum_all(sq), 1.0 / denom)))
+        step_losses.append(eg.mean_all(eg.mul(diff, diff)))
     total = step_losses[0]
     for sl in step_losses[1:]:
         total = eg.add(total, sl)
@@ -181,12 +173,11 @@ def loss_rollout(
     model_cfg: ModelConfig,
     grid: GridSpec,
     segment,
-    loss_kind: str = "mse",
 ) -> float:
-    """Mean per-step loss of an n-step rollout from segment[0] vs segment[1:]."""
+    """Mean per-step squared error of an n-step rollout from segment[0] vs segment[1:]."""
     with eg.no_grad():
         pt = sino_model._wrap_params(params, False)
-        return float(_rollout_loss_graph(pt, model_cfg, grid, segment, loss_kind).data)
+        return float(_rollout_loss_graph(pt, model_cfg, grid, segment).data)
 
 
 def backward(
@@ -194,11 +185,10 @@ def backward(
     model_cfg: ModelConfig,
     grid: GridSpec,
     segment,
-    loss_kind: str = "mse",
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and its exact gradient with respect to every parameter tensor."""
     pt = sino_model._wrap_params(params, True)
-    loss = _rollout_loss_graph(pt, model_cfg, grid, segment, loss_kind)
+    loss = _rollout_loss_graph(pt, model_cfg, grid, segment)
     loss.backward()
     bundle = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -300,9 +290,7 @@ def train(
                         start_state, params, model_cfg, grid, n, record_every=n
                     )[-1]
                 segment = np.concatenate([start_state[np.newaxis], frames[1:]])
-                loss, bundle = backward(
-                    params, model_cfg, grid, segment, train_cfg.loss
-                )
+                loss, bundle = backward(params, model_cfg, grid, segment)
             except NonFinite:
                 failed = True
                 break

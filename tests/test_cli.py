@@ -129,12 +129,46 @@ class TestExitCodes:
         assert self.generate(tmp_path, "case: [unclosed\n") == 2
 
     def test_unknown_solver_key(self, tmp_path, capsys):
-        # solver.method selected an integrator; there is only one now
-        for key, value in (("bogus", 1), ("method", "rk4")):
+        # an unknown key, and keys that older documents and checkpoints still
+        # set: each selected a branch of which only one is left, or set nothing
+        for section, key, value in (("solver", "bogus", 1), ("solver", "method", "rk4"),
+                                    ("solver", "dealias", False), ("model", "activation", "tanh"),
+                                    ("train", "loss", "rel_l2"), (None, "seed", 3)):
             d = tiny_config(tmp_path).to_dict()
-            d["solver"][key] = value
+            (d[section] if section else d)[key] = value
             assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
-            assert key in capsys.readouterr().err
+            assert f"unknown key {section + '.' if section else ''}{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("train", "iterations", 2.5, "train.iterations"),
+        (None, "n_train", "2", "n_train"),
+        (None, "grf", {"alpha": "x"}, "grf.alpha"),
+        (None, "out_dir", 5, "out_dir"),
+        (None, "n_test", -1, "n_test"),
+        ("train", "val_every", 0, "val_every"),
+        ("train", "div_factor", 0.0, "div_factor"),
+        ("train", "warmup_frac", 2.0, "warmup_frac"),
+    ])
+    def test_malformed_value(self, tmp_path, capsys, section, key, value, named):
+        d = tiny_config(tmp_path).to_dict()
+        (d[section] if section else d)[key] = value
+        assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, named", [
+        (["--n-traj", "0,2"], "--n-traj"),
+        (["--n-traj", "1", "--channels", "4"], "--channels"),
+        (["--n-traj", "1", "--embed", "2"], "--embed"),
+        (["--channels", "4,x"], "--channels"),
+        (["--embed", "2,-1"], "--embed"),
+    ])
+    def test_bad_sweep_list(self, tmp_path, capsys, args, named):
+        # refused before any data is generated or any point trained
+        path = write_config(tmp_path / "c.yaml", tiny_config(tmp_path / "out"))
+        assert cli.main(["sweep", "--config", path] + args) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2

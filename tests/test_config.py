@@ -53,7 +53,7 @@ class TestHashCoversEveryLevel:
         lambda c: replace(c, n_train=c.n_train + 1),
         lambda c: replace(c, grf={"alpha": 3.0}),
         lambda c: replace(c, pde=replace(c.pde, nu=0.02)),
-        lambda c: replace(c, solver=replace(c.solver, dealias=False)),
+        lambda c: replace(c, solver=replace(c.solver, dt=c.solver.dt / 2)),
         lambda c: replace(c, model=replace(c.model, mlp_hidden=(32,))),
         lambda c: replace(c, train=replace(c.train, final_div_factor=10.0)),
     ])
@@ -68,12 +68,12 @@ class TestFromDict:
 
     def test_missing_fields_take_defaults(self):
         d = self.base()
-        for key in ("n_val", "grf", "seed"):
+        for key in ("n_val", "grf", "out_dir"):
             del d[key]
         del d["train"]["max_lr"]
         del d["model"]["mlp_hidden"]
         c = from_dict(d)
-        assert c.n_val == 2 and c.grf == {} and c.seed == 0
+        assert c.n_val == 2 and c.grf == {} and c.out_dir == "runs/out"
         assert c.train.max_lr == TrainConfig(iterations=1).max_lr
         assert c.model.mlp_hidden == (64, 64)
 
@@ -115,6 +115,25 @@ class TestFromDict:
     def test_not_a_mapping(self, doc):
         with pytest.raises(ValueError, match="mapping"):
             from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("pde", "nu", 1, None),                 # an int fits a float field
+        (None, "test_t_end", None, None),
+        ("model", "C", True, "model.C"),        # a bool fits only a bool field
+        ("model", "no_pi", 1, "model.no_pi"),
+        ("model", "freq_norm", [16, "16"], "model.freq_norm"),
+        (None, "domain_length", [6.0, None], "domain_length"),
+        (None, "grf", {"scale": None, "alpha": 3}, None),
+        (None, "grf", {"tau": True}, "grf.tau"),
+    ])
+    def test_value_must_fit_its_type(self, section, key, value, named):
+        d = self.base()
+        (d[section] if section else d)[key] = value
+        if named is None:
+            from_dict(d)
+        else:
+            with pytest.raises(ValueError, match=named):
+                from_dict(d)
 
     def test_bad_value_is_a_value_error(self):
         d = self.base()

@@ -39,15 +39,6 @@ class TestBasicOps:
         b = parameter(rng.standard_normal((2,)))
         fd_check(lambda: eg.sum_all(eg.mul(h := eg.add(eg.matmul(x, w), b), h)), [w, b])
 
-    def test_activations(self):
-        rng = np.random.default_rng(2)
-        x = parameter(rng.standard_normal((4, 4)))
-        fd_check(lambda: eg.sum_all(eg.mul(eg.tanh(x), eg.sin(x))), [x])
-
-    def test_sqrt(self):
-        x = parameter(np.array([2.0, 5.0]))
-        fd_check(lambda: eg.sum_all(eg.sqrt(x)), [x])
-
     def test_reshape_transpose_concat_getitem(self):
         rng = np.random.default_rng(3)
         a = parameter(rng.standard_normal((2, 6)))

@@ -10,7 +10,6 @@ from sino.evaluation import (
     builtin_raster,
     evaluate_rollout,
     export_csv,
-    load_pgm,
     pattern_ic,
     pcc,
     relative_l2,
@@ -114,10 +113,9 @@ class TestEvaluateRollout:
         dt = 5e-3
         cfg, params = exact_burgers_params(g, nu=0.01, dt_model=dt)
         ds = burgers_test_set(g, dt, n_snap=10)
-        a = evaluate_rollout(params, cfg, ds, horizon=5, train_horizon=0.02)
-        b = evaluate_rollout(params, cfg, ds, horizon=5, train_horizon=0.02)
+        a = evaluate_rollout(params, cfg, ds, horizon=5)
+        b = evaluate_rollout(params, cfg, ds, horizon=5)
         assert len(a.times) == 5
-        assert a.train_horizon == 0.02
         assert np.array_equal(a.pcc_curves, b.pcc_curves)
         assert a.per_traj_rel_l2 == b.per_traj_rel_l2
 
@@ -237,25 +235,6 @@ class TestPatternIC:
         assert math.sqrt(float(np.mean(f**2))) == pytest.approx(
             math.sqrt(float(np.mean(ref**2))), rel=1e-10
         )
-
-
-class TestPgm:
-    def test_p2_and_p5_round_trip(self, tmp_path):
-        img = (np.arange(12, dtype=np.uint8).reshape(3, 4) * 20)
-        p2 = tmp_path / "img.p2.pgm"
-        p2.write_text("P2\n# comment\n4 3\n255\n" + " ".join(str(v) for v in img.ravel()) + "\n")
-        a = load_pgm(p2)
-        p5 = tmp_path / "img.p5.pgm"
-        p5.write_bytes(b"P5\n4 3\n255\n" + img.tobytes())
-        b = load_pgm(p5)
-        assert a == pytest.approx(img / 255.0)
-        assert b == pytest.approx(img / 255.0)
-
-    def test_bad_magic(self, tmp_path):
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P6\n1 1\n255\n\x00")
-        with pytest.raises(ValueError):
-            load_pgm(bad)
 
 
 class TestExportCsv:

@@ -79,7 +79,7 @@ class TestParams:
     def test_ablations_change_param_set(self):
         g = grid2()
         assert "linear.w" not in param_names(small_cfg(g, no_linear=True))
-        assert "pi.1.w" not in param_names(small_cfg(g, no_pi=True, P=2))
+        assert "pi.1.w" not in param_names(small_cfg(g, no_pi=True))
         assert "freq2vec.table" in param_names(small_cfg(g, no_freq2vec=True))
         assert "freq2vec.w0" not in param_names(small_cfg(g, no_freq2vec=True))
 
@@ -157,7 +157,7 @@ class TestPiBlock:
     def test_convection_wiring(self):
         # W1 selects u, W2 selects du/dx: output is u * du/dx
         g = grid2(32)
-        cfg = small_cfg(g, c_in=1, K=2, C=1, P=2)
+        cfg = small_cfg(g, c_in=1, K=2, C=1)
         fg = freq_grid(g)
         table = np.stack([np.ones(g.half_points, complex), fg.derivative_multiplier((1, 0))])
         u = bandlimited(g, 4, cutoff=5)
@@ -173,7 +173,7 @@ class TestPiBlock:
 
     def test_degenerate_factor_gives_affine(self):
         g = grid2()
-        cfg = small_cfg(g, K=2, C=3, P=2, no_filter=True)
+        cfg = small_cfg(g, K=2, C=3, no_filter=True)
         rng = np.random.default_rng(5)
         d = rng.standard_normal((cfg.slb_channels,) + g.points)
         w1 = rng.standard_normal((3, cfg.slb_channels))
@@ -186,7 +186,7 @@ class TestPiBlock:
 
     def test_post_filter_band_is_empty(self):
         g = grid2(32)
-        cfg = small_cfg(g, K=2, C=2, P=2)
+        cfg = small_cfg(g, K=2, C=2)
         params = init_params(cfg, 6)
         d = bandlimited(g, 7, cutoff=10, channels=cfg.slb_channels)
         out = pi_block(d, {k: v for k, v in params.items() if k.startswith("pi.")}, cfg, g)
@@ -233,7 +233,7 @@ class TestRhsEval:
     def test_realness_residue(self):
         # symmetrization keeps outputs real for arbitrary parameters
         g = grid2()
-        cfg = small_cfg(g, activation="tanh")
+        cfg = small_cfg(g)
         params = init_params(cfg, 12)
         u = np.random.default_rng(13).standard_normal((1,) + g.points)
         out = rhs_eval(u, params, cfg, g)

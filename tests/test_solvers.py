@@ -341,14 +341,6 @@ class TestIntegrate:
             b = rk4_step(rhs, b, dt)
         assert np.linalg.norm(a - b) < 1e-9 * np.linalg.norm(b)
 
-    def test_dealias_toggle_changes_result(self):
-        g = grid2(32, 12 * math.pi)
-        spec = PDESpec(kind="kse")
-        ic = grf_sample(g, 12, 2.0, 5.0)
-        a = integrate(spec, SolverConfig(dt=1e-3, t_end=0.1, save_dt=0.1), g, ic)[-1]
-        b = integrate(spec, SolverConfig(dt=1e-3, t_end=0.1, save_dt=0.1, dealias=False), g, ic)[-1]
-        assert np.max(np.abs(a - b)) > 0.0
-
 
 class TestGenerateDataset:
     def test_shapes_and_determinism(self):
