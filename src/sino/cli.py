@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import ContainerError, NonFinite, SinoError
 from .model import ABLATION_FLAGS
 from .solvers import TrajectoryDataset, generate_dataset, simulate
 from .spectral import GridSpec, spectral_resample
-from .training import ResumeState, train
+from .training import TrainState, train
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -116,79 +116,41 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _checkpoint_tensors(params, opt=None, best_params=None, best_val=None, best_iter=None):
-    tensors = {f"param.{k}": v for k, v in params.items()}
-    if opt is not None:
-        tensors.update({f"adam_m.{k}": v for k, v in opt.m.items()})
-        tensors.update({f"adam_v.{k}": v for k, v in opt.v.items()})
-        tensors["meta.step"] = np.array(float(opt.step))
-    if best_params is not None:
-        tensors.update({f"best.{k}": v for k, v in best_params.items()})
-        tensors["meta.best_val"] = np.array(float(best_val))
-        tensors["meta.best_iteration"] = np.array(float(best_iter))
-    return tensors
-
-
-def _strip(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    """The tensors whose names start with prefix, keyed by the rest of the name."""
-    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
-
-
 def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
     """Config and parameter tensors from a checkpoint (best params if present)."""
     echo, tensors = containers.read_checkpoint(path)
     cfg = from_dict(json.loads(echo))
-    return cfg, _strip(tensors, "best.") or _strip(tensors, "param.")
+    return cfg, training.params_from_tensors(tensors)
 
 
-def _history_until(path: Path, step: int) -> list[tuple]:
-    """The rows of an earlier history.csv up to iteration step, as train's tuples."""
-    if not path.exists():
-        return []
-    rows = []
-    for line in path.read_text().splitlines()[1:]:
-        it, lr, loss, val = line.split(",")
-        if int(it) <= step:
-            rows.append((int(it), float(lr), float(loss), float(val) if val else None))
-    return rows
+def _resume_state(cfg: ExperimentConfig, path) -> TrainState:
+    """The training state of a ckpt_last.sino written for the run's model."""
+    echo, tensors = containers.read_checkpoint(path)
+    ck_model = from_dict(json.loads(echo)).model
+    changed = [f"model.{f.name}" for f in fields(cfg.model)
+               if getattr(ck_model, f.name) != getattr(cfg.model, f.name)]
+    if changed:
+        raise ValueError(f"{path} was trained with a different model: "
+                         f"{', '.join(changed)} differ")
+    return TrainState.from_tensors(tensors)
 
 
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
-    data_dir = Path(cfg.out_dir) / "data"
-    ds_train = load_split(data_dir, "train")
-    ds_val = load_split(data_dir, "val")
-    resume = None
-    if resume_path:
-        _, tensors = containers.read_checkpoint(resume_path)
-        if "meta.step" not in tensors:
-            raise ContainerError(f"{resume_path} holds no optimizer state; "
-                                 "resume from a ckpt_last.sino")
-        params = _strip(tensors, "param.")
-        opt = training.OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),
-                                      step=int(tensors["meta.step"]))
-        resume = ResumeState(
-            params=params, opt_state=opt, start_iteration=opt.step,
-            best_params=_strip(tensors, "best.") or params,
-            best_val=float(tensors.get("meta.best_val", np.inf)),
-            best_iteration=int(tensors.get("meta.best_iteration", 0)),
-        )
-        print(f"[train] resuming from {resume_path} at iteration {opt.step}")
-    result = train(ds_train, ds_val, cfg.model, cfg.train, resume=resume,
-                   log_every=max(1, cfg.train.iterations // 20))
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ds_train = load_split(out / "data", "train")
+    ds_val = load_split(out / "data", "val")
+    state = None
+    if resume_path:
+        state = _resume_state(cfg, resume_path)
+        print(f"[train] resuming from {resume_path} after iteration {len(state.history)}")
+    state = train(ds_train, ds_val, cfg.model, cfg.train, state,
+                  log_every=max(1, cfg.train.iterations // 20))
     echo = cfg.canonical_json()
     containers.write_checkpoint(out / "ckpt_best.sino", echo,
-                                _checkpoint_tensors(result.best_params))
-    containers.write_checkpoint(
-        out / "ckpt_last.sino", echo,
-        _checkpoint_tensors(result.final_params, result.opt_state,
-                            result.best_params, result.best_val, result.best_iteration),
-    )
-    # a resumed run continues the history up to its checkpoint
-    kept = _history_until(out / "history.csv", resume.start_iteration) if resume else []
-    training.write_history_csv(kept + result.history, out / "history.csv")
-    print(f"[train] best val rel_l2 {result.best_val:.6g} at iteration {result.best_iteration}")
+                                training.params_to_tensors(state.best_params))
+    containers.write_checkpoint(out / "ckpt_last.sino", echo, state.to_tensors())
+    training.write_history_csv(state.history, out / "history.csv")
+    print(f"[train] best val rel_l2 {state.best_val:.6g} at iteration {state.best_iteration}")
     return 0
 
 
@@ -246,10 +208,10 @@ def _train_and_score(cfg: ExperimentConfig, ds_train, ds_val, ds_test) -> str:
     """Train, then score the best parameters on the test split: the pooled
     rel-l2 as a CSV cell, or NaN if training or every test rollout diverged."""
     try:
-        result = train(ds_train, ds_val, cfg.model, cfg.train)
+        state = train(ds_train, ds_val, cfg.model, cfg.train)
     except NonFinite:
         return "NaN"
-    err = evaluation.evaluate_rollout(result.best_params, cfg.model, ds_test).aggregate_rel_l2
+    err = evaluation.evaluate_rollout(state.best_params, cfg.model, ds_test).aggregate_rel_l2
     return f"{err:.17g}" if math.isfinite(err) else "NaN"
 
 

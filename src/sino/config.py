@@ -18,6 +18,8 @@ TrainConfig. to_dict is dataclasses.asdict, and the SHA-256 prefix of its
 key-sorted JSON form is the config hash. Every value must fit its field's
 type hint: an int is accepted for a float field, a bool only for a bool
 field, and a list for a tuple field whose elements fit its element type.
+The model must fit the experiment: model.c_in is the PDE's channel count,
+and the native grid 2 * model.freq_norm is train_points.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ class ExperimentConfig:
         for key, value in self.grf.items():
             if value is not None and not _fits(value, float):
                 raise ValueError(f"grf.{key} must be a number or null, got {value!r}")
+        if self.model.c_in != self.pde.channels:
+            raise ValueError(f"model.c_in {self.model.c_in} must equal the "
+                             f"{self.pde.channels} channels of the PDE")
+        if self.model.native_points != tuple(self.train_points):
+            raise ValueError(f"model.freq_norm {self.model.freq_norm} gives native points "
+                             f"{self.model.native_points}, not train_points {self.train_points}")
 
     @property
     def gen_grid(self) -> GridSpec:

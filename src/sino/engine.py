@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A small tape engine specialized for FFT-based networks: every operation
-records its parents and a vector-Jacobian product, and `Tensor.backward`
-walks the tape in reverse topological order.
+A small tape engine specialized for FFT-based networks: an operation with
+an input that requires a gradient records its parents and a
+vector-Jacobian product, and `Tensor.backward` walks the tape in reverse
+topological order. An operation on constants alone records nothing.
 
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the
@@ -22,23 +23,8 @@ as rfftn of the cotangent over prod(N) with its interior modes doubled.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the context (inference / warm-up)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -150,8 +136,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data, parents, vjp) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents), vjp=vjp)
+    for p in parents:  # a loop: any() would build a generator for every node
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, parents=tuple(parents), vjp=vjp)
     return Tensor(data)
 
 

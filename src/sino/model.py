@@ -262,8 +262,7 @@ def _check_state(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
 
 def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     """Evaluate the multiplier table on a grid's half spectrum, (K, *half points) complex."""
-    with eg.no_grad():
-        return _freq2vec(_wrap_params(params, False), cfg, grid).data
+    return _freq2vec(_wrap_params(params, False), cfg, grid).data
 
 
 def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
@@ -278,37 +277,33 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
         raise ValueError(
             f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
         )
-    with eg.no_grad():
-        return _slb(Tensor(u), Tensor(table), cfg, grid).data
+    return _slb(Tensor(u), Tensor(table), cfg, grid).data
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """Product of two affine projections of SLB features (one under no_pi),
     then the low-pass (none under no_filter)."""
-    with eg.no_grad():
-        return _pi_block(Tensor(np.asarray(d, dtype=np.float64)),
-                         _wrap_params(params, False), cfg, grid).data
+    return _pi_block(Tensor(np.asarray(d, dtype=np.float64)),
+                     _wrap_params(params, False), cfg, grid).data
 
 
 def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """The learned right-hand side evaluated at a state."""
     u = _check_state(u, cfg, grid)
-    with eg.no_grad():
-        pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
-        return _rhs(Tensor(u), table, pt, cfg, grid).data
+    pt = _wrap_params(params, False)
+    table = _freq2vec(pt, cfg, grid)
+    return _rhs(Tensor(u), table, pt, cfg, grid).data
 
 
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                grid: GridSpec) -> np.ndarray:
     """Advance one dt_model (RK4, or forward Euler under the euler_time flag)."""
     u = _check_state(u, cfg, grid)
-    with eg.no_grad():
-        pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
-        out = _step(Tensor(u), table, pt, cfg, grid).data
+    pt = _wrap_params(params, False)
+    table = _freq2vec(pt, cfg, grid)
+    out = _step(Tensor(u), table, pt, cfg, grid).data
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
     return out
@@ -321,16 +316,15 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
         raise ValueError("n_steps must be >= 0")
     u = _check_state(u0, cfg, grid).copy()
     snaps = [u.copy()]
-    with eg.no_grad():
-        pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
-        state = Tensor(u)
-        for step in range(n_steps):
-            state = _step(state, table, pt, cfg, grid)
-            if not np.isfinite(state.data).all():
-                raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
-            if (step + 1) % record_every == 0:
-                snaps.append(state.data.copy())
+    pt = _wrap_params(params, False)
+    table = _freq2vec(pt, cfg, grid)
+    state = Tensor(u)
+    for step in range(n_steps):
+        state = _step(state, table, pt, cfg, grid)
+        if not np.isfinite(state.data).all():
+            raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
+        if (step + 1) % record_every == 0:
+            snaps.append(state.data.copy())
     return snaps
 
 
@@ -338,22 +332,21 @@ def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
                   grid: GridSpec) -> dict[str, np.ndarray]:
     """Named intermediate channels: SLB outputs, pre-filter Pi channels, linear channels."""
     u = _check_state(u, cfg, grid)
-    with eg.no_grad():
-        pt = _wrap_params(params, False)
-        table = _freq2vec(pt, cfg, grid)
-        d = _slb(Tensor(u), table, cfg, grid)
-        pre: list = []
-        _pi_block(d, pt, cfg, grid, pre_filter_out=pre)
-        features = {}
-        for c in range(cfg.c_in):
-            for j in range(cfg.K):
-                features[f"slb.c{c}.k{j}"] = d.data[c * cfg.K + j].copy()
+    pt = _wrap_params(params, False)
+    table = _freq2vec(pt, cfg, grid)
+    d = _slb(Tensor(u), table, cfg, grid)
+    pre: list = []
+    _pi_block(d, pt, cfg, grid, pre_filter_out=pre)
+    features = {}
+    for c in range(cfg.c_in):
+        for j in range(cfg.K):
+            features[f"slb.c{c}.k{j}"] = d.data[c * cfg.K + j].copy()
+    for i in range(cfg.C):
+        features[f"pi_pre.{i}"] = pre[0].data[i].copy()
+    if not cfg.no_linear:
+        lin = _mix(pt["linear.w"], pt["linear.b"], d, grid)
         for i in range(cfg.C):
-            features[f"pi_pre.{i}"] = pre[0].data[i].copy()
-        if not cfg.no_linear:
-            lin = _mix(pt["linear.w"], pt["linear.b"], d, grid)
-            for i in range(cfg.C):
-                features[f"linear.{i}"] = lin.data[i].copy()
+            features[f"linear.{i}"] = lin.data[i].copy()
     return features
 
 

@@ -5,13 +5,21 @@ Each iteration samples a window along a training trajectory, evolves the
 model n in {0..n1} steps without gradients (warm-up), then predicts n2
 steps with gradients against the ground-truth frames. Model selection is
 by full-horizon validation error.
+
+A run is a TrainState: the parameters, the Adam state, the best parameters
+with their validation error and iteration, and one (iteration, lr,
+train_loss, val_rel_l2 | None) history row per iteration, a skipped
+non-finite one included. train starts from one and returns one, and a
+checkpoint stores it whole. A resumed run continues at iteration
+len(history) + 1 and replays the sampler's batch * len(history) draws; the
+Adam step count lags by the skipped iterations, which take no step.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,13 +27,16 @@ from . import engine as eg
 from . import evaluation
 from . import model as sino_model
 from .engine import Tensor
-from .errors import InsufficientLength, NonFinite
+from .errors import ContainerError, InsufficientLength, NonFinite
 from .model import ModelConfig
 from .solvers import TrajectoryDataset
 from .spectral import GridSpec
 
 # Adam's moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the global gradient-norm clip, and PyTorch OneCycleLR's schedule defaults
+GRAD_CLIP = 1.0
+WARMUP_FRAC, DIV_FACTOR, FINAL_DIV_FACTOR = 0.3, 25.0, 1e4
 
 
 @dataclass(frozen=True)
@@ -35,12 +46,8 @@ class TrainConfig:
     n1: int = 4
     n2: int = 8
     batch: int = 1
-    grad_clip: float = 1.0
     seed: int = 0
     val_every: int = 200
-    warmup_frac: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -49,11 +56,8 @@ class TrainConfig:
             raise ValueError("need n1 >= 0 and n2 >= 1")
         if self.batch < 1 or self.val_every < 1:
             raise ValueError("batch and val_every must be >= 1")
-        for name in ("max_lr", "grad_clip", "div_factor", "final_div_factor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ValueError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
+        if not self.max_lr > 0:
+            raise ValueError(f"max_lr must be positive, got {self.max_lr}")
 
 
 @dataclass
@@ -100,24 +104,17 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
     return {k: g * factor for k, g in grads.items()}, total
 
 
-def onecycle_lr(
-    step: int,
-    total: int,
-    max_lr: float,
-    warmup_frac: float = 0.3,
-    div_factor: float = 25.0,
-    final_div_factor: float = 1e4,
-) -> float:
-    """Cosine one-cycle: max_lr/div -> max_lr over the warmup fraction, then
-    anneal to max_lr/final_div."""
+def onecycle_lr(step: int, total: int, max_lr: float) -> float:
+    """Cosine one-cycle: max_lr/DIV_FACTOR -> max_lr over the WARMUP_FRAC of
+    the run, then anneal to max_lr/FINAL_DIV_FACTOR."""
     if not 0 <= step < total:
         raise ValueError(f"step {step} outside [0, {total})")
-    peak = warmup_frac * total
+    peak = WARMUP_FRAC * total
     if step <= peak:
-        lo = max_lr / div_factor
-        t = step / peak if peak > 0 else 1.0
+        lo = max_lr / DIV_FACTOR
+        t = step / peak
         return lo + (max_lr - lo) * 0.5 * (1.0 - math.cos(math.pi * t))
-    lo = max_lr / final_div_factor
+    lo = max_lr / FINAL_DIV_FACTOR
     t = (step - peak) / (total - peak)
     return lo + (max_lr - lo) * 0.5 * (1.0 + math.cos(math.pi * t))
 
@@ -175,9 +172,8 @@ def loss_rollout(
     segment,
 ) -> float:
     """Mean per-step squared error of an n-step rollout from segment[0] vs segment[1:]."""
-    with eg.no_grad():
-        pt = sino_model._wrap_params(params, False)
-        return float(_rollout_loss_graph(pt, model_cfg, grid, segment).data)
+    pt = sino_model._wrap_params(params, False)
+    return float(_rollout_loss_graph(pt, model_cfg, grid, segment).data)
 
 
 def backward(
@@ -200,24 +196,58 @@ def backward(
 # -- training loop ------------------------------------------------------------
 
 
-@dataclass
-class TrainResult:
-    best_params: dict[str, np.ndarray]
-    history: list[tuple]  # (iteration, lr, train_loss, val_rel_l2 | None)
-    best_val: float
-    best_iteration: int
-    final_params: dict[str, np.ndarray]
-    opt_state: OptimizerState
+def _strip(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The tensors whose names start with prefix, keyed by the rest of the name."""
+    return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
+
+
+def params_to_tensors(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A parameter set as checkpoint tensors, param.<name>."""
+    return {f"param.{k}": v for k, v in params.items()}
+
+
+def params_from_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The parameters a checkpoint serves: a training state's best ones, else param.*."""
+    return _strip(tensors, "best.") or _strip(tensors, "param.")
 
 
 @dataclass
-class ResumeState:
+class TrainState:
     params: dict[str, np.ndarray]
-    opt_state: OptimizerState
-    start_iteration: int
+    opt: OptimizerState
     best_params: dict[str, np.ndarray]
-    best_val: float
-    best_iteration: int
+    best_val: float = math.inf
+    best_iteration: int = 0
+    history: list[tuple] = field(default_factory=list)  # (iteration, lr, train_loss, val | None)
+
+    def to_tensors(self) -> dict[str, np.ndarray]:
+        """The whole state as checkpoint tensors; an absent validation is NaN."""
+        bundles = {"param.": self.params, "adam_m.": self.opt.m, "adam_v.": self.opt.v,
+                   "best.": self.best_params}
+        tensors = {prefix + k: v for prefix, bundle in bundles.items() for k, v in bundle.items()}
+        tensors["meta.step"] = np.array(float(self.opt.step))
+        tensors["meta.best_val"] = np.array(float(self.best_val))
+        tensors["meta.best_iteration"] = np.array(float(self.best_iteration))
+        rows = [(it, lr, loss, math.nan if val is None else val)
+                for it, lr, loss, val in self.history]
+        tensors["meta.history"] = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        return tensors
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> TrainState:
+        """The state to_tensors stored; ContainerError if a key is missing."""
+        for key in ("meta.step", "meta.best_val", "meta.best_iteration", "meta.history"):
+            if key not in tensors:
+                raise ContainerError(f"not a training state: no {key}; "
+                                     "resume from a ckpt_last.sino")
+        history = [(int(it), float(lr), float(loss), None if math.isnan(val) else float(val))
+                   for it, lr, loss, val in tensors["meta.history"]]
+        opt = OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),
+                             step=int(tensors["meta.step"]))
+        return cls(params=_strip(tensors, "param."), opt=opt,
+                   best_params=_strip(tensors, "best."),
+                   best_val=float(tensors["meta.best_val"]),
+                   best_iteration=int(tensors["meta.best_iteration"]), history=history)
 
 
 def validation_rel_l2(
@@ -236,10 +266,11 @@ def train(
     dataset_val: TrajectoryDataset,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    resume: ResumeState | None = None,
+    state: TrainState | None = None,
     log_every: int = 0,
-) -> TrainResult:
-    """Warm-up curriculum training with Adam + one-cycle, best-by-validation."""
+) -> TrainState:
+    """Warm-up curriculum training with Adam + one-cycle, best-by-validation,
+    from fresh parameters or continuing a copy of state."""
     grid = dataset_train.grid
     if dataset_train.grid.points != model_cfg.native_points:
         raise ValueError(
@@ -251,92 +282,71 @@ def train(
             f"dataset cadence {dataset_train.cadence} must equal dt_model {model_cfg.dt_model}"
         )
 
-    rng = np.random.default_rng(train_cfg.seed)
-    if resume is not None:
-        params = copy.deepcopy(resume.params)
-        opt = resume.opt_state
-        start = resume.start_iteration
-        best_params = copy.deepcopy(resume.best_params)
-        best_val = resume.best_val
-        best_iteration = resume.best_iteration
-        # replay the sampler so a resumed run continues the original stream
-        for _ in range(train_cfg.batch * start):
-            sample_curriculum(dataset_train, train_cfg, rng)
-    else:
+    if state is None:
         params = sino_model.init_params(model_cfg, train_cfg.seed)
-        opt = adam_init(params)
-        start = 0
-        best_params = copy.deepcopy(params)
-        best_val = float("inf")
-        best_iteration = 0
+        state = TrainState(params=params, opt=adam_init(params),
+                           best_params=copy.deepcopy(params))
+    else:
+        state = copy.deepcopy(state)
+    rng = np.random.default_rng(train_cfg.seed)
+    # replay the sampler so a resumed run continues the original stream
+    for _ in range(train_cfg.batch * len(state.history)):
+        sample_curriculum(dataset_train, train_cfg, rng)
 
-    history: list[tuple] = []
     nonfinite_streak = 0
-    for it in range(start, train_cfg.iterations):
-        lr = onecycle_lr(
-            it, train_cfg.iterations, train_cfg.max_lr,
-            train_cfg.warmup_frac, train_cfg.div_factor, train_cfg.final_div_factor,
-        )
+    for it in range(len(state.history), train_cfg.iterations):
+        lr = onecycle_lr(it, train_cfg.iterations, train_cfg.max_lr)
         loss_acc = 0.0
         grads_acc: dict[str, np.ndarray] | None = None
-        failed = False
         # draw the whole batch up front so the rng stream advances by a fixed
         # amount per iteration regardless of failures (resume replays it)
         samples = [sample_curriculum(dataset_train, train_cfg, rng) for _ in range(train_cfg.batch)]
-        for start_state, n, frames in samples:
-            try:
+        try:
+            for start_state, n, frames in samples:
                 if n > 0:
                     start_state = sino_model.rollout(
-                        start_state, params, model_cfg, grid, n, record_every=n
+                        start_state, state.params, model_cfg, grid, n, record_every=n
                     )[-1]
                 segment = np.concatenate([start_state[np.newaxis], frames[1:]])
-                loss, bundle = backward(params, model_cfg, grid, segment)
-            except NonFinite:
-                failed = True
-                break
-            loss_acc += loss / train_cfg.batch
-            if grads_acc is None:
-                grads_acc = {k: g / train_cfg.batch for k, g in bundle.items()}
-            else:
-                for k, g in bundle.items():
-                    grads_acc[k] += g / train_cfg.batch
+                loss, bundle = backward(state.params, model_cfg, grid, segment)
+                loss_acc += loss / train_cfg.batch
+                if grads_acc is None:
+                    grads_acc = {k: g / train_cfg.batch for k, g in bundle.items()}
+                else:
+                    for k, g in bundle.items():
+                        grads_acc[k] += g / train_cfg.batch
+        except NonFinite:
+            grads_acc = None
 
-        if failed or grads_acc is None:
+        if grads_acc is None:
             nonfinite_streak += 1
             if nonfinite_streak > 5:
                 raise NonFinite(
                     f"{nonfinite_streak} consecutive non-finite iterations (at iteration {it + 1})"
                 )
-            history.append((it + 1, lr, float("nan"), None))
+            state.history.append((it + 1, lr, float("nan"), None))
             continue
         nonfinite_streak = 0
 
-        grads_acc, _ = clip_global_norm(grads_acc, train_cfg.grad_clip)
-        params = adam_step(opt, params, grads_acc, lr)
+        grads_acc, _ = clip_global_norm(grads_acc, GRAD_CLIP)
+        state.params = adam_step(state.opt, state.params, grads_acc, lr)
 
         val = None
         if (it + 1) % train_cfg.val_every == 0 or (it + 1) == train_cfg.iterations:
-            val = validation_rel_l2(params, model_cfg, dataset_val)
-            if val < best_val:
-                best_val = val
-                best_params = copy.deepcopy(params)
-                best_iteration = it + 1
-        history.append((it + 1, lr, loss_acc, val))
+            val = validation_rel_l2(state.params, model_cfg, dataset_val)
+            if val < state.best_val:
+                state.best_val = val
+                state.best_params = copy.deepcopy(state.params)
+                state.best_iteration = it + 1
+        state.history.append((it + 1, lr, loss_acc, val))
         if log_every and (it + 1) % log_every == 0:
             v = f" val={val:.4g}" if val is not None else ""
             print(f"[train] iter {it + 1}/{train_cfg.iterations} loss={loss_acc:.6g}{v}")
 
-    if not math.isfinite(best_val):
-        best_params = copy.deepcopy(params)
-        best_iteration = train_cfg.iterations
-    return TrainResult(
-        best_params=best_params,
-        history=history,
-        best_val=best_val,
-        best_iteration=best_iteration,
-        final_params=params,
-        opt_state=opt,
-    )
+    if not math.isfinite(state.best_val):
+        state.best_params = copy.deepcopy(state.params)
+        state.best_iteration = train_cfg.iterations
+    return state
 
 
 def write_history_csv(history: list[tuple], path) -> None:

@@ -3,12 +3,14 @@ import shutil
 import textwrap
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 
-from sino import cli
+from sino import cli, training
 from sino.config import load_yaml, presets
 from sino.containers import read_checkpoint
+from sino.errors import NonFinite
 
 
 def tiny_config(out, iterations=4):
@@ -83,6 +85,51 @@ class TestRoundTrip:
         best = str(out / "ckpt_best.sino")
         assert cli.main(["train", "--config", path, "--resume", best]) == 4
 
+    def test_resume_after_a_skipped_iteration(self, run, tmp_path, monkeypatch):
+        # iteration 3 is non-finite: it takes no Adam step but has a row
+        _, _, out = run
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        path = write_config(tmp_path / "tiny.yaml", tiny_config(tmp_path / "out"))
+        calls = iter(range(1, 100))
+        backward = training.backward
+
+        def failing_backward(*args):
+            if next(calls) == 3:
+                raise NonFinite("injected")
+            return backward(*args)
+
+        monkeypatch.setattr(training, "backward", failing_backward)
+        assert cli.main(["train", "--config", path]) == 0
+        monkeypatch.undo()
+        _, first = read_checkpoint(tmp_path / "out" / "ckpt_last.sino")
+        assert int(first["meta.step"]) == 3
+        assert first["meta.history"].shape == (4, 4)
+        history = (tmp_path / "out" / "history.csv").read_text()
+        # the run is finished: resuming it under its own config changes nothing
+        ckpt = str(tmp_path / "out" / "ckpt_last.sino")
+        assert cli.main(["train", "--config", path, "--resume", ckpt]) == 0
+        _, again = read_checkpoint(ckpt)
+        assert sorted(again) == sorted(first)
+        assert all(np.array_equal(again[k], first[k], equal_nan=True) for k in first)
+        assert (tmp_path / "out" / "history.csv").read_text() == history
+
+    @pytest.mark.parametrize("args, model, named", [
+        (["--no-pi"], {}, "model.no_pi"),
+        ([], {"C": 8}, "model.C"),
+    ])
+    def test_resume_with_a_different_model_is_refused(self, run, tmp_path, capsys,
+                                                      args, model, named):
+        _, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        other = tiny_config(tmp_path / "out")
+        other = replace(other, model=replace(other.model, **model))
+        path = write_config(tmp_path / "other.yaml", other)
+        ckpt = tmp_path / "out" / "ckpt_last.sino"
+        before = ckpt.read_bytes()
+        assert cli.main(["train", "--config", path, "--resume", str(ckpt)] + args) == 2
+        assert named in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
     def test_evaluate_writes_reports(self, run):
         path, _, out = run
         assert cli.main(["evaluate", "--config", path, "--superres", "2", "--ood", "star"]) == 0
@@ -148,6 +195,8 @@ class TestExitCodes:
         ("train", "val_every", 0, "val_every"),
         ("train", "div_factor", 0.0, "div_factor"),
         ("train", "warmup_frac", 2.0, "warmup_frac"),
+        ("model", "c_in", 1, "c_in"),
+        ("model", "freq_norm", [4, 4], "freq_norm"),
     ])
     def test_malformed_value(self, tmp_path, capsys, section, key, value, named):
         d = tiny_config(tmp_path).to_dict()

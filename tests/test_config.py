@@ -55,7 +55,7 @@ class TestHashCoversEveryLevel:
         lambda c: replace(c, pde=replace(c.pde, nu=0.02)),
         lambda c: replace(c, solver=replace(c.solver, dt=c.solver.dt / 2)),
         lambda c: replace(c, model=replace(c.model, mlp_hidden=(32,))),
-        lambda c: replace(c, train=replace(c.train, final_div_factor=10.0)),
+        lambda c: replace(c, train=replace(c.train, max_lr=c.train.max_lr / 2)),
     ])
     def test_a_change_moves_the_hash(self, change):
         c = presets()["E6-desk"]

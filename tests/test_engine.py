@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sino import engine as eg
-from sino.engine import Tensor, no_grad, parameter
+from sino.engine import Tensor, parameter
 
 
 def fd_check(build, params, h=1e-6, tol=1e-6):
@@ -15,11 +15,9 @@ def fd_check(build, params, h=1e-6, tol=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            with no_grad():
-                lp = float(build().data)
+            lp = float(build().data)
             flat[i] = orig - h
-            with no_grad():
-                lm = float(build().data)
+            lm = float(build().data)
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             assert an.ravel()[i] == pytest.approx(fd, rel=tol, abs=1e-9)
@@ -177,14 +175,6 @@ class TestHalfSpectrumOps:
 
 
 class TestGraphMechanics:
-    def test_no_grad_blocks_taping(self):
-        x = parameter(np.ones(3))
-        with no_grad():
-            y = eg.mul(x, x)
-        assert not y.requires_grad
-        y2 = eg.mul(x, x)
-        assert y2.requires_grad
-
     def test_constants_get_no_gradient(self):
         x = parameter(np.ones(3))
         c = Tensor(np.full(3, 2.0))
