@@ -116,17 +116,26 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _read_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
+    """The config echo and the tensors of a checkpoint."""
+    echo, tensors = containers.read_checkpoint(path)
+    try:
+        return from_dict(json.loads(echo)), tensors
+    except ValueError as err:
+        raise ValueError(f"{path}: the checkpoint's config echo is from another config "
+                         f"schema than this version's: {err}") from err
+
+
 def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
     """Config and parameter tensors from a checkpoint (best params if present)."""
-    echo, tensors = containers.read_checkpoint(path)
-    cfg = from_dict(json.loads(echo))
+    cfg, tensors = _read_checkpoint(path)
     return cfg, training.params_from_tensors(tensors)
 
 
 def _resume_state(cfg: ExperimentConfig, path) -> TrainState:
     """The training state of a ckpt_last.sino written for the run's model."""
-    echo, tensors = containers.read_checkpoint(path)
-    ck_model = from_dict(json.loads(echo)).model
+    ck_cfg, tensors = _read_checkpoint(path)
+    ck_model = ck_cfg.model
     changed = [f"model.{f.name}" for f in fields(cfg.model)
                if getattr(ck_model, f.name) != getattr(cfg.model, f.name)]
     if changed:

@@ -116,9 +116,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _match_dtype(g: np.ndarray, data: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(g) and not np.iscomplexobj(data):
+    # runs on every cotangent, so it reads dtype.kind: np.iscomplexobj costs a
+    # Python call and an attribute walk per test
+    g_complex, data_complex = g.dtype.kind == "c", data.dtype.kind == "c"
+    if g_complex and not data_complex:
         return np.ascontiguousarray(g.real)
-    if np.iscomplexobj(data) and not np.iscomplexobj(g):
+    if data_complex and not g_complex:
         return g.astype(np.complex128)
     return g
 
@@ -228,17 +231,6 @@ def transpose(a, axes) -> Tensor:
     # materialized: a strided view would make every later op on the result
     # (FFTs included) walk memory out of order
     return _node(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), vjp)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
 
 
 def getitem(a, idx) -> Tensor:

@@ -2,11 +2,26 @@
 
 The network predicts the right-hand side of an unknown PDE: a shared MLP
 (Freq2Vec, squaring activations) maps each frequency index to K complex
-multiplier values, the spectral learning block applies those multipliers to
-the input's spectrum, and the result feeds a linear 1x1 branch and a
-multiplicative Pi-block (the product of two 1x1 maps, then a 2/3 low-pass).
-The two branches are concatenated and mixed by a final 1x1 map. Time
-stepping is RK4 over that learned right-hand side.
+multiplier values, the spectral learning block (SLB) applies those
+multipliers to the input's spectrum, and the result feeds a linear 1x1
+branch and a multiplicative Pi-block (the product of two 1x1 maps, then a
+2/3 low-pass). In the paper the two branches are concatenated and mixed by
+a final 1x1 map. Time stepping is RK4 over that learned right-hand side.
+
+The right-hand side computes that function in another order. The output
+map out.w = [W_lin | W_pi] splits into the columns that read the linear
+branch and those that read the Pi-block, and
+    out = W_lin (linear.w d + linear.b) + W_pi lowpass(v) + out.b
+        = (W_lin linear.w) d + lowpass(W_pi v) + (W_lin linear.b + out.b),
+where d are the SLB features and v the C unfiltered Pi channels. The
+second line holds because the low-pass is one spectral mask applied to
+every channel alike, so it commutes with the pointwise map W_pi. So the
+FFT pair of the low-pass runs on c_in channels, not C, and no C-wide linear
+branch or concatenation is formed. The folded maps, like the Freq2Vec
+table, depend on the parameters alone and are built once per tape
+(_rhs_maps), not in every right-hand side evaluation. Under no_linear all
+of out.w is W_pi; under no_filter the low-pass is the identity. The
+parameters are the paper's; only roundoff differs from the paper's order.
 
 Spectra are real-FFT half spectra (engine.rfftn / engine.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
@@ -195,57 +210,99 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
     return eg.reshape(table, (cfg.K,) + grid.half_points)
 
 
-def _mix(w: Tensor, b: Tensor, x: Tensor, grid: GridSpec) -> Tensor:
-    """1x1 channel mixing: (C_out, C_in) applied pointwise over the grid."""
-    flat = eg.reshape(x, (x.shape[0], grid.n_points))
-    mixed = eg.add(eg.matmul(w, flat), eg.reshape(b, (b.shape[0], 1)))
-    return eg.reshape(mixed, (w.shape[0],) + grid.points)
+@dataclass(frozen=True)
+class _RhsMaps:
+    """The parameter-only parts of the right-hand side, built once per tape.
+
+    table is the Freq2Vec table shaped (1, K, *half points) to broadcast
+    over the input channels; pi holds the Pi factors (w, b) with b as a
+    column; pi_out (c_in, C) is the output map's Pi columns; linear
+    (c_in, c_in*K) is the linear branch folded into the output map, None
+    under no_linear; bias (c_in, 1, ..., 1) is the folded output bias;
+    mask is the 2/3 low-pass, None under no_filter.
+    """
+
+    table: Tensor
+    pi: tuple[tuple[Tensor, Tensor], ...]
+    pi_out: Tensor
+    linear: Tensor | None
+    bias: Tensor
+    mask: Tensor | None
+
+
+def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, Tensor], ...]:
+    return tuple((pt[f"pi.{p}.w"], eg.reshape(pt[f"pi.{p}.b"], (cfg.C, 1)))
+                 for p in range(cfg.n_pi_factors))
+
+
+def _mask(cfg: ModelConfig, grid: GridSpec) -> Tensor | None:
+    return None if cfg.no_filter else Tensor(two_thirds_mask(grid))
+
+
+def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMaps:
+    table = _freq2vec(pt, cfg, grid)
+    bias = eg.reshape(pt["out.b"], (cfg.c_in, 1))
+    if cfg.no_linear:
+        pi_out, linear = pt["out.w"], None
+    else:
+        out_linear = pt["out.w"][:, : cfg.C]
+        pi_out = pt["out.w"][:, cfg.C :]
+        linear = eg.matmul(out_linear, pt["linear.w"])
+        bias = eg.add(eg.matmul(out_linear, eg.reshape(pt["linear.b"], (cfg.C, 1))), bias)
+    return _RhsMaps(
+        table=eg.reshape(table, (1, cfg.K) + grid.half_points),
+        pi=_pi_factors(pt, cfg),
+        pi_out=pi_out,
+        linear=linear,
+        bias=eg.reshape(bias, (cfg.c_in,) + (1,) * grid.dim),
+        mask=_mask(cfg, grid),
+    )
 
 
 def _slb(u: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    """SLB features, flat: (c_in*K, n_points); table is shaped (1, K, *half points)."""
     uh = eg.rfftn(u, grid.axes)
-    prod = eg.mul(
-        eg.reshape(uh, (cfg.c_in, 1) + uh.shape[1:]),
-        eg.reshape(table, (1, cfg.K) + uh.shape[1:]),
-    )
+    prod = eg.mul(eg.reshape(uh, (cfg.c_in, 1) + uh.shape[1:]), table)
     d = eg.irfftn(prod, tuple(range(2, grid.dim + 2)), grid.points)
-    return eg.reshape(d, (cfg.slb_channels,) + grid.points)
+    return eg.reshape(d, (cfg.slb_channels, grid.n_points))
 
 
-def _pi_block(d: Tensor, pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec,
-              pre_filter_out: list | None = None) -> Tensor:
-    v = _mix(pt["pi.0.w"], pt["pi.0.b"], d, grid)
-    for p in range(1, cfg.n_pi_factors):
-        v = eg.mul(v, _mix(pt[f"pi.{p}.w"], pt[f"pi.{p}.b"], d, grid))
-    if pre_filter_out is not None:
-        pre_filter_out.append(v)
-    if cfg.no_filter:
+def _pi_product(d: Tensor, factors) -> Tensor:
+    """Product of the affine Pi factors of flat features, unfiltered: (C, n_points)."""
+    w, b = factors[0]
+    v = eg.add(eg.matmul(w, d), b)
+    for w, b in factors[1:]:
+        v = eg.mul(v, eg.add(eg.matmul(w, d), b))
+    return v
+
+
+def _lowpass(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
+    """The 2/3 low-pass of every channel of v (channels, *points); none if mask is None."""
+    if mask is None:
         return v
-    mask = Tensor(two_thirds_mask(grid))
     return eg.irfftn(eg.mul(eg.rfftn(v, grid.axes), mask), grid.axes, grid.points)
 
 
-def _rhs(u: Tensor, table: Tensor, pt: dict[str, Tensor], cfg: ModelConfig,
-         grid: GridSpec) -> Tensor:
-    d = _slb(u, table, cfg, grid)
-    nonlinear = _pi_block(d, pt, cfg, grid)
-    if cfg.no_linear:
-        combined = nonlinear
-    else:
-        linear = _mix(pt["linear.w"], pt["linear.b"], d, grid)
-        combined = eg.concat([linear, nonlinear], axis=0)
-    return _mix(pt["out.w"], pt["out.b"], combined, grid)
+def _rhs(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    d = _slb(u, maps.table, cfg, grid)
+    shape = (cfg.c_in,) + grid.points
+    # the low-pass is one mask on every channel, so it commutes with the
+    # output map: mix the C Pi channels down to c_in, then filter those
+    nonlinear = eg.reshape(eg.matmul(maps.pi_out, _pi_product(d, maps.pi)), shape)
+    out = _lowpass(nonlinear, maps.mask, grid)
+    if maps.linear is not None:
+        out = eg.add(eg.reshape(eg.matmul(maps.linear, d), shape), out)
+    return eg.add(out, maps.bias)
 
 
-def _step(u: Tensor, table: Tensor, pt: dict[str, Tensor], cfg: ModelConfig,
-          grid: GridSpec) -> Tensor:
+def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
     dt = cfg.dt_model
     if cfg.euler_time:
-        return eg.add(u, eg.mul(_rhs(u, table, pt, cfg, grid), dt))
-    k1 = _rhs(u, table, pt, cfg, grid)
-    k2 = _rhs(eg.add(u, eg.mul(k1, 0.5 * dt)), table, pt, cfg, grid)
-    k3 = _rhs(eg.add(u, eg.mul(k2, 0.5 * dt)), table, pt, cfg, grid)
-    k4 = _rhs(eg.add(u, eg.mul(k3, dt)), table, pt, cfg, grid)
+        return eg.add(u, eg.mul(_rhs(u, maps, cfg, grid), dt))
+    k1 = _rhs(u, maps, cfg, grid)
+    k2 = _rhs(eg.add(u, eg.mul(k1, 0.5 * dt)), maps, cfg, grid)
+    k3 = _rhs(eg.add(u, eg.mul(k2, 0.5 * dt)), maps, cfg, grid)
+    k4 = _rhs(eg.add(u, eg.mul(k3, dt)), maps, cfg, grid)
     incr = eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0))
     return eg.add(u, eg.mul(incr, dt / 6.0))
 
@@ -277,33 +334,33 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
         raise ValueError(
             f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
         )
-    return _slb(Tensor(u), Tensor(table), cfg, grid).data
+    d = _slb(Tensor(u), Tensor(table.reshape((1,) + table.shape)), cfg, grid).data
+    return d.reshape((cfg.slb_channels,) + grid.points)
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """Product of two affine projections of SLB features (one under no_pi),
     then the low-pass (none under no_filter)."""
-    return _pi_block(Tensor(np.asarray(d, dtype=np.float64)),
-                     _wrap_params(params, False), cfg, grid).data
+    flat = Tensor(np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points))
+    v = _pi_product(flat, _pi_factors(_wrap_params(params, False), cfg))
+    return _lowpass(eg.reshape(v, (cfg.C,) + grid.points), _mask(cfg, grid), grid).data
 
 
 def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """The learned right-hand side evaluated at a state."""
     u = _check_state(u, cfg, grid)
-    pt = _wrap_params(params, False)
-    table = _freq2vec(pt, cfg, grid)
-    return _rhs(Tensor(u), table, pt, cfg, grid).data
+    maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
+    return _rhs(Tensor(u), maps, cfg, grid).data
 
 
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                grid: GridSpec) -> np.ndarray:
     """Advance one dt_model (RK4, or forward Euler under the euler_time flag)."""
     u = _check_state(u, cfg, grid)
-    pt = _wrap_params(params, False)
-    table = _freq2vec(pt, cfg, grid)
-    out = _step(Tensor(u), table, pt, cfg, grid).data
+    maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
+    out = _step(Tensor(u), maps, cfg, grid).data
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
     return out
@@ -316,11 +373,10 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
         raise ValueError("n_steps must be >= 0")
     u = _check_state(u0, cfg, grid).copy()
     snaps = [u.copy()]
-    pt = _wrap_params(params, False)
-    table = _freq2vec(pt, cfg, grid)
+    maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
     state = Tensor(u)
     for step in range(n_steps):
-        state = _step(state, table, pt, cfg, grid)
+        state = _step(state, maps, cfg, grid)
         if not np.isfinite(state.data).all():
             raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
         if (step + 1) % record_every == 0:
@@ -333,20 +389,18 @@ def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig
     """Named intermediate channels: SLB outputs, pre-filter Pi channels, linear channels."""
     u = _check_state(u, cfg, grid)
     pt = _wrap_params(params, False)
-    table = _freq2vec(pt, cfg, grid)
-    d = _slb(Tensor(u), table, cfg, grid)
-    pre: list = []
-    _pi_block(d, pt, cfg, grid, pre_filter_out=pre)
+    maps = _rhs_maps(pt, cfg, grid)
+    d = _slb(Tensor(u), maps.table, cfg, grid)
+    channels = {"pi_pre": _pi_product(d, maps.pi).data}
+    if not cfg.no_linear:
+        channels["linear"] = pt["linear.w"].data @ d.data + pt["linear.b"].data[:, None]
     features = {}
     for c in range(cfg.c_in):
         for j in range(cfg.K):
-            features[f"slb.c{c}.k{j}"] = d.data[c * cfg.K + j].copy()
-    for i in range(cfg.C):
-        features[f"pi_pre.{i}"] = pre[0].data[i].copy()
-    if not cfg.no_linear:
-        lin = _mix(pt["linear.w"], pt["linear.b"], d, grid)
+            features[f"slb.c{c}.k{j}"] = d.data[c * cfg.K + j].reshape(grid.points)
+    for prefix, values in channels.items():
         for i in range(cfg.C):
-            features[f"linear.{i}"] = lin.data[i].copy()
+            features[f"{prefix}.{i}"] = values[i].reshape(grid.points)
     return features
 
 

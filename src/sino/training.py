@@ -150,11 +150,11 @@ def _rollout_loss_graph(
     grid: GridSpec,
     segment: list[np.ndarray] | np.ndarray,
 ) -> Tensor:
-    table = sino_model._freq2vec(pt, model_cfg, grid)
+    maps = sino_model._rhs_maps(pt, model_cfg, grid)
     state = Tensor(np.asarray(segment[0], dtype=np.float64))
     step_losses = []
     for target in segment[1:]:
-        state = sino_model._step(state, table, pt, model_cfg, grid)
+        state = sino_model._step(state, maps, model_cfg, grid)
         if not np.isfinite(state.data).all():
             raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
         diff = eg.sub(state, Tensor(np.asarray(target, dtype=np.float64)))

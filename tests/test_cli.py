@@ -1,4 +1,5 @@
 import csv
+import json
 import shutil
 import textwrap
 from dataclasses import replace
@@ -9,7 +10,7 @@ import yaml
 
 from sino import cli, training
 from sino.config import load_yaml, presets
-from sino.containers import read_checkpoint
+from sino.containers import read_checkpoint, write_checkpoint
 from sino.errors import NonFinite
 
 
@@ -129,6 +130,23 @@ class TestRoundTrip:
         assert cli.main(["train", "--config", path, "--resume", str(ckpt)] + args) == 2
         assert named in capsys.readouterr().err
         assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("command, option", [("train", "--resume"),
+                                                 ("evaluate", "--checkpoint")])
+    def test_checkpoint_from_another_schema_is_refused(self, run, tmp_path, capsys,
+                                                       command, option):
+        # an echo that sets a key the schema no longer has, as a checkpoint
+        # written before train.div_factor was removed does
+        path, _, out = run
+        echo, tensors = read_checkpoint(out / "ckpt_last.sino")
+        old = json.loads(echo)
+        old["train"]["div_factor"] = 25.0
+        ckpt = tmp_path / "old.sino"
+        write_checkpoint(ckpt, json.dumps(old), tensors)
+        assert cli.main([command, "--config", path, option, str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "another config schema" in err
+        assert "unknown key train.div_factor" in err
 
     def test_evaluate_writes_reports(self, run):
         path, _, out = run

@@ -37,14 +37,13 @@ class TestBasicOps:
         b = parameter(rng.standard_normal((2,)))
         fd_check(lambda: eg.sum_all(eg.mul(h := eg.add(eg.matmul(x, w), b), h)), [w, b])
 
-    def test_reshape_transpose_concat_getitem(self):
+    def test_reshape_transpose_getitem(self):
         rng = np.random.default_rng(3)
         a = parameter(rng.standard_normal((2, 6)))
 
         def build():
             t = eg.transpose(eg.reshape(a, (3, 4)), (1, 0))
-            c = eg.concat([t, t], axis=0)
-            return eg.sum_all(eg.mul(c[2:5, :], c[2:5, :]))
+            return eg.sum_all(eg.mul(t[1:3, :], t[1:3, :]))
 
         fd_check(build, [a])
 

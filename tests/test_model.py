@@ -279,6 +279,29 @@ class TestRhsEval:
         u2 = bandlimited(g, 21, cutoff=8)
         assert np.max(np.abs(rhs_eval(u2, params, cfg_f, g) - rhs_eval(u2, params, cfg_nf, g))) > 1e-12
 
+    def test_low_pass_runs_on_the_output_channels(self, monkeypatch):
+        # the output map mixes the Pi channels down to c_in before the
+        # low-pass: an E6-desk right-hand side transforms c_in channels
+        # (SLB forward), c_in*K (SLB inverse) and 2*c_in (low-pass), not
+        # the C hidden Pi channels twice
+        from sino.config import presets
+        case = presets()["E6-desk"]
+        cfg, g = case.model, case.train_grid
+        transformed = []
+
+        def counting(fn):
+            def wrapper(a, *args, axes=None, **kwargs):
+                transformed.append(a.size // math.prod(a.shape[ax] for ax in axes))
+                return fn(a, *args, axes=axes, **kwargs)
+            return wrapper
+
+        u = bandlimited(g, 22, cutoff=10, channels=cfg.c_in)
+        params = init_params(cfg, 23)
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        rhs_eval(u, params, cfg, g)
+        assert sum(transformed) == cfg.c_in + cfg.c_in * cfg.K + 2 * cfg.c_in == 14
+
 
 class TestStepAndRollout:
     def test_zero_params_identity_step(self):
@@ -385,13 +408,17 @@ class TestHalfSpectrumMatchesFullFFT:
         d = np.fft.ifftn(uh[:, None] * table[None], axes=tuple(a + 1 for a in axes)).real
         d = d.reshape((cfg.slb_channels,) + g.points)
         mix = lambda w, b: np.tensordot(w, d, axes=(1, 0)) + b.reshape((-1,) + (1,) * g.dim)
-        v = mix(params["pi.0.w"], params["pi.0.b"]) * mix(params["pi.1.w"], params["pi.1.b"])
+        v = mix(params["pi.0.w"], params["pi.0.b"])
+        if not cfg.no_pi:
+            v = v * mix(params["pi.1.w"], params["pi.1.b"])
+        # the paper's order: filter the C Pi channels, concatenate, mix
         if not cfg.no_filter:
             index = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in g.points], indexing="ij")
             mask = np.max(np.abs(index), axis=0) <= (2 * (min(g.points) // 2)) // 3
             v = np.fft.ifftn(np.fft.fftn(v, axes=axes) * mask, axes=axes).real
-        combined = np.concatenate([mix(params["linear.w"], params["linear.b"]), v])
-        return np.tensordot(params["out.w"], combined, axes=(1, 0)) \
+        if not cfg.no_linear:
+            v = np.concatenate([mix(params["linear.w"], params["linear.b"]), v])
+        return np.tensordot(params["out.w"], v, axes=(1, 0)) \
             + params["out.b"].reshape((-1,) + (1,) * g.dim)
 
     @classmethod
@@ -412,7 +439,7 @@ class TestHalfSpectrumMatchesFullFFT:
         return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("flag", ["none", "no_filter", "no_freq2vec"])
+    @pytest.mark.parametrize("flag", ["none", "no_filter", "no_freq2vec", "no_pi", "no_linear"])
     def test_rollout_and_gradients(self, dim, flag):
         from sino.training import backward
         n = 16 if dim == 2 else 8
@@ -421,7 +448,7 @@ class TestHalfSpectrumMatchesFullFFT:
         cfg = small_cfg(g, c_in=2, K=2, C=3, dt_model=0.02, **flags)
         rng = np.random.default_rng(12)
         # nonzero biases load every gradient well above the roundoff of the
-        # central differences (worst relative error 1.5e-8 of 6 cases)
+        # central differences (worst relative error 1.5e-8 of 10 cases)
         params = {k: v + 0.3 * rng.standard_normal(v.shape)
                   for k, v in init_params(cfg, 11).items()}
         # full-band states: energy in every mode, the Nyquist columns included
