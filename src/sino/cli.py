@@ -132,8 +132,9 @@ def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]
     return cfg, training.params_from_tensors(tensors)
 
 
-def _resume_state(cfg: ExperimentConfig, path) -> TrainState:
-    """The training state of a ckpt_last.sino written for the run's model."""
+def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainState]:
+    """The config echo and the training state of a ckpt_last.sino written
+    for the run's model."""
     ck_cfg, tensors = _read_checkpoint(path)
     ck_model = ck_cfg.model
     changed = [f"model.{f.name}" for f in fields(cfg.model)
@@ -141,7 +142,7 @@ def _resume_state(cfg: ExperimentConfig, path) -> TrainState:
     if changed:
         raise ValueError(f"{path} was trained with a different model: "
                          f"{', '.join(changed)} differ")
-    return TrainState.from_tensors(tensors)
+    return ck_cfg, TrainState.from_tensors(tensors)
 
 
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
@@ -150,8 +151,12 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
     ds_val = load_split(out / "data", "val")
     state = None
     if resume_path:
-        state = _resume_state(cfg, resume_path)
+        ck_cfg, state = _resume_state(cfg, resume_path)
         print(f"[train] resuming from {resume_path} after iteration {len(state.history)}")
+        if ck_cfg.train.iterations != cfg.train.iterations:
+            print(f"[train] the checkpoint's run has {ck_cfg.train.iterations} iterations and "
+                  f"this one {cfg.train.iterations}: the remaining iterations follow the "
+                  f"one-cycle schedule of {cfg.train.iterations}, so the history holds two")
     state = train(ds_train, ds_val, cfg.model, cfg.train, state,
                   log_every=max(1, cfg.train.iterations // 20))
     echo = cfg.canonical_json()
@@ -304,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train on generated datasets")
     common(p_train)
-    p_train.add_argument("--resume", help="continue from a ckpt_last.sino")
+    p_train.add_argument("--resume", help="continue from a ckpt_last.sino; under another "
+                         "train.iterations the remaining iterations follow the new total's "
+                         "one-cycle schedule")
 
     p_eval = sub.add_parser("evaluate", help="full-horizon test evaluation")
     common(p_eval)

@@ -126,6 +126,11 @@ def _match_dtype(g: np.ndarray, data: np.ndarray) -> np.ndarray:
     return g
 
 
+def _conj(x: np.ndarray) -> np.ndarray:
+    # np.conjugate copies a real array; only a complex one has a conjugate
+    return np.conjugate(x) if x.dtype.kind == "c" else x
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -173,8 +178,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        ga = _unbroadcast(np.conjugate(b.data) * g, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.conjugate(a.data) * g, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(_conj(b.data) * g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(_conj(a.data) * g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), vjp)
@@ -187,8 +192,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.conjugate(b.data).T if a.requires_grad else None
-        gb = np.conjugate(a.data).T @ g if b.requires_grad else None
+        ga = g @ _conj(b.data).T if a.requires_grad else None
+        gb = _conj(a.data).T @ g if b.requires_grad else None
         return ga, gb
 
     return _node(out, (a, b), vjp)

@@ -28,6 +28,28 @@ out as in spectral: the last grid axis keeps its modes 0..N/2, the last
 one indexed -N/2. Freq2Vec evaluates its multipliers on that half
 spectrum, so every field stays real by construction.
 
+A step works on half spectra, as the reference solvers do. It transforms
+the state once, evaluates the four RK4 stages as half spectra (_rhs_hat)
+and transforms the combined increment back once. A stage multiplies its
+input spectrum by the Freq2Vec table (the SLB spectra z), makes one
+inverse transform of the c_in*K SLB channels for the Pi-block, mixes the
+Pi channels to c_in, adds the folded bias, and makes one forward
+transform of those c_in channels, which the 2/3 mask then filters. The
+folded linear branch is pointwise, so it maps z in spectral space with no
+transform. So an RK4 step makes 10 FFT calls on c_in + 4(c_in*K + c_in) +
+c_in channels (44 on E6-desk), where a stage that went physical ->
+spectral -> physical twice made 16 calls on 56. A stage adds only
+Hermitian-consistent half spectra (the table is conjugate-symmetric
+wherever k and -k both lie in the half spectrum), so this is the same
+function up to roundoff.
+
+Inside the model the state carries a batch axis after the channels,
+(c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1
+maps see B*n_points columns, so a batch of B trajectories steps as one
+state. Its columns are independent, so each trajectory equals its own
+rollout bit for bit (the tests check it). Training steps a batch of one;
+rollout and evaluation step whole sets.
+
 All forward functions come in two flavors: module-level wrappers that take
 and return numpy arrays, and tape-building internals (prefixed with an
 underscore) used by the training loop.
@@ -214,12 +236,12 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
 class _RhsMaps:
     """The parameter-only parts of the right-hand side, built once per tape.
 
-    table is the Freq2Vec table shaped (1, K, *half points) to broadcast
-    over the input channels; pi holds the Pi factors (w, b) with b as a
-    column; pi_out (c_in, C) is the output map's Pi columns; linear
-    (c_in, c_in*K) is the linear branch folded into the output map, None
-    under no_linear; bias (c_in, 1, ..., 1) is the folded output bias;
-    mask is the 2/3 low-pass, None under no_filter.
+    table is the Freq2Vec table shaped (1, K, 1, *half points) to broadcast
+    over the input channels and the batch; pi holds the Pi factors (w, b)
+    with b as a column; pi_out (c_in, C) is the output map's Pi columns;
+    linear (c_in, c_in*K) is the linear branch folded into the output map,
+    None under no_linear; bias (c_in, 1) is the folded output bias; mask is
+    the 2/3 low-pass, None under no_filter.
     """
 
     table: Tensor
@@ -250,25 +272,31 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
         linear = eg.matmul(out_linear, pt["linear.w"])
         bias = eg.add(eg.matmul(out_linear, eg.reshape(pt["linear.b"], (cfg.C, 1))), bias)
     return _RhsMaps(
-        table=eg.reshape(table, (1, cfg.K) + grid.half_points),
+        table=eg.reshape(table, (1, cfg.K, 1) + grid.half_points),
         pi=_pi_factors(pt, cfg),
         pi_out=pi_out,
         linear=linear,
-        bias=eg.reshape(bias, (cfg.c_in,) + (1,) * grid.dim),
+        bias=bias,
         mask=_mask(cfg, grid),
     )
 
 
-def _slb(u: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    """SLB features, flat: (c_in*K, n_points); table is shaped (1, K, *half points)."""
-    uh = eg.rfftn(u, grid.axes)
-    prod = eg.mul(eg.reshape(uh, (cfg.c_in, 1) + uh.shape[1:]), table)
-    d = eg.irfftn(prod, tuple(range(2, grid.dim + 2)), grid.points)
-    return eg.reshape(d, (cfg.slb_channels, grid.n_points))
+def _grid_axes(a: Tensor, grid: GridSpec) -> tuple[int, ...]:
+    """The trailing grid axes of a (..., *points) field or its half spectrum."""
+    return tuple(range(a.data.ndim - grid.dim, a.data.ndim))
+
+
+def _slb(xh: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> tuple[Tensor, Tensor]:
+    """The SLB of half spectra xh (c_in, B, *half points): the multiplied
+    spectra z (c_in, K, B, *half points) and the features d, flat
+    (c_in*K, B*n_points); table is shaped (1, K, 1, *half points)."""
+    z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), table)
+    d = eg.irfftn(z, _grid_axes(z, grid), grid.points)
+    return z, eg.reshape(d, (cfg.slb_channels, -1))
 
 
 def _pi_product(d: Tensor, factors) -> Tensor:
-    """Product of the affine Pi factors of flat features, unfiltered: (C, n_points)."""
+    """Product of the affine Pi factors of flat features, unfiltered: (C, columns)."""
     w, b = factors[0]
     v = eg.add(eg.matmul(w, d), b)
     for w, b in factors[1:]:
@@ -276,35 +304,40 @@ def _pi_product(d: Tensor, factors) -> Tensor:
     return v
 
 
-def _lowpass(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
-    """The 2/3 low-pass of every channel of v (channels, *points); none if mask is None."""
-    if mask is None:
-        return v
-    return eg.irfftn(eg.mul(eg.rfftn(v, grid.axes), mask), grid.axes, grid.points)
+def _lowpass_hat(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
+    """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
+    vh = eg.rfftn(v, _grid_axes(v, grid))
+    return vh if mask is None else eg.mul(vh, mask)
 
 
-def _rhs(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    d = _slb(u, maps.table, cfg, grid)
-    shape = (cfg.c_in,) + grid.points
+def _rhs_hat(xh: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    """The right-hand side of half spectra xh (c_in, B, *half points), as half spectra."""
+    z, d = _slb(xh, maps.table, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
     # output map: mix the C Pi channels down to c_in, then filter those
-    nonlinear = eg.reshape(eg.matmul(maps.pi_out, _pi_product(d, maps.pi)), shape)
-    out = _lowpass(nonlinear, maps.mask, grid)
-    if maps.linear is not None:
-        out = eg.add(eg.reshape(eg.matmul(maps.linear, d), shape), out)
-    return eg.add(out, maps.bias)
+    nonlinear = eg.add(eg.matmul(maps.pi_out, _pi_product(d, maps.pi)), maps.bias)
+    out = _lowpass_hat(eg.reshape(nonlinear, xh.shape[:2] + grid.points), maps.mask, grid)
+    if maps.linear is None:
+        return out
+    # the linear branch acts pointwise, so it maps the spectra z directly
+    linear = eg.matmul(maps.linear, eg.reshape(z, (cfg.slb_channels, -1)))
+    return eg.add(eg.reshape(linear, xh.shape), out)
 
 
 def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    """One dt_model of states u (c_in, B, *points): the stages on half spectra."""
     dt = cfg.dt_model
+    axes = _grid_axes(u, grid)
+    uh = eg.rfftn(u, axes)
     if cfg.euler_time:
-        return eg.add(u, eg.mul(_rhs(u, maps, cfg, grid), dt))
-    k1 = _rhs(u, maps, cfg, grid)
-    k2 = _rhs(eg.add(u, eg.mul(k1, 0.5 * dt)), maps, cfg, grid)
-    k3 = _rhs(eg.add(u, eg.mul(k2, 0.5 * dt)), maps, cfg, grid)
-    k4 = _rhs(eg.add(u, eg.mul(k3, dt)), maps, cfg, grid)
-    incr = eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0))
-    return eg.add(u, eg.mul(incr, dt / 6.0))
+        incr = eg.mul(_rhs_hat(uh, maps, cfg, grid), dt)
+    else:
+        k1 = _rhs_hat(uh, maps, cfg, grid)
+        k2 = _rhs_hat(eg.add(uh, eg.mul(k1, 0.5 * dt)), maps, cfg, grid)
+        k3 = _rhs_hat(eg.add(uh, eg.mul(k2, 0.5 * dt)), maps, cfg, grid)
+        k4 = _rhs_hat(eg.add(uh, eg.mul(k3, dt)), maps, cfg, grid)
+        incr = eg.mul(eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0)), dt / 6.0)
+    return eg.add(u, eg.irfftn(incr, axes, grid.points))
 
 
 # -- numpy-facing API ---------------------------------------------------------
@@ -315,6 +348,11 @@ def _check_state(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     if u.shape != (cfg.c_in,) + grid.points:
         raise ValueError(f"state must have shape ({cfg.c_in}, {grid.points}), got {u.shape}")
     return u
+
+
+def _batch_of_one(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+    """A checked state (c_in, *points) as the batch (c_in, 1, *points)."""
+    return Tensor(_check_state(u, cfg, grid)[:, np.newaxis])
 
 
 def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
@@ -328,14 +366,15 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
     table is a half-spectrum (K, *half points) table, as freq2vec_eval
     returns; the output is real for any table.
     """
-    u = _check_state(u, cfg, grid)
+    u = _batch_of_one(u, cfg, grid)
     table = np.asarray(table, dtype=np.complex128)
     if table.shape != (cfg.K,) + grid.half_points:
         raise ValueError(
             f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
         )
-    d = _slb(Tensor(u), Tensor(table.reshape((1,) + table.shape)), cfg, grid).data
-    return d.reshape((cfg.slb_channels,) + grid.points)
+    table = Tensor(table.reshape((1, cfg.K, 1) + grid.half_points))
+    _, d = _slb(eg.rfftn(u, _grid_axes(u, grid)), table, cfg, grid)
+    return d.data.reshape((cfg.slb_channels,) + grid.points)
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
@@ -343,24 +382,27 @@ def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     """Product of two affine projections of SLB features (one under no_pi),
     then the low-pass (none under no_filter)."""
     flat = Tensor(np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points))
-    v = _pi_product(flat, _pi_factors(_wrap_params(params, False), cfg))
-    return _lowpass(eg.reshape(v, (cfg.C,) + grid.points), _mask(cfg, grid), grid).data
+    v = _pi_product(flat, _pi_factors(_wrap_params(params, False), cfg)).data
+    v = v.reshape((cfg.C,) + grid.points)
+    if cfg.no_filter:
+        return v
+    return eg.irfftn(_lowpass_hat(Tensor(v), _mask(cfg, grid), grid), grid.axes, grid.points).data
 
 
 def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """The learned right-hand side evaluated at a state."""
-    u = _check_state(u, cfg, grid)
+    u = _batch_of_one(u, cfg, grid)
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    return _rhs(Tensor(u), maps, cfg, grid).data
+    axes = _grid_axes(u, grid)
+    return eg.irfftn(_rhs_hat(eg.rfftn(u, axes), maps, cfg, grid), axes, grid.points).data[:, 0]
 
 
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                grid: GridSpec) -> np.ndarray:
     """Advance one dt_model (RK4, or forward Euler under the euler_time flag)."""
-    u = _check_state(u, cfg, grid)
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    out = _step(Tensor(u), maps, cfg, grid).data
+    out = _step(_batch_of_one(u, cfg, grid), maps, cfg, grid).data[:, 0]
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
     return out
@@ -368,29 +410,43 @@ def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
 
 def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
             grid: GridSpec, n_steps: int, record_every: int = 1) -> list[np.ndarray]:
-    """Iterate model_step, recording every record_every-th state (and the start)."""
+    """Iterate model_step, recording every record_every-th state (and the start).
+
+    u0 is one state (c_in, *points) or a batch (B, c_in, *points), and every
+    snapshot has the shape of u0. A batch steps as one state with B columns
+    per grid point, so each of its trajectories equals its own rollout bit
+    for bit; NonFinite is raised at the first step where any of them is
+    not finite.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    u = _check_state(u0, cfg, grid).copy()
-    snaps = [u.copy()]
+    u0 = np.asarray(u0, dtype=np.float64)
+    batched = u0.ndim == grid.dim + 2
+    if not batched:
+        u0 = _check_state(u0, cfg, grid)[np.newaxis]
+    elif u0.shape[1:] != (cfg.c_in,) + grid.points:
+        raise ValueError(f"a batch of states must have shape (B, {cfg.c_in}, "
+                         f"{grid.points}), got {u0.shape}")
+    # the model's batch axis follows the channels: (c_in, B, *points)
+    state = Tensor(np.ascontiguousarray(np.swapaxes(u0, 0, 1)))
+    snaps = [u0.copy()]
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    state = Tensor(u)
     for step in range(n_steps):
         state = _step(state, maps, cfg, grid)
         if not np.isfinite(state.data).all():
             raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
         if (step + 1) % record_every == 0:
-            snaps.append(state.data.copy())
-    return snaps
+            snaps.append(np.swapaxes(state.data, 0, 1).copy())
+    return snaps if batched else [s[0] for s in snaps]
 
 
 def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                   grid: GridSpec) -> dict[str, np.ndarray]:
     """Named intermediate channels: SLB outputs, pre-filter Pi channels, linear channels."""
-    u = _check_state(u, cfg, grid)
+    u = _batch_of_one(u, cfg, grid)
     pt = _wrap_params(params, False)
     maps = _rhs_maps(pt, cfg, grid)
-    d = _slb(Tensor(u), maps.table, cfg, grid)
+    _, d = _slb(eg.rfftn(u, _grid_axes(u, grid)), maps.table, cfg, grid)
     channels = {"pi_pre": _pi_product(d, maps.pi).data}
     if not cfg.no_linear:
         channels["linear"] = pt["linear.w"].data @ d.data + pt["linear.b"].data[:, None]

@@ -151,13 +151,15 @@ def _rollout_loss_graph(
     segment: list[np.ndarray] | np.ndarray,
 ) -> Tensor:
     maps = sino_model._rhs_maps(pt, model_cfg, grid)
-    state = Tensor(np.asarray(segment[0], dtype=np.float64))
+    # the model steps a batch (c_in, B, *points); a segment is one trajectory
+    segment = np.asarray(segment, dtype=np.float64)[:, :, np.newaxis]
+    state = Tensor(segment[0])
     step_losses = []
     for target in segment[1:]:
         state = sino_model._step(state, maps, model_cfg, grid)
         if not np.isfinite(state.data).all():
             raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
-        diff = eg.sub(state, Tensor(np.asarray(target, dtype=np.float64)))
+        diff = eg.sub(state, Tensor(target))
         step_losses.append(eg.mean_all(eg.mul(diff, diff)))
     total = step_losses[0]
     for sl in step_losses[1:]:
@@ -270,7 +272,12 @@ def train(
     log_every: int = 0,
 ) -> TrainState:
     """Warm-up curriculum training with Adam + one-cycle, best-by-validation,
-    from fresh parameters or continuing a copy of state."""
+    from fresh parameters or continuing a copy of state.
+
+    The one-cycle schedule spans train_cfg.iterations. A state from a run
+    with another total continues on this total's schedule, so its history
+    then holds two schedules, and it differs from a run made in one go.
+    """
     grid = dataset_train.grid
     if dataset_train.grid.points != model_cfg.native_points:
         raise ValueError(

@@ -81,6 +81,14 @@ class TestRoundTrip:
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
         assert rows[:5] == read_csv(out / "history.csv")
 
+    def test_resume_to_another_total_says_the_schedule_changes(self, run, tmp_path, capsys):
+        _, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        path = write_config(tmp_path / "longer.yaml", tiny_config(tmp_path / "out", iterations=5))
+        ckpt = str(tmp_path / "out" / "ckpt_last.sino")
+        assert cli.main(["train", "--config", path, "--resume", ckpt]) == 0
+        assert "one-cycle schedule of 5" in capsys.readouterr().out
+
     def test_resume_from_a_best_checkpoint_is_refused(self, run, tmp_path):
         path, _, out = run
         best = str(out / "ckpt_best.sino")

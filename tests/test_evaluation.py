@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sino.errors import DegenerateTruth, IncompatibleDomain, ZeroVariance
+from sino.errors import DegenerateTruth, IncompatibleDomain, NonFinite, ZeroVariance
 from sino.evaluation import (
     EvalReport,
     PatternIC,
@@ -142,6 +142,30 @@ class TestEvaluateRollout:
         report = evaluate_rollout(params, cfg, ds)
         assert report.failures
         assert math.isnan(report.per_traj_rel_l2[0])
+
+
+    def test_one_diverging_trajectory_in_a_batch(self):
+        from sino.model import rollout
+        g = grid2(16)
+        dt = 0.1
+        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=dt)
+        # at this step the large-amplitude IC blows up; the small ones do not
+        ics = [bandlimited(g, 61 + t, 5, channels=2, scale=scale)
+               for t, scale in enumerate((0.5, 50.0, 0.5))]
+        data = np.stack([np.stack([ic] * 8) for ic in ics])
+        ds = TrajectoryDataset(grid=g, cadence=dt, data=data)
+        kept = TrajectoryDataset(grid=g, cadence=dt, data=data[[0, 2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = evaluate_rollout(params, cfg, ds)
+            with pytest.raises(NonFinite) as single:
+                rollout(ics[1], params, cfg, g, 7)
+        assert report.failures == [(1, str(single.value))]
+        assert math.isnan(report.per_traj_rel_l2[1])
+        alone = evaluate_rollout(params, cfg, kept)
+        assert not alone.failures
+        assert [report.per_traj_rel_l2[t] for t in (0, 2)] == alone.per_traj_rel_l2
+        assert np.array_equal(report.pcc_curves[[0, 2]], alone.pcc_curves)
+        assert np.array_equal(report.rel_l2_cum[[0, 2]], alone.rel_l2_cum)
 
 
 class TestSuperresEval:

@@ -357,6 +357,46 @@ class TestStepAndRollout:
         assert err_eu > 10.0 * err_rk
 
 
+    @pytest.mark.parametrize("preset", ["E6-desk", "E7-desk"])
+    def test_batch_rollout_equals_single_rollouts(self, preset):
+        from sino.config import presets
+        case = presets()[preset]
+        cfg, g = case.model, case.train_grid
+        params = init_params(cfg, 33)
+        u0 = np.stack([0.5 * bandlimited(g, 34 + b, cutoff=5, channels=cfg.c_in)
+                       for b in range(3)])
+        batch = rollout(u0, params, cfg, g, 4, record_every=2)
+        assert len(batch) == 3
+        assert all(s.shape == (3, cfg.c_in) + g.points for s in batch)
+        for b in range(3):
+            single = rollout(u0[b], params, cfg, g, 4, record_every=2)
+            assert all(np.array_equal(x[b], y) for x, y in zip(batch, single))
+
+    def test_step_transforms_on_half_spectra(self, monkeypatch):
+        # one E6-desk RK4 step transforms the state once (c_in channels),
+        # makes one inverse SLB transform (c_in*K) and one output transform
+        # (c_in) per stage on half spectra, and one inverse for the increment
+        from sino.config import presets
+        case = presets()["E6-desk"]
+        cfg, g = case.model, case.train_grid
+        transformed = []
+
+        def counting(fn):
+            def wrapper(a, *args, axes=None, **kwargs):
+                transformed.append(a.size // math.prod(a.shape[ax] for ax in axes))
+                return fn(a, *args, axes=axes, **kwargs)
+            return wrapper
+
+        u = bandlimited(g, 35, cutoff=10, channels=cfg.c_in)
+        params = init_params(cfg, 36)
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        model_step(u, params, cfg, g)
+        assert len(transformed) == 10
+        channels = cfg.c_in + 4 * (cfg.c_in * cfg.K + cfg.c_in) + cfg.c_in
+        assert sum(transformed) == channels == 44
+
+
 class TestDumpFeatures:
     def test_zero_params_zero_features(self):
         g = grid2()
