@@ -91,17 +91,13 @@ def load_split(data_dir, split: str) -> TrajectoryDataset:
     paths = sorted(data_dir.glob(f"{split}_*.sino"))
     if not paths:
         raise ContainerError(f"no {split} containers under {data_dir}")
-    grids, cadences, blocks = [], [], []
-    for p in paths:
-        grid, cadence, snaps = containers.read_field_container(p)
-        grids.append(grid)
-        cadences.append(cadence)
-        blocks.append(snaps)
-    if any(g != grids[0] for g in grids) or any(abs(c - cadences[0]) > 1e-12 for c in cadences):
-        raise ContainerError(f"{split} containers disagree on grid or cadence")
-    return TrajectoryDataset(
-        grid=grids[0], cadence=cadences[0], data=np.stack(blocks), meta={"split": split}
-    )
+    read = [containers.read_field_container(p) for p in paths]
+    grid, cadence, first = read[0]
+    for p, (g, c, snaps) in zip(paths, read):
+        if g != grid or abs(c - cadence) > 1e-12 or snaps.shape != first.shape:
+            raise ContainerError(f"{split} containers disagree on grid, cadence or shape: "
+                                 f"{p.name} against {paths[0].name}")
+    return TrajectoryDataset(grid=grid, cadence=cadence, data=np.stack([r[2] for r in read]))
 
 
 def cmd_generate(cfg: ExperimentConfig) -> int:

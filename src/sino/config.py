@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .model import ModelConfig
+from .model import ModelConfig, config_for_grid
 from .solvers import GRF_DEFAULTS, PDESpec, SolverConfig
 from .spectral import GridSpec
 from .training import TrainConfig
@@ -165,10 +165,8 @@ def load_yaml(path) -> ExperimentConfig:
 
 def _build(case, pde, length, gen_points, gen_dt, train_points, pol_dt, t_end,
            n_traj, iterations, K, C, test_t_end=None) -> ExperimentConfig:
-    model = ModelConfig(
-        c_in=pde.channels, K=K, C=C, dt_model=pol_dt,
-        freq_norm=tuple(n // 2 for n in train_points),
-    )
+    model = config_for_grid(GridSpec(points=train_points, length=length),
+                            c_in=pde.channels, K=K, C=C, dt_model=pol_dt)
     return ExperimentConfig(
         case=case,
         pde=pde,

@@ -64,20 +64,21 @@ def _predict(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     test_set: TrajectoryDataset,
-    n_snap: int,
     steps_per_snap: int,
 ) -> list[np.ndarray | NonFinite]:
-    """Each trajectory's predicted snapshots (n_snap, c_in, *points), or the
-    NonFinite its rollout raised.
+    """Each trajectory's predicted snapshots (n_snapshots, c_in, *points), or
+    the NonFinite its rollout raised.
 
     The whole set rolls as one batch. If any trajectory of it diverges, the
     set rolls again one trajectory at a time, so that each failure carries
     the message of its own rollout; a batch equals its single rollouts bit
     for bit, so the trajectories that stay finite score the same either way.
     """
+    n_steps = (test_set.n_snapshots - 1) * steps_per_snap
+
     def roll(u0):
-        return sino_model.rollout(u0, params, cfg, test_set.grid,
-                                  (n_snap - 1) * steps_per_snap, record_every=steps_per_snap)
+        return sino_model.rollout(u0, params, cfg, test_set.grid, n_steps,
+                                  record_every=steps_per_snap)
 
     try:
         return list(np.stack(roll(test_set.data[:, 0]), axis=1))
@@ -96,25 +97,20 @@ def evaluate_rollout(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     test_set: TrajectoryDataset,
-    horizon: int | None = None,
 ) -> EvalReport:
-    """Roll the model from every test IC in one batch and score against the
-    stored truth.
+    """Roll the model from every test IC in one batch over the full
+    trajectory length and score against the stored truth.
 
-    horizon counts snapshots (defaults to the full trajectory length). A
-    diverging trajectory is recorded as a failure, with the message of its
+    A diverging trajectory is recorded as a failure, with the message of its
     own rollout, not an abort. The batch holds every trajectory's
     intermediates at once, so the memory of a step grows with the set.
     """
-    grid = test_set.grid
     steps_per_snap = round(test_set.cadence / cfg.dt_model)
     if abs(steps_per_snap * cfg.dt_model - test_set.cadence) > 1e-9 * test_set.cadence:
         raise ValueError(
             f"snapshot cadence {test_set.cadence} is not a multiple of dt_model {cfg.dt_model}"
         )
-    n_snap = test_set.n_snapshots if horizon is None else int(horizon)
-    if n_snap > test_set.n_snapshots:
-        raise ValueError(f"horizon {n_snap} exceeds trajectory length {test_set.n_snapshots}")
+    n_snap = test_set.n_snapshots
 
     times = np.arange(n_snap) * test_set.cadence
     pcc_curves = np.full((test_set.n_traj, n_snap), np.nan)
@@ -123,12 +119,12 @@ def evaluate_rollout(
     failures: list[tuple[int, str]] = []
     err_pool = 0.0
     truth_pool = 0.0
-    for t, pred in enumerate(_predict(params, cfg, test_set, n_snap, steps_per_snap)):
+    for t, pred in enumerate(_predict(params, cfg, test_set, steps_per_snap)):
         if isinstance(pred, NonFinite):
             failures.append((t, str(pred)))
             per_traj.append(float("nan"))
             continue
-        truth = test_set.data[t, :n_snap]
+        truth = test_set.data[t]
         e_cum = 0.0
         y_cum = 0.0
         for s in range(n_snap):
@@ -157,7 +153,6 @@ def superres_eval(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
     fine_test_set: TrajectoryDataset,
-    horizon: int | None = None,
 ) -> dict[str, EvalReport]:
     """Evaluate the same parameters at native and at fine resolution.
 
@@ -177,13 +172,11 @@ def superres_eval(
             for traj in fine_test_set.data
         ]
     )
-    native_set = TrajectoryDataset(
-        grid=native_grid, cadence=fine_test_set.cadence, data=native_data,
-        meta=dict(fine_test_set.meta),
-    )
+    native_set = TrajectoryDataset(grid=native_grid, cadence=fine_test_set.cadence,
+                                   data=native_data)
     return {
-        "native": evaluate_rollout(params, cfg, native_set, horizon),
-        "fine": evaluate_rollout(params, cfg, fine_test_set, horizon),
+        "native": evaluate_rollout(params, cfg, native_set),
+        "fine": evaluate_rollout(params, cfg, fine_test_set),
     }
 
 

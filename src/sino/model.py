@@ -131,7 +131,7 @@ class ModelConfig:
 
 
 def config_for_grid(grid: GridSpec, **kwargs) -> ModelConfig:
-    """ModelConfig with freq_norm taken from a native grid."""
+    """ModelConfig whose native grid is grid: freq_norm is N_i/2 per axis."""
     return ModelConfig(freq_norm=tuple(n // 2 for n in grid.points), **kwargs)
 
 
@@ -156,14 +156,6 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["out.w"] = (cfg.c_in, cfg.mix_width)
     shapes["out.b"] = (cfg.c_in,)
     return shapes
-
-
-def param_names(cfg: ModelConfig) -> list[str]:
-    return list(_param_shapes(cfg))
-
-
-def count_params(cfg: ModelConfig) -> int:
-    return sum(math.prod(s) for s in _param_shapes(cfg).values())
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -402,7 +394,9 @@ def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                grid: GridSpec) -> np.ndarray:
     """Advance one dt_model (RK4, or forward Euler under the euler_time flag)."""
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    out = _step(_batch_of_one(u, cfg, grid), maps, cfg, grid).data[:, 0]
+    # a diverging step overflows; the check below reports it as NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _step(_batch_of_one(u, cfg, grid), maps, cfg, grid).data[:, 0]
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
     return out
@@ -431,40 +425,22 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     state = Tensor(np.ascontiguousarray(np.swapaxes(u0, 0, 1)))
     snaps = [u0.copy()]
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    for step in range(n_steps):
-        state = _step(state, maps, cfg, grid)
-        if not np.isfinite(state.data).all():
-            raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
-        if (step + 1) % record_every == 0:
-            snaps.append(np.swapaxes(state.data, 0, 1).copy())
+    # a diverging step overflows; each step's check reports it as NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            state = _step(state, maps, cfg, grid)
+            if not np.isfinite(state.data).all():
+                raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
+            if (step + 1) % record_every == 0:
+                snaps.append(np.swapaxes(state.data, 0, 1).copy())
     return snaps if batched else [s[0] for s in snaps]
-
-
-def dump_features(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
-                  grid: GridSpec) -> dict[str, np.ndarray]:
-    """Named intermediate channels: SLB outputs, pre-filter Pi channels, linear channels."""
-    u = _batch_of_one(u, cfg, grid)
-    pt = _wrap_params(params, False)
-    maps = _rhs_maps(pt, cfg, grid)
-    _, d = _slb(eg.rfftn(u, _grid_axes(u, grid)), maps.table, cfg, grid)
-    channels = {"pi_pre": _pi_product(d, maps.pi).data}
-    if not cfg.no_linear:
-        channels["linear"] = pt["linear.w"].data @ d.data + pt["linear.b"].data[:, None]
-    features = {}
-    for c in range(cfg.c_in):
-        for j in range(cfg.K):
-            features[f"slb.c{c}.k{j}"] = d.data[c * cfg.K + j].reshape(grid.points)
-    for prefix, values in channels.items():
-        for i in range(cfg.C):
-            features[f"{prefix}.{i}"] = values[i].reshape(grid.points)
-    return features
 
 
 # -- constructive instance (exact 2D/3D Burgers) ------------------------------
 
 
-def exact_burgers_params(grid: GridSpec, nu: float, dt_model: float,
-                         no_filter: bool = False) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+def exact_burgers_params(grid: GridSpec, nu: float,
+                         dt_model: float) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Hand-set parameters that reproduce the de-aliased Burgers right-hand side.
 
     The multipliers [1, i*k_1, ..., i*k_d, -|k|^2] come from an exact
@@ -483,11 +459,8 @@ def exact_burgers_params(grid: GridSpec, nu: float, dt_model: float,
     d = grid.dim
     K = d + 2
     C = d * d
-    cfg = ModelConfig(
-        c_in=d, K=K, C=C, dt_model=dt_model,
-        freq_norm=tuple(n // 2 for n in grid.points),
-        mlp_hidden=(2 * d, 2 * d + 2), no_filter=no_filter,
-    )
+    cfg = config_for_grid(grid, c_in=d, K=K, C=C, dt_model=dt_model,
+                          mlp_hidden=(2 * d, 2 * d + 2))
     # physical wavenumber per unit of q_a; z is kept O(1) by k_ref
     scale = [2.0 * math.pi * f / length for f, length in zip(cfg.freq_norm, grid.length)]
     k_ref = max(scale)

@@ -142,12 +142,6 @@ def inverse_transform(s: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.irfftn(s, s=grid.points, axes=grid.axes)
 
 
-def spectral_derivative(s: np.ndarray, grid: GridSpec, orders) -> np.ndarray:
-    """Differentiate a spectrum exactly: coefficients times prod_i (i*k_i)^o_i."""
-    s = _check_shape(s, grid.half_points, "spectrum")
-    return s * freq_grid(grid).derivative_multiplier(orders)
-
-
 @lru_cache(maxsize=64)
 def two_thirds_mask(grid: GridSpec) -> np.ndarray:
     """De-aliasing mask: 1.0 where max_i |k_i| <= floor(2*k_max/3), else 0.0.

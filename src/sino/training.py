@@ -155,12 +155,14 @@ def _rollout_loss_graph(
     segment = np.asarray(segment, dtype=np.float64)[:, :, np.newaxis]
     state = Tensor(segment[0])
     step_losses = []
-    for target in segment[1:]:
-        state = sino_model._step(state, maps, model_cfg, grid)
-        if not np.isfinite(state.data).all():
-            raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
-        diff = eg.sub(state, Tensor(target))
-        step_losses.append(eg.mean_all(eg.mul(diff, diff)))
+    # a diverging step overflows; each step's check reports it as NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in segment[1:]:
+            state = sino_model._step(state, maps, model_cfg, grid)
+            if not np.isfinite(state.data).all():
+                raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
+            diff = eg.sub(state, Tensor(target))
+            step_losses.append(eg.mean_all(eg.mul(diff, diff)))
     total = step_losses[0]
     for sl in step_losses[1:]:
         total = eg.add(total, sl)

@@ -10,7 +10,12 @@ import yaml
 
 from sino import cli, training
 from sino.config import load_yaml, presets
-from sino.containers import read_checkpoint, write_checkpoint
+from sino.containers import (
+    read_checkpoint,
+    read_field_container,
+    write_checkpoint,
+    write_field_container,
+)
 from sino.errors import NonFinite
 
 
@@ -252,6 +257,19 @@ class TestExitCodes:
         d = tiny_config(tmp_path).to_dict()
         d["grf"] = {"alpha": 2.0, "width": 3.0}
         assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
+
+    @pytest.mark.parametrize("cut", ["snapshots", "channels"])
+    def test_containers_of_unequal_shape_exit_4(self, run, tmp_path, capsys, cut):
+        # one training trajectory one snapshot shorter, or with one channel
+        path, _, out = run
+        data = tmp_path / "out" / "data"
+        shutil.copytree(out / "data", data)
+        grid, cadence, snaps = read_field_container(data / "train_001.sino")
+        snaps = snaps[:-1] if cut == "snapshots" else snaps[:, :1]
+        write_field_container(data / "train_001.sino", grid, cadence, snaps)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "disagree" in err and "train_001.sino" in err
 
     def test_solver_blow_up_exits_3(self, tmp_path, capsys):
         # Burgers from a GRF at scale 1000 (default 5) at dt = 0.05 overflows at step 3

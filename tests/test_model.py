@@ -6,13 +6,10 @@ import pytest
 from sino.model import (
     ModelConfig,
     config_for_grid,
-    count_params,
-    dump_features,
     exact_burgers_params,
     freq2vec_eval,
     init_params,
     model_step,
-    param_names,
     pi_block,
     rhs_eval,
     rollout,
@@ -50,6 +47,10 @@ def small_cfg(grid, **kw):
     return config_for_grid(grid, **defaults)
 
 
+def n_params(cfg):
+    return sum(v.size for v in init_params(cfg, 0).values())
+
+
 class TestParams:
     def test_init_deterministic(self):
         cfg = small_cfg(grid2())
@@ -65,23 +66,21 @@ class TestParams:
                           mlp_hidden=(64, 64))
         mlp = (2 * 64 + 64) + (64 * 64 + 64) + (64 * 16 + 16)
         maps = 2 * (64 * 8 + 64) + (64 * 8 + 64) + (1 * 128 + 1)
-        assert count_params(cfg) == mlp + maps
-        got = init_params(cfg, 0)
-        assert sum(v.size for v in got.values()) == count_params(cfg)
+        assert n_params(cfg) == mlp + maps
 
     def test_count_monotone_in_C_and_K(self):
         base = dict(c_in=2, dt_model=0.01, freq_norm=(8, 8))
         for a, b in (((4, 16), (4, 32)), ((4, 16), (8, 16))):
             lo = ModelConfig(K=a[0], C=a[1], **base)
             hi = ModelConfig(K=b[0], C=b[1], **base)
-            assert count_params(hi) > count_params(lo)
+            assert n_params(hi) > n_params(lo)
 
     def test_ablations_change_param_set(self):
         g = grid2()
-        assert "linear.w" not in param_names(small_cfg(g, no_linear=True))
-        assert "pi.1.w" not in param_names(small_cfg(g, no_pi=True))
-        assert "freq2vec.table" in param_names(small_cfg(g, no_freq2vec=True))
-        assert "freq2vec.w0" not in param_names(small_cfg(g, no_freq2vec=True))
+        assert "linear.w" not in init_params(small_cfg(g, no_linear=True), 0)
+        assert "pi.1.w" not in init_params(small_cfg(g, no_pi=True), 0)
+        assert "freq2vec.table" in init_params(small_cfg(g, no_freq2vec=True), 0)
+        assert "freq2vec.w0" not in init_params(small_cfg(g, no_freq2vec=True), 0)
 
 
 class TestFreq2Vec:
@@ -151,6 +150,17 @@ class TestSlbApply:
         out = slb_apply(u, table, cfg, g)
         assert np.allclose(out[0], u[0]) and np.allclose(out[1], 2 * u[0])
         assert np.allclose(out[2], u[1]) and np.allclose(out[3], 2 * u[1])
+
+    def test_burgers_slb_channel_is_x_derivative(self):
+        g = grid2(32)
+        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=5e-3)
+        u = bandlimited(g, 32, cutoff=10, channels=2)
+        d = slb_apply(u, freq2vec_eval(params, cfg, g), cfg, g)
+        dx = inverse_transform(
+            forward_transform(u[:1], g) * freq_grid(g).derivative_multiplier((1, 0)), g
+        )
+        # channel 1 is input 0's multiplier 1, i*k_x
+        assert np.max(np.abs(d[1] - dx[0])) < 1e-10
 
 
 class TestPiBlock:
@@ -395,31 +405,6 @@ class TestStepAndRollout:
         assert len(transformed) == 10
         channels = cfg.c_in + 4 * (cfg.c_in * cfg.K + cfg.c_in) + cfg.c_in
         assert sum(transformed) == channels == 44
-
-
-class TestDumpFeatures:
-    def test_zero_params_zero_features(self):
-        g = grid2()
-        cfg = small_cfg(g)
-        params = {k: np.zeros_like(v) for k, v in init_params(cfg, 0).items()}
-        feats = dump_features(bandlimited(g, 29, 7), params, cfg, g)
-        assert all(np.all(v == 0.0) for v in feats.values())
-
-    def test_channel_count(self):
-        g = grid2()
-        cfg = small_cfg(g, c_in=2, K=3, C=5)
-        feats = dump_features(bandlimited(g, 30, 7, channels=2), init_params(cfg, 31), cfg, g)
-        assert len(feats) == cfg.c_in * cfg.K + 2 * cfg.C
-
-    def test_burgers_slb_channel_is_x_derivative(self):
-        g = grid2(32)
-        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=5e-3)
-        u = bandlimited(g, 32, cutoff=10, channels=2)
-        feats = dump_features(u, params, cfg, g)
-        dx = inverse_transform(
-            forward_transform(u[:1], g) * freq_grid(g).derivative_multiplier((1, 0)), g
-        )
-        assert np.max(np.abs(feats["slb.c0.k1"] - dx[0])) < 1e-10
 
 
 class TestHalfSpectrumMatchesFullFFT:

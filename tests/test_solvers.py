@@ -7,6 +7,7 @@ import pytest
 from sino.config import presets
 from sino.errors import NonFinite
 from sino.solvers import (
+    SPLIT_SEEDS,
     PDESpec,
     SolverConfig,
     biot_savart,
@@ -16,7 +17,6 @@ from sino.solvers import (
     integrate,
     kse_rhs,
     nse_rhs,
-    rk4_step,
     sample_ic,
 )
 from sino.spectral import (
@@ -25,7 +25,6 @@ from sino.spectral import (
     freq_grid,
     grf_sample,
     inverse_transform,
-    spectral_derivative,
     two_thirds_mask,
 )
 
@@ -45,6 +44,29 @@ def bandlimited(grid, seed, cutoff=None, channels=1, scale=1.0):
     else:
         keep = (np.max(np.abs(fg.index), axis=0) <= cutoff).astype(float)
     return inverse_transform(forward_transform(f, grid) * keep, grid)
+
+
+def derivative(s, grid, orders):
+    """A half spectrum differentiated: times prod_i (i*k_i)^o_i."""
+    return s * freq_grid(grid).derivative_multiplier(orders)
+
+
+def _finite(v, what):
+    if not np.isfinite(v).all():
+        raise NonFinite(f"RK4 {what} is non-finite")
+    return v
+
+
+def rk4_step(rhs, u, dt):
+    """Classical RK4 step, the physical-space reference integrate is
+    compared against. Raises NonFinite if the input of stage 2, 3 or 4, or
+    the result, is not finite, before the right-hand side sees it; the
+    stage-1 input u is the previous step's checked result."""
+    k1 = rhs(u)
+    k2 = rhs(_finite(u + 0.5 * dt * k1, "stage 2 input"))
+    k3 = rhs(_finite(u + 0.5 * dt * k2, "stage 3 input"))
+    k4 = rhs(_finite(u + dt * k3, "stage 4 input"))
+    return _finite(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), "result")
 
 
 class TestPDESpecValidation:
@@ -107,7 +129,7 @@ class TestBiotSavart:
         g = grid2(32)
         w = bandlimited(g, 2)
         ux, uy = biot_savart(forward_transform(w, g), g)
-        div = spectral_derivative(ux, g, (1, 0)) + spectral_derivative(uy, g, (0, 1))
+        div = derivative(ux, g, (1, 0)) + derivative(uy, g, (0, 1))
         # compare in spectral space: the field is numerically zero
         assert np.max(np.abs(div)) < 1e-12 * np.max(np.abs(ux))
 
@@ -116,7 +138,7 @@ class TestBiotSavart:
         w = bandlimited(g, 3)
         w -= w.mean()  # the k=0 mode cannot be recovered
         ux, uy = biot_savart(forward_transform(w, g), g)
-        curl = spectral_derivative(uy, g, (1, 0)) - spectral_derivative(ux, g, (0, 1))
+        curl = derivative(uy, g, (1, 0)) - derivative(ux, g, (0, 1))
         assert np.max(np.abs(inverse_transform(curl, g) - w)) < 1e-10
 
 
@@ -301,8 +323,8 @@ class TestIntegrate:
         phi = grf_sample(g, 42, 2.0, 5.0)
         ph = forward_transform(phi, g) * two_thirds_mask(g)
         u0 = np.concatenate(
-            [inverse_transform(spectral_derivative(ph, g, (1, 0)), g),
-             inverse_transform(spectral_derivative(ph, g, (0, 1)), g)]
+            [inverse_transform(derivative(ph, g, (1, 0)), g),
+             inverse_transform(derivative(ph, g, (0, 1)), g)]
         )
         spec = PDESpec(kind="burgers", nu=0.01)
         cfg = SolverConfig(dt=2e-3, t_end=0.2, save_dt=0.02)
@@ -362,9 +384,9 @@ class TestGenerateDataset:
             split: generate_dataset(spec, cfg, g_gen, g_gen, 1, split=split)
             for split in ("train", "val", "test")
         }
-        assert sets["train"].meta["split_seed"] == 0
-        assert sets["val"].meta["split_seed"] == 1
-        assert sets["test"].meta["split_seed"] == 2
+        assert SPLIT_SEEDS == {"train": 0, "val": 1, "test": 2}
+        for split, ds in sets.items():
+            assert np.array_equal(ds.data[0, 0], sample_ic(spec, g_gen, SPLIT_SEEDS[split], 0))
         for a in ("train", "val", "test"):
             for b in ("train", "val", "test"):
                 if a < b:

@@ -10,7 +10,6 @@ from sino.spectral import (
     freq_grid,
     grf_sample,
     inverse_transform,
-    spectral_derivative,
     spectral_resample,
     two_thirds_mask,
 )
@@ -25,6 +24,11 @@ def grid2(n=8, length=TWO_PI):
 def random_field(grid, seed=0, channels=1):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((channels,) + grid.points)
+
+
+def derivative(s, grid, orders):
+    """A half spectrum differentiated: times prod_i (i*k_i)^o_i."""
+    return s * freq_grid(grid).derivative_multiplier(orders)
 
 
 class TestGridSpec:
@@ -117,8 +121,6 @@ class TestInverseTransform:
         for shape in ((1, 8, 8), (1, 8, 4), (1, 5, 8), (8, 5)):
             with pytest.raises(ValueError, match="spectrum must have shape"):
                 inverse_transform(np.zeros(shape, complex), g)
-            with pytest.raises(ValueError, match="spectrum must have shape"):
-                spectral_derivative(np.zeros(shape, complex), g, (1, 0))
 
 
 class TestSpectralDerivative:
@@ -126,7 +128,7 @@ class TestSpectralDerivative:
         g = grid2(16)
         x = g.coords()
         s = forward_transform(np.sin(x[0])[np.newaxis], g)
-        d = inverse_transform(spectral_derivative(s, g, (1, 0)), g)
+        d = inverse_transform(derivative(s, g, (1, 0)), g)
         assert np.max(np.abs(d - np.cos(x[0])[np.newaxis])) < 1e-12
 
     def test_second_derivative_long_domain(self):
@@ -134,29 +136,29 @@ class TestSpectralDerivative:
         g = GridSpec(points=(32, 32), length=(12 * math.pi, 12 * math.pi))
         x = g.coords()
         u = np.sin(x[0] / 6.0)[np.newaxis]
-        d2 = inverse_transform(spectral_derivative(forward_transform(u, g), g, (2, 0)), g)
+        d2 = inverse_transform(derivative(forward_transform(u, g), g, (2, 0)), g)
         assert np.max(np.abs(d2 + (1.0 / 36.0) * u)) < 1e-12
 
     def test_laplacian_is_minus_k_squared(self):
         g = grid2(16)
         fg = freq_grid(g)
         s = forward_transform(random_field(g, 4), g)
-        lap = spectral_derivative(s, g, (2, 0)) + spectral_derivative(s, g, (0, 2))
+        lap = derivative(s, g, (2, 0)) + derivative(s, g, (0, 2))
         assert np.max(np.abs(lap - (-fg.k_sq) * s)) < 1e-12 * np.max(np.abs(s))
 
     def test_linearity(self):
         g = grid2(16)
         a = forward_transform(random_field(g, 5), g)
         b = forward_transform(random_field(g, 6), g)
-        lhs = spectral_derivative(2.0 * a + 3.0 * b, g, (1, 1))
-        rhs = 2.0 * spectral_derivative(a, g, (1, 1)) + 3.0 * spectral_derivative(b, g, (1, 1))
+        lhs = derivative(2.0 * a + 3.0 * b, g, (1, 1))
+        rhs = 2.0 * derivative(a, g, (1, 1)) + 3.0 * derivative(b, g, (1, 1))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
 
     def test_trig_exactness_3d(self):
         g = GridSpec(points=(8, 8, 8), length=(TWO_PI,) * 3)
         x = g.coords()
         u = (np.sin(2 * x[0]) * np.cos(x[2]))[np.newaxis]
-        d = inverse_transform(spectral_derivative(forward_transform(u, g), g, (1, 0, 0)), g)
+        d = inverse_transform(derivative(forward_transform(u, g), g, (1, 0, 0)), g)
         assert np.max(np.abs(d - (2 * np.cos(2 * x[0]) * np.cos(x[2]))[np.newaxis])) < 1e-12
 
 
