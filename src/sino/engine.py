@@ -4,6 +4,8 @@ A small tape engine specialized for FFT-based networks: an operation with
 an input that requires a gradient records its parents and a
 vector-Jacobian product, and `Tensor.backward` walks the tape in reverse
 topological order. An operation on constants alone records nothing.
+A node keeps its inputs and output; affine_product alone recomputes its
+intermediates in the pullback, as they are wider than its inputs.
 
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the
@@ -175,6 +177,61 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _node(out, (a, b), vjp)
+
+
+def affine_product(d, factors, out_w) -> Tensor:
+    """out_w @ prod_p (w_p @ d + b_p) of real 2D operands, as one tape node.
+
+    factors is a sequence of (w_p, b_p) pairs, each b_p broadcasting against
+    w_p @ d. The node keeps d and the weights, not the factors: its pullback
+    recomputes them, so a product of wide factors costs the tape only the
+    output. The pullback forms the products of the composition of matmul,
+    add and mul in the same order, so with one or two factors its gradients
+    equal that composition's bit for bit.
+    """
+    d, out_w = as_tensor(d), as_tensor(out_w)
+    factors = [(as_tensor(w), as_tensor(b)) for w, b in factors]
+
+    def factor_values():
+        fs = []
+        for w, b in factors:
+            f = w.data @ d.data
+            f += b.data
+            fs.append(f)
+        return fs
+
+    fs = factor_values()
+    v = fs[0]
+    for f in fs[1:]:
+        v *= f
+
+    def vjp(g):
+        fs = factor_values()
+        # prefix[p] = f_0 * ... * f_p, the composition's running products
+        prefix = [fs[0]]
+        for f in fs[1:]:
+            prefix.append(prefix[-1] * f)
+        g_out = g @ prefix[-1].T if out_w.requires_grad else None
+        # sweep back through the products; each buffer is free once read
+        gv = out_w.data.T @ g
+        g_fs = [None] * len(fs)
+        for p in range(len(fs) - 1, 0, -1):
+            g_fs[p] = np.multiply(prefix[p - 1], gv, out=prefix[p])
+            gv = np.multiply(fs[p], gv, out=fs[p])
+        g_fs[0] = gv
+        g_d = None
+        if d.requires_grad:
+            g_d = factors[0][0].data.T @ g_fs[0]
+            for (w, _), g_f in zip(factors[1:], g_fs[1:]):
+                g_d += w.data.T @ g_f
+        grads = [g_d]
+        for (w, b), g_f in zip(factors, g_fs):
+            grads.append(g_f @ d.data.T if w.requires_grad else None)
+            grads.append(_unbroadcast(g_f, b.data.shape) if b.requires_grad else None)
+        return (*grads, g_out)
+
+    parents = (d, *(t for pair in factors for t in pair), out_w)
+    return _node(out_w.data @ v, parents, vjp)
 
 
 def sum_all(a) -> Tensor:

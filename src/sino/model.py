@@ -23,6 +23,12 @@ table, depend on the parameters alone and are built once per tape
 of out.w is W_pi; under no_filter the low-pass is the identity. The
 parameters are the paper's; only roundoff differs from the paper's order.
 
+The Pi-block and its mix, W_pi prod_p (W_p d + b_p), are one tape node
+(engine.affine_product). The node keeps d and the weights, and its
+pullback recomputes the C-wide factors, so a stage puts c_in output
+channels on the tape where the factors, their product and the two
+matmuls put five C-wide arrays. The gradients are the same bits.
+
 Spectra are real-FFT half spectra (engine.rfftn / engine.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
 one indexed -N/2. Freq2Vec evaluates its multipliers on that half
@@ -287,15 +293,6 @@ def _slb(xh: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> tuple[T
     return z, eg.reshape(d, (cfg.slb_channels, -1))
 
 
-def _pi_product(d: Tensor, factors) -> Tensor:
-    """Product of the affine Pi factors of flat features, unfiltered: (C, columns)."""
-    w, b = factors[0]
-    v = eg.add(eg.matmul(w, d), b)
-    for w, b in factors[1:]:
-        v = eg.mul(v, eg.add(eg.matmul(w, d), b))
-    return v
-
-
 def _lowpass_hat(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
     """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
     vh = eg.rfftn(v, _grid_axes(v, grid))
@@ -307,7 +304,7 @@ def _rhs_hat(xh: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Te
     z, d = _slb(xh, maps.table, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
     # output map: mix the C Pi channels down to c_in, then filter those
-    nonlinear = eg.add(eg.matmul(maps.pi_out, _pi_product(d, maps.pi)), maps.bias)
+    nonlinear = eg.add(eg.affine_product(d, maps.pi, maps.pi_out), maps.bias)
     out = _lowpass_hat(eg.reshape(nonlinear, xh.shape[:2] + grid.points), maps.mask, grid)
     if maps.linear is None:
         return out
@@ -374,7 +371,8 @@ def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     """Product of two affine projections of SLB features (one under no_pi),
     then the low-pass (none under no_filter)."""
     flat = Tensor(np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points))
-    v = _pi_product(flat, _pi_factors(_wrap_params(params, False), cfg)).data
+    factors = _pi_factors(_wrap_params(params, False), cfg)
+    v = eg.affine_product(flat, factors, np.eye(cfg.C)).data
     v = v.reshape((cfg.C,) + grid.points)
     if cfg.no_filter:
         return v

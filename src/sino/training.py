@@ -3,8 +3,9 @@ one-cycle schedule, and the warm-up curriculum loop.
 
 Each iteration samples a window along a training trajectory, evolves the
 model n in {0..n1} steps without gradients (warm-up), then predicts n2
-steps with gradients against the ground-truth frames. Model selection is
-by full-horizon validation error.
+steps with gradients against the ground-truth frames. The warm-ups of a
+batch roll together; each sample then makes its own backward. Model
+selection is by full-horizon validation error.
 
 A run is a TrainState: the parameters, the Adam state, the best parameters
 with their validation error and iteration, and one (iteration, lr,
@@ -265,6 +266,26 @@ def validation_rel_l2(
     return float("inf") if report.failures else report.aggregate_rel_l2
 
 
+def _warm_up(samples, params, model_cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
+    """The start states of curriculum samples, each advanced by its own
+    warm-up n without gradients, as a batch (B, c_in, *points).
+
+    The batch rolls as one: one rollout per distinct n takes the samples
+    that need more steps on from where the last left them, so at step i
+    only the samples with n > i advance. A batch's trajectories step
+    independently, so each state equals that of its own rollout bit for bit.
+    """
+    states = np.stack([start for start, _, _ in samples])
+    ns = np.array([n for _, n, _ in samples])
+    done = 0
+    for n in np.unique(ns[ns > 0]).tolist():
+        live = ns >= n
+        states[live] = sino_model.rollout(states[live], params, model_cfg, grid, n - done,
+                                          record_every=n - done)[-1]
+        done = n
+    return states
+
+
 def train(
     dataset_train: TrajectoryDataset,
     dataset_val: TrajectoryDataset,
@@ -311,11 +332,8 @@ def train(
         # amount per iteration regardless of failures (resume replays it)
         samples = [sample_curriculum(dataset_train, train_cfg, rng) for _ in range(train_cfg.batch)]
         try:
-            for start_state, n, frames in samples:
-                if n > 0:
-                    start_state = sino_model.rollout(
-                        start_state, state.params, model_cfg, grid, n, record_every=n
-                    )[-1]
+            starts = _warm_up(samples, state.params, model_cfg, grid)
+            for start_state, (_, _, frames) in zip(starts, samples):
                 segment = np.concatenate([start_state[np.newaxis], frames[1:]])
                 loss, bundle = backward(state.params, model_cfg, grid, segment)
                 loss_acc += loss / train_cfg.batch

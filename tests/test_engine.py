@@ -71,6 +71,62 @@ class TestBasicOps:
         assert x.grad == pytest.approx(np.full((2, 3), 2.0 / 6.0))
 
 
+class TestAffineProduct:
+    """out_w @ prod_p (w_p @ d + b_p) as one node that recomputes its factors."""
+
+    @pytest.mark.parametrize("n_factors", [1, 2])
+    def test_gradients_match_finite_differences(self, n_factors):
+        rng = np.random.default_rng(12 + n_factors)
+        d = parameter(rng.standard_normal((4, 7)))
+        factors = [(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal((3, 1))))
+                   for _ in range(n_factors)]
+        out_w = parameter(rng.standard_normal((2, 3)))
+        weight = Tensor(rng.standard_normal((2, 7)))
+
+        def build():
+            y = eg.mul(eg.affine_product(d, factors, out_w), weight)
+            return eg.sum_all(eg.mul(y, y))
+
+        fd_check(build, [d, *(t for pair in factors for t in pair), out_w])
+
+    @pytest.mark.parametrize("flag", ["full", "no_pi", "no_filter", "no_freq2vec", "no_linear",
+                                      "euler_time"])
+    def test_training_gradients_equal_the_composed_ops(self, flag, monkeypatch):
+        # the loss and every gradient of a 9-frame E6-desk window are the
+        # bits the composition of matmul, add and mul gives
+        from dataclasses import replace
+
+        from sino import training
+        from sino.config import presets
+        from sino.model import init_params
+        from sino.solvers import integrate, sample_ic
+
+        case = presets()["E6-desk"]
+        g = case.train_grid
+        cfg = case.model if flag == "full" else replace(case.model, **{flag: True})
+        solver = replace(case.solver, t_end=8 * case.solver.save_dt)
+        segment = integrate(case.pde, solver, g, sample_ic(case.pde, g, 0, 0, case.grf))
+        rng = np.random.default_rng(14)
+        params = {k: v + 0.1 * rng.standard_normal(v.shape)
+                  for k, v in init_params(cfg, 15).items()}
+        loss, grads = training.backward(params, cfg, g, segment)
+
+        def composed(d, factors, out_w):
+            w, b = factors[0]
+            v = eg.add(eg.matmul(w, d), b)
+            for w, b in factors[1:]:
+                v = eg.mul(v, eg.add(eg.matmul(w, d), b))
+            return eg.matmul(out_w, v)
+
+        monkeypatch.setattr(eg, "affine_product", composed)
+        ref_loss, ref_grads = training.backward(params, cfg, g, segment)
+        assert len(segment) == 9 and len(grads) == (14 if flag == "full" else len(params))
+        assert loss == ref_loss
+        assert sorted(grads) == sorted(ref_grads)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, ref_grads[name]), name
+
+
 class TestComplexOps:
     def test_complex_multiply_adjoint(self):
         rng = np.random.default_rng(4)

@@ -20,7 +20,6 @@ from sino.spectral import (
     GridSpec,
     forward_transform,
     freq_grid,
-    grf_sample,
     inverse_transform,
     spectral_resample,
     two_thirds_mask,

@@ -21,11 +21,9 @@ from sino.spectral import (
     GridSpec,
     forward_transform,
     freq_grid,
-    grf_sample,
     inverse_transform,
 )
 from sino.training import (
-    OptimizerState,
     TrainConfig,
     adam_init,
     adam_step,
@@ -175,6 +173,20 @@ class TestBackward:
         loss2.backward()
         for k in g1:
             assert np.allclose(pt2[k].grad, 2.0 * g1[k], rtol=1e-12)
+
+    def test_pi_block_is_one_tape_node(self):
+        # a 9-frame E6-desk window records 671 nodes; with the Pi factors,
+        # their product and the output mix as separate nodes it recorded 831
+        from sino import engine as eg
+        from sino import model as sino_model
+        from sino.config import presets
+        from sino.training import _rollout_loss_graph
+        case = presets()["E6-desk"]
+        cfg, g = case.model, case.train_grid
+        segment = [bandlimited(g, 40 + i, cutoff=5, channels=cfg.c_in) for i in range(9)]
+        pt = sino_model._wrap_params(init_params(cfg, 0), True)
+        loss = _rollout_loss_graph(pt, cfg, g, segment)
+        assert len(eg._toposort(loss)) <= 671
 
     def test_pi_factor_permutation_symmetry(self):
         g, cfg, params, segment = self.small()
@@ -385,6 +397,78 @@ class TestTrainLoop:
         _, bundle_b = backward(params, cfg, g, seg)
         for k in bundle_a:
             assert np.array_equal(bundle_a[k], bundle_b[k])
+
+    def test_batched_warm_ups_equal_a_rollout_per_sample(self):
+        # train rolls a batch's warm-ups together; the history and params
+        # equal those of a loop that warms each sample up with its own rollout
+        from sino.model import rollout
+        from sino.training import GRAD_CLIP
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        tc = TrainConfig(iterations=2, n1=4, batch=3, seed=1)
+        state = train(ds, ds, cfg, tc)
+
+        params = init_params(cfg, tc.seed)
+        opt = adam_init(params)
+        rng = np.random.default_rng(tc.seed)
+        history, warm_ups = [], []
+        for it in range(tc.iterations):
+            lr = onecycle_lr(it, tc.iterations, tc.max_lr)
+            samples = [sample_curriculum(ds, tc, rng) for _ in range(tc.batch)]
+            warm_ups.append(sorted(n for _, n, _ in samples))
+            loss_acc, grads_acc = 0.0, None
+            for start, n, frames in samples:
+                if n > 0:
+                    start = rollout(start, params, cfg, g, n)[-1]
+                loss, bundle = backward(params, cfg, g,
+                                        np.concatenate([start[np.newaxis], frames[1:]]))
+                loss_acc += loss / tc.batch
+                if grads_acc is None:
+                    grads_acc = {k: v / tc.batch for k, v in bundle.items()}
+                else:
+                    for k, v in bundle.items():
+                        grads_acc[k] += v / tc.batch
+            grads_acc, _ = clip_global_norm(grads_acc, GRAD_CLIP)
+            params = adam_step(opt, params, grads_acc, lr)
+            val = validation_rel_l2(params, cfg, ds) if it + 1 == tc.iterations else None
+            history.append((it + 1, lr, loss_acc, val))
+        # the draws hold no warm-up, warm-ups of different lengths and a repeated length
+        assert warm_ups == [[0, 2, 4], [3, 4, 4]]
+        assert state.history == history
+        assert all(np.array_equal(state.params[k], params[k]) for k in params)
+
+    def test_a_diverging_warm_up_skips_the_iteration(self, monkeypatch):
+        # iteration 1's warm-up raises: its row has a NaN loss, it takes no
+        # Adam step and runs no backward; iteration 2 trains as usual
+        import sino.model
+        import sino.training
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        tc = TrainConfig(iterations=2, n1=4, batch=2, seed=0)
+        rollouts, backwards = [], []
+        real_rollout, real_backward = sino.model.rollout, sino.training.backward
+
+        def failing_rollout(*args, **kwargs):
+            rollouts.append(1)
+            if len(rollouts) == 1:
+                raise NonFinite("injected")
+            return real_rollout(*args, **kwargs)
+
+        def counting_backward(*args):
+            backwards.append(1)
+            return real_backward(*args)
+
+        monkeypatch.setattr(sino.model, "rollout", failing_rollout)
+        monkeypatch.setattr(sino.training, "backward", counting_backward)
+        state = train(ds, ds, cfg, tc)
+        it, _, loss, val = state.history[0]
+        assert it == 1 and math.isnan(loss) and val is None
+        assert math.isfinite(state.history[1][2])
+        assert state.opt.step == 1
+        assert len(backwards) == tc.batch
+        assert len(rollouts) > 1
 
     def test_cadence_mismatch_rejected(self):
         g = grid2(8)
