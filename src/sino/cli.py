@@ -179,7 +179,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     report = evaluation.evaluate_rollout(params, model_cfg, ds_test)
     evaluation.export_csv(report, out / "eval_test.csv")
     print(f"[evaluate] aggregate rel_l2 {report.aggregate_rel_l2:.6g} "
-          f"({len(report.failures or [])} failures)")
+          f"({len(report.failures)} failures)")
     if superres:
         fine_points = tuple(n * superres for n in cfg.train_points)
         fine_grid = GridSpec(points=fine_points, length=cfg.domain_length)
@@ -216,13 +216,14 @@ def _load_splits(cfg: ExperimentConfig) -> list[TrajectoryDataset]:
 
 def _train_and_score(cfg: ExperimentConfig, ds_train, ds_val, ds_test) -> str:
     """Train, then score the best parameters on the test split: the pooled
-    rel-l2 as a CSV cell, or NaN if training or every test rollout diverged."""
+    rel-l2 as a CSV cell, or NaN if training or any test rollout diverged."""
     try:
         state = train(ds_train, ds_val, cfg.model, cfg.train)
     except NonFinite:
         return "NaN"
-    err = evaluation.evaluate_rollout(state.best_params, cfg.model, ds_test).aggregate_rel_l2
-    return f"{err:.17g}" if math.isfinite(err) else "NaN"
+    report = evaluation.evaluate_rollout(state.best_params, cfg.model, ds_test)
+    err = report.aggregate_rel_l2
+    return f"{err:.17g}" if math.isfinite(err) and not report.failures else "NaN"
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:

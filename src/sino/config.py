@@ -18,8 +18,9 @@ TrainConfig. to_dict is dataclasses.asdict, and the SHA-256 prefix of its
 key-sorted JSON form is the config hash. Every value must fit its field's
 type hint: an int is accepted for a float field, a bool only for a bool
 field, and a list for a tuple field whose elements fit its element type.
-The model must fit the experiment: model.c_in is the PDE's channel count,
-and the native grid 2 * model.freq_norm is train_points.
+The model must fit the experiment: pde.dim is the number of axes of
+domain_length, model.c_in is the PDE's channel count, and the native grid
+2 * model.freq_norm is train_points.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class ExperimentConfig:
         for key, value in self.grf.items():
             if value is not None and not _fits(value, float):
                 raise ValueError(f"grf.{key} must be a number or null, got {value!r}")
+        if self.pde.dim != len(self.domain_length):
+            raise ValueError(f"pde.dim {self.pde.dim} must equal the {len(self.domain_length)} "
+                             f"axes of domain_length")
         if self.model.c_in != self.pde.channels:
             raise ValueError(f"model.c_in {self.model.c_in} must equal the "
                              f"{self.pde.channels} channels of the PDE")

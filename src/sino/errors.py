@@ -22,13 +22,5 @@ class InsufficientLength(SinoError):
     """A trajectory is too short for the requested curriculum window."""
 
 
-class DegenerateTruth(SinoError):
-    """Relative error against an identically-zero reference is undefined."""
-
-
-class ZeroVariance(SinoError):
-    """Correlation against a constant field is undefined."""
-
-
 class ContainerError(SinoError):
     """A dataset or checkpoint container is malformed or corrupted."""

@@ -1,47 +1,51 @@
-"""Evaluation: relative l2 / Pearson correlation metrics, full-horizon rollout
-reports, zero-shot super-resolution comparison, and out-of-distribution
-initial conditions built from raster patterns.
+"""Evaluation: full-horizon rollout reports, zero-shot super-resolution
+comparison, and out-of-distribution initial conditions built from raster
+patterns.
+
+A test set is scored as arrays, not snapshot by snapshot. The error and
+truth energies of every (trajectory, snapshot) are sums over the channel and
+grid axes, and their cumulative sums along the snapshots give the
+cumulative relative l2. One `pcc` call gives the Pearson correlation of
+every pair, NaN where either field is constant. A trajectory whose rollout
+diverged scores NaN throughout and is left out of the pooled score.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as sino_model
-from .errors import DegenerateTruth, IncompatibleDomain, NonFinite, ZeroVariance
+from .errors import IncompatibleDomain, NonFinite
 from .model import ModelConfig
 from .solvers import TrajectoryDataset
 from .spectral import GridSpec, forward_transform, freq_grid, grf_sample, inverse_transform, spectral_resample
 
 
-def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
-    """sqrt(sum((y - y_hat)^2) / sum(y^2)) over all points (and snapshots)."""
+def pcc(pred: np.ndarray, truth: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Pearson correlation of each pair of fields, one per index of the first
+    `lead` axes (a scalar for lead 0); the other axes span a field. NaN where
+    either field is constant."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    denom = float(np.sum(truth**2))
-    if denom == 0.0:
-        raise DegenerateTruth("reference field is identically zero")
-    return math.sqrt(float(np.sum((pred - truth) ** 2)) / denom)
-
-
-def pcc(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Pearson correlation over all points of the two fields."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    if pred.shape != truth.shape:
-        raise ValueError("shape mismatch")
-    dp = pred - pred.mean()
-    dt = truth - truth.mean()
-    sp = math.sqrt(float(np.sum(dp * dp)))
-    st = math.sqrt(float(np.sum(dt * dt)))
-    if sp == 0.0 or st == 0.0:
-        raise ZeroVariance("correlation is undefined for a constant field")
-    return float(np.sum(dp * dt)) / (sp * st)
+    shape = pred.shape[:lead] + (-1,)
+    pred = pred.reshape(shape)
+    truth = truth.reshape(shape)
+    mean_p = pred.mean(axis=-1, keepdims=True)
+    # two field-sized buffers: the centred prediction is made twice, once to
+    # be squared and once to be multiplied by the centred truth
+    dp = pred - mean_p
+    norm = np.sqrt(np.sum(np.square(dp, out=dp), axis=-1))
+    dt = truth - truth.mean(axis=-1, keepdims=True)
+    cross = np.sum(np.multiply(np.subtract(pred, mean_p, out=dp), dt, out=dp), axis=-1)
+    norm *= np.sqrt(np.sum(np.square(dt, out=dt), axis=-1))
+    # a constant field's rounded mean can leave it a nonzero centred norm
+    varies = (np.ptp(pred, axis=-1) > 0) & (np.ptp(truth, axis=-1) > 0) & (norm > 0)
+    return np.divide(cross, norm, out=np.full_like(cross, np.nan), where=varies)[()]
 
 
 @dataclass
@@ -53,7 +57,7 @@ class EvalReport:
     aggregate_rel_l2: float           # pooled over all snapshots and trajectories
     pcc_curves: np.ndarray            # (n_traj, S)
     rel_l2_cum: np.ndarray            # (n_traj, S) cumulative-in-time rel l2
-    failures: list[tuple[int, str]] | None = None
+    failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def n_traj(self) -> int:
@@ -65,9 +69,10 @@ def _predict(
     cfg: ModelConfig,
     test_set: TrajectoryDataset,
     steps_per_snap: int,
-) -> list[np.ndarray | NonFinite]:
-    """Each trajectory's predicted snapshots (n_snapshots, c_in, *points), or
-    the NonFinite its rollout raised.
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The predicted snapshots of every trajectory, shaped like the set's data
+    (n_traj, n_snapshots, c_in, *points), and the (index, message) of each
+    rollout that diverged; a diverged trajectory's snapshots are NaN.
 
     The whole set rolls as one batch. If any trajectory of it diverges, the
     set rolls again one trajectory at a time, so that each failure carries
@@ -81,16 +86,17 @@ def _predict(
                                   record_every=steps_per_snap)
 
     try:
-        return list(np.stack(roll(test_set.data[:, 0]), axis=1))
+        return np.stack(roll(test_set.data[:, 0]), axis=1), []
     except NonFinite:
         pass
-    preds: list[np.ndarray | NonFinite] = []
-    for traj in test_set.data:
+    preds = np.full(test_set.data.shape, np.nan)
+    failures = []
+    for t, traj in enumerate(test_set.data):
         try:
-            preds.append(np.stack(roll(traj[0])))
+            np.stack(roll(traj[0]), out=preds[t])
         except NonFinite as err:
-            preds.append(err)
-    return preds
+            failures.append((t, str(err)))
+    return preds, failures
 
 
 def evaluate_rollout(
@@ -102,46 +108,36 @@ def evaluate_rollout(
     trajectory length and score against the stored truth.
 
     A diverging trajectory is recorded as a failure, with the message of its
-    own rollout, not an abort. The batch holds every trajectory's
-    intermediates at once, so the memory of a step grows with the set.
+    own rollout, not an abort; its scores are NaN and the pooled score
+    leaves it out. The batch holds every trajectory's intermediates at once,
+    so the memory of a step grows with the set.
     """
     steps_per_snap = round(test_set.cadence / cfg.dt_model)
     if abs(steps_per_snap * cfg.dt_model - test_set.cadence) > 1e-9 * test_set.cadence:
         raise ValueError(
             f"snapshot cadence {test_set.cadence} is not a multiple of dt_model {cfg.dt_model}"
         )
-    n_snap = test_set.n_snapshots
-
-    times = np.arange(n_snap) * test_set.cadence
-    pcc_curves = np.full((test_set.n_traj, n_snap), np.nan)
-    cum = np.full((test_set.n_traj, n_snap), np.nan)
-    per_traj = []
-    failures: list[tuple[int, str]] = []
-    err_pool = 0.0
-    truth_pool = 0.0
-    for t, pred in enumerate(_predict(params, cfg, test_set, steps_per_snap)):
-        if isinstance(pred, NonFinite):
-            failures.append((t, str(pred)))
-            per_traj.append(float("nan"))
-            continue
-        truth = test_set.data[t]
-        e_cum = 0.0
-        y_cum = 0.0
-        for s in range(n_snap):
-            try:
-                pcc_curves[t, s] = pcc(pred[s], truth[s])
-            except ZeroVariance:
-                pass
-            e_cum += float(np.sum((pred[s] - truth[s]) ** 2))
-            y_cum += float(np.sum(truth[s] ** 2))
-            cum[t, s] = math.sqrt(e_cum / y_cum) if y_cum > 0 else np.nan
-        per_traj.append(math.sqrt(e_cum / y_cum) if y_cum > 0 else float("nan"))
-        err_pool += e_cum
-        truth_pool += y_cum
+    preds, failures = _predict(params, cfg, test_set, steps_per_snap)
+    truth = test_set.data
+    pcc_curves = pcc(preds, truth, lead=2)
+    # error and truth energy of each (trajectory, snapshot), each one sum over
+    # its contiguous block; the squares overwrite the predictions
+    blocks = truth.shape[:2] + (-1,)
+    preds -= truth
+    err_cum = np.cumsum(np.sum(np.square(preds, out=preds).reshape(blocks), axis=-1), axis=1)
+    truth_cum = np.cumsum(np.sum(np.square(truth, out=preds).reshape(blocks), axis=-1), axis=1)
+    cum = np.sqrt(np.divide(err_cum, truth_cum, out=np.full_like(err_cum, np.nan),
+                            where=truth_cum > 0))
+    failed = dict(failures)
+    finite = [t for t in range(test_set.n_traj) if t not in failed]
+    # Python's sum adds the trajectory totals in order; np.sum would add 8 or
+    # more of them pairwise
+    err_pool = sum(err_cum[finite, -1].tolist())
+    truth_pool = sum(truth_cum[finite, -1].tolist())
     aggregate = math.sqrt(err_pool / truth_pool) if truth_pool > 0 else float("nan")
     return EvalReport(
-        times=times,
-        per_traj_rel_l2=per_traj,
+        times=np.arange(test_set.n_snapshots) * test_set.cadence,
+        per_traj_rel_l2=cum[:, -1].tolist(),
         aggregate_rel_l2=aggregate,
         pcc_curves=pcc_curves,
         rel_l2_cum=cum,
@@ -166,14 +162,10 @@ def superres_eval(
     native_grid = GridSpec(points=cfg.native_points, length=fine_grid.length)
     if any(f < n for f, n in zip(fine_grid.points, native_grid.points)):
         raise IncompatibleDomain("fine grid must be at least the native resolution")
-    native_data = np.stack(
-        [
-            np.stack([spectral_resample(s, fine_grid, native_grid) for s in traj])
-            for traj in fine_test_set.data
-        ]
-    )
+    fine = fine_test_set.data
+    native = spectral_resample(fine.reshape((-1,) + fine_grid.points), fine_grid, native_grid)
     native_set = TrajectoryDataset(grid=native_grid, cadence=fine_test_set.cadence,
-                                   data=native_data)
+                                   data=native.reshape(fine.shape[:3] + native_grid.points))
     return {
         "native": evaluate_rollout(params, cfg, native_set),
         "fine": evaluate_rollout(params, cfg, fine_test_set),

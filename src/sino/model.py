@@ -43,11 +43,9 @@ Pi channels to c_in, adds the folded bias, and makes one forward
 transform of those c_in channels, which the 2/3 mask then filters. The
 folded linear branch is pointwise, so it maps z in spectral space with no
 transform. So an RK4 step makes 10 FFT calls on c_in + 4(c_in*K + c_in) +
-c_in channels (44 on E6-desk), where a stage that went physical ->
-spectral -> physical twice made 16 calls on 56. A stage adds only
-Hermitian-consistent half spectra (the table is conjugate-symmetric
-wherever k and -k both lie in the half spectrum), so this is the same
-function up to roundoff.
+c_in channels (44 on E6-desk). A stage adds only Hermitian-consistent half
+spectra (the table is conjugate-symmetric wherever k and -k both lie in the
+half spectrum), so this is the same function up to roundoff.
 
 Inside the model the state carries a batch axis after the channels,
 (c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1

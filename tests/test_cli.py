@@ -3,6 +3,7 @@ import json
 import shutil
 import textwrap
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from sino.containers import (
     write_field_container,
 )
 from sino.errors import NonFinite
+from sino.model import exact_burgers_params
+from sino.solvers import TrajectoryDataset
+from sino.spectral import GridSpec
 
 
 def tiny_config(out, iterations=4):
@@ -178,6 +182,23 @@ class TestRoundTrip:
             "full", "no_pi", "no_filter", "no_freq2vec", "no_linear", "euler_time"]
         assert all(r[1] == "NaN" or float(r[1]) >= 0.0 for r in rows[1:])
 
+    def test_a_cell_is_nan_when_one_test_rollout_diverges(self, tmp_path, monkeypatch):
+        # the exact Burgers model stands in for a trained one; at dt 0.1 the
+        # large-amplitude IC blows up and the small one stays finite
+        grid = GridSpec(points=(16, 16), length=(2 * np.pi,) * 2)
+        model, params = exact_burgers_params(grid, nu=0.01, dt_model=0.1)
+        cfg = replace(tiny_config(tmp_path), model=model)
+        monkeypatch.setattr(cli, "train", lambda *args: SimpleNamespace(best_params=params))
+        rng = np.random.default_rng(0)
+        ics = [scale * np.sin(np.arange(16) * 2 * np.pi / 16)[None, :, None]
+               + 0.1 * scale * rng.standard_normal((2, 16, 16)) for scale in (0.5, 50.0)]
+        data = np.stack([np.stack([ic] * 4) for ic in ics])
+        one = TrajectoryDataset(grid=grid, cadence=0.1, data=data[:1])
+        both = TrajectoryDataset(grid=grid, cadence=0.1, data=data)
+        assert float(cli._train_and_score(cfg, None, None, one)) >= 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli._train_and_score(cfg, None, None, both) == "NaN"
+
     def test_sweep_rows_carry_their_own_hash(self, run):
         path, cfg, out = run
         assert cli.main(["sweep", "--config", path, "--n-traj", "1,2,3"]) == 0
@@ -248,6 +269,15 @@ class TestExitCodes:
         path = write_config(tmp_path / "c.yaml", tiny_config(tmp_path / "out"))
         assert cli.main(["sweep", "--config", path] + args) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pde_dim_must_match_the_domain(self, tmp_path, capsys):
+        # a 3-component Burgers on a 2D grid, its model widened to match
+        d = tiny_config(tmp_path).to_dict()
+        d["pde"]["dim"] = 3
+        d["model"]["c_in"] = 3
+        assert self.generate(tmp_path, yaml.safe_dump(d)) == 2
+        assert "pde.dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_document_not_a_mapping(self, tmp_path):

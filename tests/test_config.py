@@ -135,6 +135,13 @@ class TestFromDict:
             with pytest.raises(ValueError, match=named):
                 from_dict(d)
 
+    def test_pde_dim_must_match_the_domain(self):
+        d = self.base()
+        d["pde"]["dim"] = 3
+        d["model"]["c_in"] = 3
+        with pytest.raises(ValueError, match="pde.dim 3"):
+            from_dict(d)
+
     def test_bad_value_is_a_value_error(self):
         d = self.base()
         d["solver"]["dt"] = "fast"
