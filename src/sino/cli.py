@@ -18,6 +18,14 @@ required one is a validation error. For example:
     train: {iterations: 200}
     out_dir: runs/burgers-16
 
+Every CSV a job writes (history.csv, eval_*.csv, ablation.csv, sweep.csv)
+has a config_hash column: the hash of the config that produced the row. A
+train or evaluate run's rows carry the run's config, the hash manifest.txt
+records when generate ran under it. A resumed train rewrites history.csv
+with its own hash on every row, the resumed rows included, as its
+checkpoint echoes only its own config. An ablate or sweep row carries its
+own variant's or point's config.
+
 Exit codes: 0 success, 2 validation error (including a malformed config),
 3 numerical failure, 4 I/O error.
 """
@@ -159,7 +167,7 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
     containers.write_checkpoint(out / "ckpt_best.sino", echo,
                                 training.params_to_tensors(state.best_params))
     containers.write_checkpoint(out / "ckpt_last.sino", echo, state.to_tensors())
-    training.write_history_csv(state.history, out / "history.csv")
+    training.write_history_csv(state.history, out / "history.csv", cfg.config_hash())
     print(f"[train] best val rel_l2 {state.best_val:.6g} at iteration {state.best_iteration}")
     return 0
 
@@ -175,9 +183,10 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
             f"configured training grid {cfg.train_grid.points}"
         )
     model_cfg = ck_cfg.model
+    run_hash = cfg.config_hash()
     ds_test = load_split(out / "data", "test")
     report = evaluation.evaluate_rollout(params, model_cfg, ds_test)
-    evaluation.export_csv(report, out / "eval_test.csv")
+    evaluation.export_csv(report, out / "eval_test.csv", run_hash)
     print(f"[evaluate] aggregate rel_l2 {report.aggregate_rel_l2:.6g} "
           f"({len(report.failures)} failures)")
     if superres:
@@ -187,7 +196,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
         fine = generate_dataset(cfg.pde, solver, cfg.gen_grid, fine_grid,
                                 cfg.n_test, split="test", grf=cfg.grf)
         pair = evaluation.superres_eval(params, model_cfg, fine)
-        evaluation.export_csv(pair["fine"], out / f"eval_superres_x{superres}.csv")
+        evaluation.export_csv(pair["fine"], out / f"eval_superres_x{superres}.csv", run_hash)
         print(f"[evaluate] superres x{superres}: native {pair['native'].aggregate_rel_l2:.6g} "
               f"fine {pair['fine'].aggregate_rel_l2:.6g}")
     if ood:
@@ -201,7 +210,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
         ood_set = TrajectoryDataset(grid=cfg.train_grid, cadence=solver.save_dt,
                                     data=truth[np.newaxis])
         report = evaluation.evaluate_rollout(params, model_cfg, ood_set)
-        evaluation.export_csv(report, out / f"eval_ood_{ood}.csv")
+        evaluation.export_csv(report, out / f"eval_ood_{ood}.csv", run_hash)
         print(f"[evaluate] OOD {ood}: rel_l2 {report.aggregate_rel_l2:.6g}")
     return 0
 
@@ -237,11 +246,11 @@ def cmd_ablate(cfg: ExperimentConfig) -> int:
     rows = []
     for variant in ("full",) + ABLATION_FLAGS:
         flags = {} if variant == "full" else {variant: True}
-        cell = _train_and_score(replace(cfg, model=replace(cfg.model, **flags)),
-                                ds_train, ds_val, ds_test)
-        rows.append(f"{variant},{cell}")
+        variant_cfg = replace(cfg, model=replace(cfg.model, **flags))
+        cell = _train_and_score(variant_cfg, ds_train, ds_val, ds_test)
+        rows.append(f"{variant},{variant_cfg.config_hash()},{cell}")
         print(f"[ablate] {variant}: {cell}")
-    _write_csv(Path(cfg.out_dir) / "ablation.csv", "variant,rel_l2", rows)
+    _write_csv(Path(cfg.out_dir) / "ablation.csv", "variant,config_hash,rel_l2", rows)
     return 0
 
 

@@ -19,8 +19,10 @@ key-sorted JSON form is the config hash. Every value must fit its field's
 type hint: an int is accepted for a float field, a bool only for a bool
 field, and a list for a tuple field whose elements fit its element type.
 The model must fit the experiment: pde.dim is the number of axes of
-domain_length, model.c_in is the PDE's channel count, and the native grid
-2 * model.freq_norm is train_points.
+domain_length, model.c_in is the PDE's channel count, the native grid
+2 * model.freq_norm is train_points, and the snapshot cadence solver.save_dt
+is model.dt_model. A test_t_end must be a horizon SolverConfig accepts.
+All of this is checked when the config is built, before any data is made.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ class ExperimentConfig:
         if self.model.native_points != tuple(self.train_points):
             raise ValueError(f"model.freq_norm {self.model.freq_norm} gives native points "
                              f"{self.model.native_points}, not train_points {self.train_points}")
+        if abs(self.solver.save_dt - self.model.dt_model) > 1e-9 * self.model.dt_model:
+            raise ValueError(f"solver.save_dt {self.solver.save_dt} must equal "
+                             f"model.dt_model {self.model.dt_model}")
+        try:
+            self.test_solver()
+        except ValueError as err:
+            raise ValueError(f"test_t_end {self.test_t_end}: {err}") from None
 
     @property
     def gen_grid(self) -> GridSpec:

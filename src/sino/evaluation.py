@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as sino_model
-from .errors import IncompatibleDomain, NonFinite
+from .errors import IncompatibleDomain
 from .model import ModelConfig
 from .solvers import TrajectoryDataset
 from .spectral import GridSpec, forward_transform, freq_grid, grf_sample, inverse_transform, spectral_resample
@@ -64,41 +64,6 @@ class EvalReport:
         return len(self.per_traj_rel_l2)
 
 
-def _predict(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    test_set: TrajectoryDataset,
-    steps_per_snap: int,
-) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """The predicted snapshots of every trajectory, shaped like the set's data
-    (n_traj, n_snapshots, c_in, *points), and the (index, message) of each
-    rollout that diverged; a diverged trajectory's snapshots are NaN.
-
-    The whole set rolls as one batch. If any trajectory of it diverges, the
-    set rolls again one trajectory at a time, so that each failure carries
-    the message of its own rollout; a batch equals its single rollouts bit
-    for bit, so the trajectories that stay finite score the same either way.
-    """
-    n_steps = (test_set.n_snapshots - 1) * steps_per_snap
-
-    def roll(u0):
-        return sino_model.rollout(u0, params, cfg, test_set.grid, n_steps,
-                                  record_every=steps_per_snap)
-
-    try:
-        return np.stack(roll(test_set.data[:, 0]), axis=1), []
-    except NonFinite:
-        pass
-    preds = np.full(test_set.data.shape, np.nan)
-    failures = []
-    for t, traj in enumerate(test_set.data):
-        try:
-            np.stack(roll(traj[0]), out=preds[t])
-        except NonFinite as err:
-            failures.append((t, str(err)))
-    return preds, failures
-
-
 def evaluate_rollout(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -107,17 +72,28 @@ def evaluate_rollout(
     """Roll the model from every test IC in one batch over the full
     trajectory length and score against the stored truth.
 
-    A diverging trajectory is recorded as a failure, with the message of its
-    own rollout, not an abort; its scores are NaN and the pooled score
-    leaves it out. The batch holds every trajectory's intermediates at once,
-    so the memory of a step grows with the set.
+    A diverging trajectory is recorded as a failure, not an abort: its
+    rollout turns non-finite and stays so, the failure names the first
+    snapshot that is not finite, and its scores are NaN, which the pooled
+    score leaves out. The batch holds every trajectory's intermediates at
+    once, so the memory of a step grows with the set.
     """
     steps_per_snap = round(test_set.cadence / cfg.dt_model)
     if abs(steps_per_snap * cfg.dt_model - test_set.cadence) > 1e-9 * test_set.cadence:
         raise ValueError(
             f"snapshot cadence {test_set.cadence} is not a multiple of dt_model {cfg.dt_model}"
         )
-    preds, failures = _predict(params, cfg, test_set, steps_per_snap)
+    times = np.arange(test_set.n_snapshots) * test_set.cadence
+    preds = sino_model.rollout(test_set.data[:, 0], params, cfg, test_set.grid,
+                               (test_set.n_snapshots - 1) * steps_per_snap,
+                               record_every=steps_per_snap)
+    snap_finite = np.isfinite(preds).reshape(preds.shape[:2] + (-1,)).all(axis=-1)
+    diverged = ~snap_finite.all(axis=1)
+    failures = []
+    for t in np.flatnonzero(diverged).tolist():
+        s = int(np.argmin(snap_finite[t]))
+        failures.append((t, f"rollout diverged by snapshot {s} (t={times[s]:.6g})"))
+        preds[t] = np.nan
     truth = test_set.data
     pcc_curves = pcc(preds, truth, lead=2)
     # error and truth energy of each (trajectory, snapshot), each one sum over
@@ -128,15 +104,13 @@ def evaluate_rollout(
     truth_cum = np.cumsum(np.sum(np.square(truth, out=preds).reshape(blocks), axis=-1), axis=1)
     cum = np.sqrt(np.divide(err_cum, truth_cum, out=np.full_like(err_cum, np.nan),
                             where=truth_cum > 0))
-    failed = dict(failures)
-    finite = [t for t in range(test_set.n_traj) if t not in failed]
     # Python's sum adds the trajectory totals in order; np.sum would add 8 or
     # more of them pairwise
-    err_pool = sum(err_cum[finite, -1].tolist())
-    truth_pool = sum(truth_cum[finite, -1].tolist())
+    err_pool = sum(err_cum[~diverged, -1].tolist())
+    truth_pool = sum(truth_cum[~diverged, -1].tolist())
     aggregate = math.sqrt(err_pool / truth_pool) if truth_pool > 0 else float("nan")
     return EvalReport(
-        times=np.arange(test_set.n_snapshots) * test_set.cadence,
+        times=times,
         per_traj_rel_l2=cum[:, -1].tolist(),
         aggregate_rel_l2=aggregate,
         pcc_curves=pcc_curves,
@@ -277,16 +251,17 @@ def builtin_raster(name: str, size: int = 128) -> np.ndarray:
 # -- CSV export ----------------------------------------------------------------
 
 
-def export_csv(report: EvalReport, path) -> None:
-    """One row per snapshot per trajectory; 17 significant digits, LF endings."""
-    lines = ["trajectory,time_s,pcc,rel_l2_cum"]
+def export_csv(report: EvalReport, path, config_hash: str) -> None:
+    """One row per snapshot per trajectory, each with the hash of the config
+    that produced the report; 17 significant digits, LF endings."""
+    lines = ["trajectory,config_hash,time_s,pcc,rel_l2_cum"]
     for t in range(report.n_traj):
         for s in range(len(report.times)):
             p = report.pcc_curves[t, s]
             c = report.rel_l2_cum[t, s]
             p_s = "" if np.isnan(p) else f"{p:.17g}"
             c_s = "" if np.isnan(c) else f"{c:.17g}"
-            lines.append(f"{t},{report.times[s]:.17g},{p_s},{c_s}")
+            lines.append(f"{t},{config_hash},{report.times[s]:.17g},{p_s},{c_s}")
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -51,8 +51,9 @@ Inside the model the state carries a batch axis after the channels,
 (c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1
 maps see B*n_points columns, so a batch of B trajectories steps as one
 state. Its columns are independent, so each trajectory equals its own
-rollout bit for bit (the tests check it). Training steps a batch of one;
-rollout and evaluation step whole sets.
+rollout bit for bit (the tests check it). A training iteration rolls its
+batch's warm-ups as one and evaluation rolls a whole test set as one; the
+supervised steps with gradients take one sample at a time.
 
 All forward functions come in two flavors: module-level wrappers that take
 and return numpy arrays, and tape-building internals (prefixed with an
@@ -399,37 +400,35 @@ def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
 
 
 def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
-            grid: GridSpec, n_steps: int, record_every: int = 1) -> list[np.ndarray]:
-    """Iterate model_step, recording every record_every-th state (and the start).
+            grid: GridSpec, n_steps: int, record_every: int = 1) -> np.ndarray:
+    """Step a batch of states u0 (B, c_in, *points) n_steps times, recording
+    the start and every record_every-th state.
 
-    u0 is one state (c_in, *points) or a batch (B, c_in, *points), and every
-    snapshot has the shape of u0. A batch steps as one state with B columns
-    per grid point, so each of its trajectories equals its own rollout bit
-    for bit; NonFinite is raised at the first step where any of them is
-    not finite.
+    The snapshots come in TrajectoryDataset.data's layout,
+    (B, n_steps // record_every + 1, c_in, *points). The batch steps as one
+    state with B columns per grid point, and no column mixes with another,
+    so each trajectory equals its own rollout bit for bit. A diverging
+    trajectory is marked, not raised: from its first step that is not
+    finite its snapshots are non-finite, and the others step on unchanged.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     u0 = np.asarray(u0, dtype=np.float64)
-    batched = u0.ndim == grid.dim + 2
-    if not batched:
-        u0 = _check_state(u0, cfg, grid)[np.newaxis]
-    elif u0.shape[1:] != (cfg.c_in,) + grid.points:
+    if u0.shape[1:] != (cfg.c_in,) + grid.points:
         raise ValueError(f"a batch of states must have shape (B, {cfg.c_in}, "
                          f"{grid.points}), got {u0.shape}")
+    snaps = np.empty((u0.shape[0], n_steps // record_every + 1) + u0.shape[1:])
+    snaps[:, 0] = u0
     # the model's batch axis follows the channels: (c_in, B, *points)
     state = Tensor(np.ascontiguousarray(np.swapaxes(u0, 0, 1)))
-    snaps = [u0.copy()]
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    # a diverging step overflows; each step's check reports it as NonFinite
+    # a diverging trajectory overflows, and its NaN and inf stay in its columns
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
+        for step in range(1, n_steps + 1):
             state = _step(state, maps, cfg, grid)
-            if not np.isfinite(state.data).all():
-                raise NonFinite(f"rollout diverged at step {step + 1}", step=step + 1)
-            if (step + 1) % record_every == 0:
-                snaps.append(np.swapaxes(state.data, 0, 1).copy())
-    return snaps if batched else [s[0] for s in snaps]
+            if step % record_every == 0:
+                snaps[:, step // record_every] = np.swapaxes(state.data, 0, 1)
+    return snaps
 
 
 # -- constructive instance (exact 2D/3D Burgers) ------------------------------

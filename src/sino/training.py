@@ -274,6 +274,7 @@ def _warm_up(samples, params, model_cfg: ModelConfig, grid: GridSpec) -> np.ndar
     that need more steps on from where the last left them, so at step i
     only the samples with n > i advance. A batch's trajectories step
     independently, so each state equals that of its own rollout bit for bit.
+    Raises NonFinite if any warm-up diverged.
     """
     states = np.stack([start for start, _, _ in samples])
     ns = np.array([n for _, n, _ in samples])
@@ -281,8 +282,10 @@ def _warm_up(samples, params, model_cfg: ModelConfig, grid: GridSpec) -> np.ndar
     for n in np.unique(ns[ns > 0]).tolist():
         live = ns >= n
         states[live] = sino_model.rollout(states[live], params, model_cfg, grid, n - done,
-                                          record_every=n - done)[-1]
+                                          record_every=n - done)[:, -1]
         done = n
+    if not np.isfinite(states).all():
+        raise NonFinite("a warm-up rollout diverged")
     return states
 
 
@@ -376,11 +379,12 @@ def train(
     return state
 
 
-def write_history_csv(history: list[tuple], path) -> None:
-    """History rows as CSV: iteration, lr, train_loss, val_rel_l2 (blank if absent)."""
-    lines = ["iteration,lr,train_loss,val_rel_l2"]
+def write_history_csv(history: list[tuple], path, config_hash: str) -> None:
+    """History rows as CSV: iteration, the hash of the run's config, lr,
+    train_loss, val_rel_l2 (blank if absent)."""
+    lines = ["iteration,config_hash,lr,train_loss,val_rel_l2"]
     for it, lr, loss, val in history:
         val_s = "" if val is None else f"{val:.17g}"
-        lines.append(f"{it},{lr:.17g},{loss:.17g},{val_s}")
+        lines.append(f"{it},{config_hash},{lr:.17g},{loss:.17g},{val_s}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -73,8 +73,9 @@ class TestRoundTrip:
         _, best = read_checkpoint(out / "ckpt_best.sino")
         assert best and all(k.startswith("param.") for k in best)
         rows = read_csv(out / "history.csv")
-        assert rows[0] == ["iteration", "lr", "train_loss", "val_rel_l2"]
+        assert rows[0] == ["iteration", "config_hash", "lr", "train_loss", "val_rel_l2"]
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4]
+        assert {r[1] for r in rows[1:]} == {cfg.config_hash()}
 
     def test_resume_continues_the_run(self, run, tmp_path):
         _, cfg, out = run
@@ -85,10 +86,13 @@ class TestRoundTrip:
         assert cli.main(["train", "--config", path, "--resume", ckpt]) == 0
         _, last = read_checkpoint(tmp_path / "out" / "ckpt_last.sino")
         assert int(last["meta.step"]) == 6
-        # the history keeps the rows before the checkpoint, unchanged
+        # the history keeps the rows before the checkpoint, unchanged but
+        # for the hash: the whole file carries the resumed run's config
         rows = read_csv(tmp_path / "out" / "history.csv")
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5, 6]
-        assert rows[:5] == read_csv(out / "history.csv")
+        without_hash = lambda rs: [r[:1] + r[2:] for r in rs]
+        assert without_hash(rows[:5]) == without_hash(read_csv(out / "history.csv"))
+        assert {r[1] for r in rows[1:]} == {longer.config_hash()}
 
     def test_resume_to_another_total_says_the_schedule_changes(self, run, tmp_path, capsys):
         _, _, out = run
@@ -166,28 +170,34 @@ class TestRoundTrip:
         assert "unknown key train.div_factor" in err
 
     def test_evaluate_writes_reports(self, run):
-        path, _, out = run
+        path, cfg, out = run
         assert cli.main(["evaluate", "--config", path, "--superres", "2", "--ood", "star"]) == 0
         for name in ("eval_test.csv", "eval_superres_x2.csv", "eval_ood_star.csv"):
             rows = read_csv(out / name)
-            assert rows[0] == ["trajectory", "time_s", "pcc", "rel_l2_cum"]
+            assert rows[0] == ["trajectory", "config_hash", "time_s", "pcc", "rel_l2_cum"]
             assert len(rows) == 1 + 11
+            assert {r[1] for r in rows[1:]} == {cfg.config_hash()}
 
     def test_ablate_scores_every_variant(self, run):
-        path, _, out = run
+        path, cfg, out = run
         assert cli.main(["ablate", "--config", path]) == 0
         rows = read_csv(out / "ablation.csv")
-        assert rows[0] == ["variant", "rel_l2"]
+        assert rows[0] == ["variant", "config_hash", "rel_l2"]
         assert [r[0] for r in rows[1:]] == [
             "full", "no_pi", "no_filter", "no_freq2vec", "no_linear", "euler_time"]
-        assert all(r[1] == "NaN" or float(r[1]) >= 0.0 for r in rows[1:])
+        assert [r[1] for r in rows[1:]] == [cfg.config_hash()] + [
+            replace(cfg, model=replace(cfg.model, **{flag: True})).config_hash()
+            for flag in ("no_pi", "no_filter", "no_freq2vec", "no_linear", "euler_time")]
+        assert all(r[2] == "NaN" or float(r[2]) >= 0.0 for r in rows[1:])
 
     def test_a_cell_is_nan_when_one_test_rollout_diverges(self, tmp_path, monkeypatch):
         # the exact Burgers model stands in for a trained one; at dt 0.1 the
         # large-amplitude IC blows up and the small one stays finite
         grid = GridSpec(points=(16, 16), length=(2 * np.pi,) * 2)
         model, params = exact_burgers_params(grid, nu=0.01, dt_model=0.1)
-        cfg = replace(tiny_config(tmp_path), model=model)
+        tiny = tiny_config(tmp_path)
+        cfg = replace(tiny, model=model,
+                      solver=replace(tiny.solver, dt=0.1, save_dt=0.1, t_end=0.3))
         monkeypatch.setattr(cli, "train", lambda *args: SimpleNamespace(best_params=params))
         rng = np.random.default_rng(0)
         ics = [scale * np.sin(np.arange(16) * 2 * np.pi / 16)[None, :, None]
@@ -196,8 +206,7 @@ class TestRoundTrip:
         one = TrajectoryDataset(grid=grid, cadence=0.1, data=data[:1])
         both = TrajectoryDataset(grid=grid, cadence=0.1, data=data)
         assert float(cli._train_and_score(cfg, None, None, one)) >= 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli._train_and_score(cfg, None, None, both) == "NaN"
+        assert cli._train_and_score(cfg, None, None, both) == "NaN"
 
     def test_sweep_rows_carry_their_own_hash(self, run):
         path, cfg, out = run
@@ -280,6 +289,22 @@ class TestExitCodes:
         assert "pde.dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("dt_model", 0.01, "model.dt_model 0.01"),
+        ("test_t_end", 0.0525, "test_t_end 0.0525"),
+    ])
+    def test_config_is_checked_before_any_data(self, tmp_path, capsys, key, value, named):
+        # a model step other than the snapshot cadence, or a test horizon that
+        # is not a whole number of snapshots, exits 2 with nothing written
+        d = tiny_config(tmp_path).to_dict()
+        (d["model"] if key == "dt_model" else d)[key] = value
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(d))
+        for command in ("generate", "ablate"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2
 
@@ -305,7 +330,7 @@ class TestExitCodes:
         # Burgers from a GRF at scale 1000 (default 5) at dt = 0.05 overflows at step 3
         c = presets()["E6-desk"]
         blow_up = replace(c, solver=replace(c.solver, dt=0.05, save_dt=0.05, t_end=1.0),
-                          grf={"scale": 1000}, n_train=1)
+                          model=replace(c.model, dt_model=0.05), grf={"scale": 1000}, n_train=1)
         assert self.generate(tmp_path, yaml.safe_dump(blow_up.to_dict())) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "(step 3)" in err

@@ -142,6 +142,17 @@ class TestFromDict:
         with pytest.raises(ValueError, match="pde.dim 3"):
             from_dict(d)
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("model", "dt_model", 0.01, "solver.save_dt 0.005 must equal model.dt_model 0.01"),
+        ("solver", "save_dt", 0.01, "solver.save_dt 0.01 must equal model.dt_model 0.005"),
+        (None, "test_t_end", 1.0025, "test_t_end 1.0025"),
+    ])
+    def test_cadence_and_test_horizon_are_checked(self, section, key, value, named):
+        d = self.base()
+        (d[section] if section else d)[key] = value
+        with pytest.raises(ValueError, match=named):
+            from_dict(d)
+
     def test_bad_value_is_a_value_error(self):
         d = self.base()
         d["solver"]["dt"] = "fast"

@@ -325,17 +325,24 @@ class TestStepAndRollout:
         cfg = small_cfg(g)
         params = init_params(cfg, 23)
         u = bandlimited(g, 24, cutoff=7)
-        snaps = rollout(u, params, cfg, g, 0)
-        assert len(snaps) == 1 and np.array_equal(snaps[0], u)
+        snaps = rollout(u[np.newaxis], params, cfg, g, 0)
+        assert snaps.shape == (1, 1) + u.shape and np.array_equal(snaps[0, 0], u)
+
+    def test_rollout_takes_a_batch(self):
+        g = grid2()
+        cfg = small_cfg(g)
+        u = bandlimited(g, 24, cutoff=7)
+        with pytest.raises(ValueError):
+            rollout(u, init_params(cfg, 23), cfg, g, 1)
 
     def test_rollout_deterministic(self):
         g = grid2()
         cfg = small_cfg(g)
         params = init_params(cfg, 25)
         u = 0.1 * bandlimited(g, 26, cutoff=7)
-        a = rollout(u, params, cfg, g, 5)
-        b = rollout(u, params, cfg, g, 5)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        a = rollout(u[np.newaxis], params, cfg, g, 5)
+        b = rollout(u[np.newaxis], params, cfg, g, 5)
+        assert a.tobytes() == b.tobytes()
 
     def test_exact_burgers_rollout_matches_reference(self):
         g = grid2(32)
@@ -344,11 +351,11 @@ class TestStepAndRollout:
         u0 = bandlimited(g, 27, cutoff=10, channels=2)
         pde = PDESpec(kind="burgers", nu=0.01)
         # 10 steps to 1e-8
-        ours = rollout(u0, params, cfg, g, 10)[-1]
+        ours = rollout(u0[np.newaxis], params, cfg, g, 10)[0, -1]
         ref = integrate(pde, SolverConfig(dt=dt, t_end=10 * dt, save_dt=10 * dt), g, u0)[-1]
         assert np.max(np.abs(ours - ref)) < 1e-8
         # 100 steps to 1e-6
-        ours = rollout(u0, params, cfg, g, 100)[-1]
+        ours = rollout(u0[np.newaxis], params, cfg, g, 100)[0, -1]
         ref = integrate(pde, SolverConfig(dt=dt, t_end=100 * dt, save_dt=100 * dt), g, u0)[-1]
         assert np.max(np.abs(ours - ref)) < 1e-6
 
@@ -361,8 +368,8 @@ class TestStepAndRollout:
         u0 = bandlimited(g, 28, cutoff=8, channels=2)
         pde = PDESpec(kind="burgers", nu=0.01)
         fine = integrate(pde, SolverConfig(dt=1e-4, t_end=0.1, save_dt=0.1), g, u0)[-1]
-        err_rk = np.linalg.norm(rollout(u0, params, cfg_rk, g, 5)[-1] - fine)
-        err_eu = np.linalg.norm(rollout(u0, params, cfg_eu, g, 5)[-1] - fine)
+        err_rk = np.linalg.norm(rollout(u0[np.newaxis], params, cfg_rk, g, 5)[0, -1] - fine)
+        err_eu = np.linalg.norm(rollout(u0[np.newaxis], params, cfg_eu, g, 5)[0, -1] - fine)
         assert err_eu > 10.0 * err_rk
 
 
@@ -375,11 +382,25 @@ class TestStepAndRollout:
         u0 = np.stack([0.5 * bandlimited(g, 34 + b, cutoff=5, channels=cfg.c_in)
                        for b in range(3)])
         batch = rollout(u0, params, cfg, g, 4, record_every=2)
-        assert len(batch) == 3
-        assert all(s.shape == (3, cfg.c_in) + g.points for s in batch)
+        assert batch.shape == (3, 3, cfg.c_in) + g.points
         for b in range(3):
-            single = rollout(u0[b], params, cfg, g, 4, record_every=2)
-            assert all(np.array_equal(x[b], y) for x, y in zip(batch, single))
+            single = rollout(u0[b : b + 1], params, cfg, g, 4, record_every=2)
+            assert np.array_equal(batch[b], single[0])
+
+    def test_a_diverging_trajectory_leaves_the_others_unchanged(self):
+        # at dt 0.1 the large-amplitude IC of exact Burgers blows up and the
+        # small ones do not; no step raises, and no column mixes with another
+        g = grid2(16)
+        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=0.1)
+        u0 = np.stack([scale * bandlimited(g, 61 + t, cutoff=5, channels=2)
+                       for t, scale in enumerate((0.5, 50.0, 0.5))])
+        batch = rollout(u0, params, cfg, g, 7)
+        for t in (0, 2):
+            assert np.array_equal(batch[t], rollout(u0[t : t + 1], params, cfg, g, 7)[0])
+        finite = np.isfinite(batch[1]).reshape(8, -1).all(axis=1)
+        first = int(np.argmin(finite))
+        assert 0 < first and finite[:first].all()
+        assert not np.isfinite(batch[1, first:]).any()
 
     def test_step_transforms_on_half_spectra(self, monkeypatch):
         # one E6-desk RK4 step transforms the state once (c_in channels),
@@ -477,9 +498,9 @@ class TestHalfSpectrumMatchesFullFFT:
                   for k, v in init_params(cfg, 11).items()}
         # full-band states: energy in every mode, the Nyquist columns included
         u0 = rng.standard_normal((2,) + g.points)
-        segment = rollout(u0, init_params(cfg, 14), cfg, g, 3)
+        segment = rollout(u0[np.newaxis], init_params(cfg, 14), cfg, g, 3)[0]
         reference = lambda p: self.reference_rollout(u0, p, cfg, g, 3)
-        for a, b in zip(rollout(u0, params, cfg, g, 3)[1:], reference(params)[1:]):
+        for a, b in zip(rollout(u0[np.newaxis], params, cfg, g, 3)[0, 1:], reference(params)[1:]):
             assert self.rel(a, b) < 1e-12
         # training.backward's gradient, along a random direction per tensor,
         # against central differences of the reference's loss

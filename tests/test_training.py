@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sino.config import presets
-from sino.errors import InsufficientLength, NonFinite
+from sino.errors import InsufficientLength
 from sino.evaluation import evaluate_rollout
 from sino.model import config_for_grid, exact_burgers_params, init_params
 from sino.solvers import (
@@ -392,7 +392,7 @@ class TestTrainLoop:
         params = init_params(cfg, 9)
         seg = [bandlimited(g, 20 + i, cutoff=3) for i in range(3)]
         from sino.model import rollout
-        _ = rollout(seg[0], params, cfg, g, 3)  # extra no-grad work
+        _ = rollout(seg[0][np.newaxis], params, cfg, g, 3)  # extra no-grad work
         _, bundle_a = backward(params, cfg, g, seg)
         _, bundle_b = backward(params, cfg, g, seg)
         for k in bundle_a:
@@ -420,7 +420,7 @@ class TestTrainLoop:
             loss_acc, grads_acc = 0.0, None
             for start, n, frames in samples:
                 if n > 0:
-                    start = rollout(start, params, cfg, g, n)[-1]
+                    start = rollout(start[np.newaxis], params, cfg, g, n)[0, -1]
                 loss, bundle = backward(params, cfg, g,
                                         np.concatenate([start[np.newaxis], frames[1:]]))
                 loss_acc += loss / tc.batch
@@ -439,36 +439,40 @@ class TestTrainLoop:
         assert all(np.array_equal(state.params[k], params[k]) for k in params)
 
     def test_a_diverging_warm_up_skips_the_iteration(self, monkeypatch):
-        # iteration 1's warm-up raises: its row has a NaN loss, it takes no
-        # Adam step and runs no backward; iteration 2 trains as usual
+        # trajectory 1 is so large that one model step overflows. At seed 12
+        # iteration 1 warms it up for one step: the warm-up goes non-finite,
+        # so the row has a NaN loss, no backward runs and no Adam step is
+        # taken. Iteration 2 draws only trajectory 0 and trains as usual.
         import sino.model
         import sino.training
         g = grid2(8)
         ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        ds.data[1] *= 1e100
+        ds_val = TrajectoryDataset(grid=g, cadence=ds.cadence, data=ds.data[:1])
         cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
-        tc = TrainConfig(iterations=2, n1=4, batch=2, seed=0)
-        rollouts, backwards = [], []
+        tc = TrainConfig(iterations=2, n1=4, batch=2, seed=12)
+        finite_rollouts, backwards = [], []
         real_rollout, real_backward = sino.model.rollout, sino.training.backward
 
-        def failing_rollout(*args, **kwargs):
-            rollouts.append(1)
-            if len(rollouts) == 1:
-                raise NonFinite("injected")
-            return real_rollout(*args, **kwargs)
+        def watched_rollout(*args, **kwargs):
+            out = real_rollout(*args, **kwargs)
+            finite_rollouts.append(bool(np.isfinite(out[:, -1]).all()))
+            return out
 
         def counting_backward(*args):
             backwards.append(1)
             return real_backward(*args)
 
-        monkeypatch.setattr(sino.model, "rollout", failing_rollout)
+        monkeypatch.setattr(sino.model, "rollout", watched_rollout)
         monkeypatch.setattr(sino.training, "backward", counting_backward)
-        state = train(ds, ds, cfg, tc)
+        state = train(ds, ds_val, cfg, tc)
         it, _, loss, val = state.history[0]
         assert it == 1 and math.isnan(loss) and val is None
         assert math.isfinite(state.history[1][2])
         assert state.opt.step == 1
         assert len(backwards) == tc.batch
-        assert len(rollouts) > 1
+        # the warm-ups of iterations 1 and 2, then iteration 2's validation
+        assert finite_rollouts == [False, True, True]
 
     def test_cadence_mismatch_rejected(self):
         g = grid2(8)
@@ -480,10 +484,11 @@ class TestTrainLoop:
     def test_history_csv_round_trip(self, tmp_path):
         history = [(1, 0.004, 1.25e-3, None), (2, 0.0041, 7.5e-4, 0.5)]
         path = tmp_path / "history.csv"
-        write_history_csv(history, path)
+        write_history_csv(history, path, "0123456789ab")
         lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,lr,train_loss,val_rel_l2"
+        assert lines[0] == "iteration,config_hash,lr,train_loss,val_rel_l2"
         assert len(lines) == 3
-        assert float(lines[1].split(",")[2]) == 1.25e-3
-        assert lines[1].split(",")[3] == ""
-        assert float(lines[2].split(",")[3]) == 0.5
+        assert [line.split(",")[1] for line in lines[1:]] == ["0123456789ab"] * 2
+        assert float(lines[1].split(",")[3]) == 1.25e-3
+        assert lines[1].split(",")[4] == ""
+        assert float(lines[2].split(",")[4]) == 0.5
