@@ -138,13 +138,16 @@ def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]
 
 def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainState]:
     """The config echo and the training state of a ckpt_last.sino written
-    for the run's model."""
+    for the run's model and curriculum sampler: train replays the sampler's
+    draws, which continues the original stream only under the same seed,
+    batch, n1 and n2."""
     ck_cfg, tensors = _read_checkpoint(path)
-    ck_model = ck_cfg.model
     changed = [f"model.{f.name}" for f in fields(cfg.model)
-               if getattr(ck_model, f.name) != getattr(cfg.model, f.name)]
+               if getattr(ck_cfg.model, f.name) != getattr(cfg.model, f.name)]
+    changed += [f"train.{name}" for name in ("seed", "batch", "n1", "n2")
+                if getattr(ck_cfg.train, name) != getattr(cfg.train, name)]
     if changed:
-        raise ValueError(f"{path} was trained with a different model: "
+        raise ValueError(f"{path} was trained with a different model or sampler: "
                          f"{', '.join(changed)} differ")
     return ck_cfg, TrainState.from_tensors(tensors)
 
@@ -315,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train on generated datasets")
     common(p_train)
-    p_train.add_argument("--resume", help="continue from a ckpt_last.sino; under another "
-                         "train.iterations the remaining iterations follow the new total's "
-                         "one-cycle schedule")
+    p_train.add_argument("--resume", help="continue from a ckpt_last.sino of the same model "
+                         "and train.seed, batch, n1 and n2; under another train.iterations the "
+                         "remaining iterations follow the new total's one-cycle schedule")
 
     p_eval = sub.add_parser("evaluate", help="full-horizon test evaluation")
     common(p_eval)

@@ -278,23 +278,18 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
     )
 
 
-def _grid_axes(a: Tensor, grid: GridSpec) -> tuple[int, ...]:
-    """The trailing grid axes of a (..., *points) field or its half spectrum."""
-    return tuple(range(a.data.ndim - grid.dim, a.data.ndim))
-
-
 def _slb(xh: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> tuple[Tensor, Tensor]:
     """The SLB of half spectra xh (c_in, B, *half points): the multiplied
     spectra z (c_in, K, B, *half points) and the features d, flat
     (c_in*K, B*n_points); table is shaped (1, K, 1, *half points)."""
     z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), table)
-    d = eg.irfftn(z, _grid_axes(z, grid), grid.points)
+    d = eg.irfftn(z, grid.axes, grid.points)
     return z, eg.reshape(d, (cfg.slb_channels, -1))
 
 
 def _lowpass_hat(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
     """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
-    vh = eg.rfftn(v, _grid_axes(v, grid))
+    vh = eg.rfftn(v, grid.axes)
     return vh if mask is None else eg.mul(vh, mask)
 
 
@@ -315,8 +310,7 @@ def _rhs_hat(xh: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Te
 def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
     """One dt_model of states u (c_in, B, *points): the stages on half spectra."""
     dt = cfg.dt_model
-    axes = _grid_axes(u, grid)
-    uh = eg.rfftn(u, axes)
+    uh = eg.rfftn(u, grid.axes)
     if cfg.euler_time:
         incr = eg.mul(_rhs_hat(uh, maps, cfg, grid), dt)
     else:
@@ -325,7 +319,7 @@ def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor
         k3 = _rhs_hat(eg.add(uh, eg.mul(k2, 0.5 * dt)), maps, cfg, grid)
         k4 = _rhs_hat(eg.add(uh, eg.mul(k3, dt)), maps, cfg, grid)
         incr = eg.mul(eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0)), dt / 6.0)
-    return eg.add(u, eg.irfftn(incr, axes, grid.points))
+    return eg.add(u, eg.irfftn(incr, grid.axes, grid.points))
 
 
 # -- numpy-facing API ---------------------------------------------------------
@@ -361,7 +355,7 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
             f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
         )
     table = Tensor(table.reshape((1, cfg.K, 1) + grid.half_points))
-    _, d = _slb(eg.rfftn(u, _grid_axes(u, grid)), table, cfg, grid)
+    _, d = _slb(eg.rfftn(u, grid.axes), table, cfg, grid)
     return d.data.reshape((cfg.slb_channels,) + grid.points)
 
 
@@ -383,8 +377,8 @@ def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     """The learned right-hand side evaluated at a state."""
     u = _batch_of_one(u, cfg, grid)
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    axes = _grid_axes(u, grid)
-    return eg.irfftn(_rhs_hat(eg.rfftn(u, axes), maps, cfg, grid), axes, grid.points).data[:, 0]
+    return eg.irfftn(_rhs_hat(eg.rfftn(u, grid.axes), maps, cfg, grid), grid.axes,
+                     grid.points).data[:, 0]
 
 
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,

@@ -62,8 +62,8 @@ class GridSpec:
 
     @property
     def axes(self) -> tuple[int, ...]:
-        """Grid axes of a (channels, *points) array."""
-        return tuple(range(1, self.dim + 1))
+        """The trailing grid axes of a (..., *points) field or its half spectrum."""
+        return tuple(range(-self.dim, 0))
 
     def coords(self) -> np.ndarray:
         """Physical coordinates, shape (dim, *points), x_i in [0, L_i)."""

@@ -1,19 +1,21 @@
 """Training: exact reverse-mode gradients of the rollout loss, Adam with a
 one-cycle schedule, and the warm-up curriculum loop.
 
-Each iteration samples a window along a training trajectory, evolves the
-model n in {0..n1} steps without gradients (warm-up), then predicts n2
-steps with gradients against the ground-truth frames. The warm-ups of a
-batch roll together; each sample then makes its own backward. Model
-selection is by full-horizon validation error.
+Each iteration draws B windows as integers (trajectory, warm-up length n
+in {0..n1}, start) and gathers their frames in one step. The start states
+roll together without gradients (warm-up), each sample taking its state
+after its own n steps; each sample then predicts n2 steps with gradients
+against its frames in its own backward, and the step averages the B losses
+and gradients. Model selection is by full-horizon validation error.
 
 A run is a TrainState: the parameters, the Adam state, the best parameters
 with their validation error and iteration, and one (iteration, lr,
 train_loss, val_rel_l2 | None) history row per iteration, a skipped
 non-finite one included. train starts from one and returns one, and a
 checkpoint stores it whole. A resumed run continues at iteration
-len(history) + 1 and replays the sampler's batch * len(history) draws; the
-Adam step count lags by the skipped iterations, which take no step.
+len(history) + 1 and replays the sampler's batch * len(history) draws, so
+it continues the original stream only under the same seed, batch, n1 and
+n2; the Adam step count lags by the skipped iterations, which take no step.
 """
 
 from __future__ import annotations
@@ -122,12 +124,12 @@ def onecycle_lr(step: int, total: int, max_lr: float) -> float:
 
 def sample_curriculum(
     dataset: TrajectoryDataset, cfg: TrainConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Pick (trajectory, warm-up length n, start) uniformly.
+) -> tuple[int, int, int]:
+    """Draw a window (trajectory, warm-up length n, start) uniformly.
 
-    Returns the state at the start index (the trainer warm-ups from it
-    without gradients), the sampled n, and the n2+1 ground-truth frames
-    starting at start+n.
+    The trainer warms the state at snapshot start up by n steps without
+    gradients and supervises the next n2 steps against the snapshots
+    start+n+1 .. start+n+n2, so start + n + n2 < n_snapshots.
     """
     need = cfg.n1 + cfg.n2 + 1
     if dataset.n_snapshots < need:
@@ -136,10 +138,8 @@ def sample_curriculum(
         )
     traj = int(rng.integers(dataset.n_traj))
     n = int(rng.integers(cfg.n1 + 1))
-    hi = dataset.n_snapshots - 1 - n - cfg.n2
-    start = int(rng.integers(hi + 1))
-    frames = dataset.data[traj, start + n : start + n + cfg.n2 + 1]
-    return dataset.data[traj, start].copy(), n, frames
+    start = int(rng.integers(dataset.n_snapshots - n - cfg.n2))
+    return traj, n, start
 
 
 # -- rollout loss -------------------------------------------------------------
@@ -266,24 +266,18 @@ def validation_rel_l2(
     return float("inf") if report.failures else report.aggregate_rel_l2
 
 
-def _warm_up(samples, params, model_cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
-    """The start states of curriculum samples, each advanced by its own
-    warm-up n without gradients, as a batch (B, c_in, *points).
+def _warm_up(starts: np.ndarray, ns: np.ndarray, params, model_cfg: ModelConfig,
+             grid: GridSpec) -> np.ndarray:
+    """The start states (B, c_in, *points), each advanced by its own warm-up
+    ns[b] steps without gradients.
 
-    The batch rolls as one: one rollout per distinct n takes the samples
-    that need more steps on from where the last left them, so at step i
-    only the samples with n > i advance. A batch's trajectories step
-    independently, so each state equals that of its own rollout bit for bit.
-    Raises NonFinite if any warm-up diverged.
+    The batch rolls as one for max(ns) steps and each sample takes its
+    snapshot at its own n. A batch's trajectories step independently, so
+    each state equals that of its own rollout bit for bit. Raises NonFinite
+    if any of the states it returns is non-finite.
     """
-    states = np.stack([start for start, _, _ in samples])
-    ns = np.array([n for _, n, _ in samples])
-    done = 0
-    for n in np.unique(ns[ns > 0]).tolist():
-        live = ns >= n
-        states[live] = sino_model.rollout(states[live], params, model_cfg, grid, n - done,
-                                          record_every=n - done)[:, -1]
-        done = n
+    snaps = sino_model.rollout(starts, params, model_cfg, grid, int(ns.max()))
+    states = snaps[np.arange(len(ns)), ns]
     if not np.isfinite(states).all():
         raise NonFinite("a warm-up rollout diverged")
     return states
@@ -303,6 +297,8 @@ def train(
     The one-cycle schedule spans train_cfg.iterations. A state from a run
     with another total continues on this total's schedule, so its history
     then holds two schedules, and it differs from a run made in one go.
+    A state continues the sampler's stream by replaying its draws, which
+    holds only under the seed, batch, n1 and n2 that made the state.
     """
     grid = dataset_train.grid
     if dataset_train.grid.points != model_cfg.native_points:
@@ -315,10 +311,10 @@ def train(
             f"dataset cadence {dataset_train.cadence} must equal dt_model {model_cfg.dt_model}"
         )
 
+    # adam_step returns new arrays, so the best parameters may share the current ones
     if state is None:
         params = sino_model.init_params(model_cfg, train_cfg.seed)
-        state = TrainState(params=params, opt=adam_init(params),
-                           best_params=copy.deepcopy(params))
+        state = TrainState(params=params, opt=adam_init(params), best_params=params)
     else:
         state = copy.deepcopy(state)
     rng = np.random.default_rng(train_cfg.seed)
@@ -326,29 +322,21 @@ def train(
     for _ in range(train_cfg.batch * len(state.history)):
         sample_curriculum(dataset_train, train_cfg, rng)
 
+    batch, window = train_cfg.batch, np.arange(train_cfg.n2 + 1)
     nonfinite_streak = 0
     for it in range(len(state.history), train_cfg.iterations):
         lr = onecycle_lr(it, train_cfg.iterations, train_cfg.max_lr)
-        loss_acc = 0.0
-        grads_acc: dict[str, np.ndarray] | None = None
         # draw the whole batch up front so the rng stream advances by a fixed
         # amount per iteration regardless of failures (resume replays it)
-        samples = [sample_curriculum(dataset_train, train_cfg, rng) for _ in range(train_cfg.batch)]
+        traj, ns, start = np.array(
+            [sample_curriculum(dataset_train, train_cfg, rng) for _ in range(batch)]).T
+        # (B, n2+1, c_in, *points); frame 0 becomes the warmed-up state
+        segments = dataset_train.data[traj[:, np.newaxis], (start + ns)[:, np.newaxis] + window]
         try:
-            starts = _warm_up(samples, state.params, model_cfg, grid)
-            for start_state, (_, _, frames) in zip(starts, samples):
-                segment = np.concatenate([start_state[np.newaxis], frames[1:]])
-                loss, bundle = backward(state.params, model_cfg, grid, segment)
-                loss_acc += loss / train_cfg.batch
-                if grads_acc is None:
-                    grads_acc = {k: g / train_cfg.batch for k, g in bundle.items()}
-                else:
-                    for k, g in bundle.items():
-                        grads_acc[k] += g / train_cfg.batch
+            segments[:, 0] = _warm_up(dataset_train.data[traj, start], ns, state.params,
+                                      model_cfg, grid)
+            results = [backward(state.params, model_cfg, grid, segment) for segment in segments]
         except NonFinite:
-            grads_acc = None
-
-        if grads_acc is None:
             nonfinite_streak += 1
             if nonfinite_streak > 5:
                 raise NonFinite(
@@ -358,23 +346,25 @@ def train(
             continue
         nonfinite_streak = 0
 
-        grads_acc, _ = clip_global_norm(grads_acc, GRAD_CLIP)
-        state.params = adam_step(state.opt, state.params, grads_acc, lr)
+        loss = sum(l / batch for l, _ in results)
+        grads = {k: sum(g[k] / batch for _, g in results) for k in results[0][1]}
+        grads, _ = clip_global_norm(grads, GRAD_CLIP)
+        state.params = adam_step(state.opt, state.params, grads, lr)
 
         val = None
         if (it + 1) % train_cfg.val_every == 0 or (it + 1) == train_cfg.iterations:
             val = validation_rel_l2(state.params, model_cfg, dataset_val)
             if val < state.best_val:
                 state.best_val = val
-                state.best_params = copy.deepcopy(state.params)
+                state.best_params = state.params
                 state.best_iteration = it + 1
-        state.history.append((it + 1, lr, loss_acc, val))
+        state.history.append((it + 1, lr, loss, val))
         if log_every and (it + 1) % log_every == 0:
             v = f" val={val:.4g}" if val is not None else ""
-            print(f"[train] iter {it + 1}/{train_cfg.iterations} loss={loss_acc:.6g}{v}")
+            print(f"[train] iter {it + 1}/{train_cfg.iterations} loss={loss:.6g}{v}")
 
     if not math.isfinite(state.best_val):
-        state.best_params = copy.deepcopy(state.params)
+        state.best_params = state.params
         state.best_iteration = train_cfg.iterations
     return state
 

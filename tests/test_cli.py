@@ -141,10 +141,27 @@ class TestRoundTrip:
     ])
     def test_resume_with_a_different_model_is_refused(self, run, tmp_path, capsys,
                                                       args, model, named):
+        self.assert_refused(run, tmp_path, capsys, args, named, model=model)
+
+    @pytest.mark.parametrize("args, train, named", [
+        (["--seed", "5"], {}, "train.seed"),
+        ([], {"batch": 2}, "train.batch"),
+        ([], {"n1": 0}, "train.n1"),
+        ([], {"n2": 3}, "train.n2"),
+        ([], {"n1": 2, "seed": 1}, "train.seed, train.n1"),
+    ])
+    def test_resume_with_a_different_sampler_is_refused(self, run, tmp_path, capsys,
+                                                        args, train, named):
+        # the resumed run replays the sampler's draws, which holds only
+        # under the checkpoint's seed, batch and window lengths
+        self.assert_refused(run, tmp_path, capsys, args, named, train=train)
+
+    @staticmethod
+    def assert_refused(run, tmp_path, capsys, args, named, **changes):
         _, _, out = run
         shutil.copytree(out, tmp_path / "out")
         other = tiny_config(tmp_path / "out")
-        other = replace(other, model=replace(other.model, **model))
+        other = replace(other, **{k: replace(getattr(other, k), **v) for k, v in changes.items()})
         path = write_config(tmp_path / "other.yaml", other)
         ckpt = tmp_path / "out" / "ckpt_last.sino"
         before = ckpt.read_bytes()

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it."""
+"""Every name a module imports is used in it, and every private helper of
+the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,50 @@ def test_no_unused_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom a.b import c as d, e\nimport x.y\n\nprint(e, x.y)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: d"]
+
+
+SRC = {p.name: p for p in sorted((ROOT / "src" / "sino").glob("*.py"))}
+
+
+def module_private_names(tree: ast.Module) -> dict[str, int]:
+    """The module-level _names (def, class or assignment) and their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        names[n.id] = node.lineno
+    return {k: line for k, line in names.items() if k.startswith("_") and not k.startswith("__")}
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level _names that no module of sources reads, as a name
+    or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{name} line {line}: {helper}" for name, tree in trees.items()
+            for helper, line in module_private_names(tree).items() if helper not in used]
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_helpers({name: p.read_text() for name, p in SRC.items()}) == []
+
+
+def test_the_scan_sees_an_orphaned_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _orphan():\n    pass\n_X = 1\n_Y: int = 2\n"
+                "class _C:\n    pass\n__all__ = []\n",
+        "b.py": "from . import a\n\na._used()\nprint(_Y)\n",
+    }
+    assert orphaned_helpers(sources) == ["a.py line 3: _orphan", "a.py line 5: _X",
+                                         "a.py line 7: _C"]

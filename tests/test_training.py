@@ -232,9 +232,9 @@ class TestCurriculum:
         cfg = TrainConfig(iterations=1, n1=0, n2=4)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            _, n, frames = sample_curriculum(ds, cfg, rng)
+            traj, n, start = sample_curriculum(ds, cfg, rng)
             assert n == 0
-            assert frames.shape[0] == 5
+            assert 0 <= traj < ds.n_traj and 0 <= start < ds.n_snapshots - cfg.n2
 
     def test_uniform_warmup_distribution(self):
         ds = self.make_dataset()
@@ -248,12 +248,14 @@ class TestCurriculum:
         assert np.all(np.abs(counts / draws - 0.2) < 0.02 * 1.0)
 
     def test_start_bound(self):
+        # the window's last supervised snapshot, start + n + n2, is in the
+        # trajectory, and the draws reach its last snapshot
         ds = self.make_dataset(n_snap=14)
         cfg = TrainConfig(iterations=1, n1=4, n2=8)
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            state, n, frames = sample_curriculum(ds, cfg, rng)
-            assert frames.shape[0] == 9
+        ends = [start + n + cfg.n2 for _, n, start in
+                (sample_curriculum(ds, cfg, rng) for _ in range(500))]
+        assert min(ends) >= cfg.n2 and max(ends) == ds.n_snapshots - 1
 
     def test_insufficient_length(self):
         ds = self.make_dataset(n_snap=10)
@@ -261,19 +263,38 @@ class TestCurriculum:
         with pytest.raises(InsufficientLength):
             sample_curriculum(ds, cfg, np.random.default_rng(4))
 
-    def test_warmup_state_is_start_frame(self):
+    def test_warmup_state_is_start_frame(self, monkeypatch):
+        # train warms up the snapshot at each draw's start, and backward gets
+        # that state followed by the n2 snapshots after start + n
+        import sino.training
         ds = self.make_dataset()
-        cfg = TrainConfig(iterations=1, n1=2, n2=4)
-        rng = np.random.default_rng(5)
-        state, n, frames = sample_curriculum(ds, cfg, rng)
-        # the first supervision frame sits n snapshots after the start state
-        found = False
-        for t in range(ds.n_traj):
-            for s in range(ds.n_snapshots):
-                if np.array_equal(ds.data[t, s], state):
-                    assert np.array_equal(ds.data[t, s + n], frames[0])
-                    found = True
-        assert found
+        g = ds.grid
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=ds.cadence, mlp_hidden=(8,))
+        tc = TrainConfig(iterations=1, n1=2, n2=4, batch=3, seed=5)
+        rng = np.random.default_rng(tc.seed)
+        draws = [sample_curriculum(ds, tc, rng) for _ in range(tc.batch)]
+        warm_ups, segments = [], []
+        real_warm_up = sino.training._warm_up
+
+        def watched_warm_up(starts, ns, *args):
+            states = real_warm_up(starts, ns, *args)
+            warm_ups.append((starts.copy(), ns.copy(), states.copy()))
+            return states
+
+        def recording_backward(params, model_cfg, grid, segment):
+            segments.append(np.array(segment))
+            return 0.0, {k: np.zeros_like(v) for k, v in params.items()}
+
+        monkeypatch.setattr(sino.training, "_warm_up", watched_warm_up)
+        monkeypatch.setattr(sino.training, "backward", recording_backward)
+        train(ds, ds, cfg, tc)
+        (starts, ns, states), = warm_ups
+        assert [n for _, n, _ in draws] == ns.tolist()
+        for b, (traj, n, start) in enumerate(draws):
+            first = start + n + 1
+            assert np.array_equal(starts[b], ds.data[traj, start])
+            assert np.array_equal(segments[b][0], states[b])
+            assert np.array_equal(segments[b][1:], ds.data[traj, first:first + tc.n2])
 
 
 class TestAdam:
@@ -398,31 +419,30 @@ class TestTrainLoop:
         for k in bundle_a:
             assert np.array_equal(bundle_a[k], bundle_b[k])
 
-    def test_batched_warm_ups_equal_a_rollout_per_sample(self):
-        # train rolls a batch's warm-ups together; the history and params
-        # equal those of a loop that warms each sample up with its own rollout
+    @staticmethod
+    def train_one_sample_at_a_time(ds, cfg, tc):
+        """train's history and params from a loop that gathers each window's
+        frames itself, warms each sample up with its own rollout, and
+        accumulates the batch's loss and gradients; and each iteration's
+        sorted warm-up lengths."""
         from sino.model import rollout
         from sino.training import GRAD_CLIP
-        g = grid2(8)
-        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
-        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
-        tc = TrainConfig(iterations=2, n1=4, batch=3, seed=1)
-        state = train(ds, ds, cfg, tc)
-
         params = init_params(cfg, tc.seed)
         opt = adam_init(params)
         rng = np.random.default_rng(tc.seed)
         history, warm_ups = [], []
         for it in range(tc.iterations):
             lr = onecycle_lr(it, tc.iterations, tc.max_lr)
-            samples = [sample_curriculum(ds, tc, rng) for _ in range(tc.batch)]
-            warm_ups.append(sorted(n for _, n, _ in samples))
+            draws = [sample_curriculum(ds, tc, rng) for _ in range(tc.batch)]
+            warm_ups.append(sorted(n for _, n, _ in draws))
             loss_acc, grads_acc = 0.0, None
-            for start, n, frames in samples:
+            for traj, n, start in draws:
+                state = ds.data[traj, start]
                 if n > 0:
-                    start = rollout(start[np.newaxis], params, cfg, g, n)[0, -1]
-                loss, bundle = backward(params, cfg, g,
-                                        np.concatenate([start[np.newaxis], frames[1:]]))
+                    state = rollout(state[np.newaxis], params, cfg, ds.grid, n)[0, -1]
+                frames = ds.data[traj, start + n + 1:start + n + tc.n2 + 1]
+                loss, bundle = backward(params, cfg, ds.grid,
+                                        np.concatenate([state[np.newaxis], frames]))
                 loss_acc += loss / tc.batch
                 if grads_acc is None:
                     grads_acc = {k: v / tc.batch for k, v in bundle.items()}
@@ -433,10 +453,29 @@ class TestTrainLoop:
             params = adam_step(opt, params, grads_acc, lr)
             val = validation_rel_l2(params, cfg, ds) if it + 1 == tc.iterations else None
             history.append((it + 1, lr, loss_acc, val))
-        # the draws hold no warm-up, warm-ups of different lengths and a repeated length
-        assert warm_ups == [[0, 2, 4], [3, 4, 4]]
+        return history, params, warm_ups
+
+    def assert_train_equals_one_sample_at_a_time(self, n1, batch, expected_warm_ups):
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        tc = TrainConfig(iterations=2, n1=n1, batch=batch, seed=1)
+        state = train(ds, ds, cfg, tc)
+        history, params, warm_ups = self.train_one_sample_at_a_time(ds, cfg, tc)
+        assert warm_ups == expected_warm_ups
         assert state.history == history
         assert all(np.array_equal(state.params[k], params[k]) for k in params)
+
+    def test_batched_warm_ups_equal_a_rollout_per_sample(self):
+        # train rolls a batch's warm-ups together; the history and params
+        # equal those of a loop that warms each sample up with its own
+        # rollout. The draws hold no warm-up, warm-ups of different lengths
+        # and a repeated length.
+        self.assert_train_equals_one_sample_at_a_time(4, 3, [[0, 2, 4], [3, 4, 4]])
+
+    def test_zero_step_warm_ups_equal_the_start_states(self):
+        # under n1 = 0 the batch's one warm-up rollout makes no step
+        self.assert_train_equals_one_sample_at_a_time(0, 2, [[0, 0], [0, 0]])
 
     def test_a_diverging_warm_up_skips_the_iteration(self, monkeypatch):
         # trajectory 1 is so large that one model step overflows. At seed 12
