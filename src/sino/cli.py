@@ -18,6 +18,13 @@ required one is a validation error. For example:
     train: {iterations: 200}
     out_dir: runs/burgers-16
 
+evaluate scores the test split and writes eval_test.csv. --superres N also
+generates the test ICs stored at N times the training resolution and scores
+them (eval_superres_xN.csv); it prints that fine score beside the test-set
+score as native. --ood NAME scores one pattern IC (eval_ood_NAME.csv).
+ablate trains every architecture variant itself, so it takes none of the
+ablation flags that the other commands accept.
+
 Every CSV a job writes (history.csv, eval_*.csv, ablation.csv, sweep.csv)
 has a config_hash column: the hash of the config that produced the row. A
 train or evaluate run's rows carry the run's config, the hash manifest.txt
@@ -46,8 +53,8 @@ from . import containers, evaluation, training
 from .config import ExperimentConfig, from_dict, load_yaml, presets
 from .errors import ContainerError, NonFinite, SinoError
 from .model import ABLATION_FLAGS
-from .solvers import TrajectoryDataset, generate_dataset, simulate
-from .spectral import GridSpec, spectral_resample
+from .solvers import TrajectoryDataset, generate_dataset
+from .spectral import GridSpec
 from .training import TrainState, train
 
 
@@ -67,7 +74,7 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
-    flags = {flag: True for flag in ABLATION_FLAGS if getattr(args, flag)}
+    flags = {flag: True for flag in ABLATION_FLAGS if getattr(args, flag, False)}
     if flags:
         cfg = replace(cfg, model=replace(cfg.model, **flags))
     return cfg
@@ -177,6 +184,8 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
                  ood: str | None = None) -> int:
+    if superres < 0:
+        raise ValueError(f"--superres must be >= 0, got {superres}")
     out = Path(cfg.out_dir)
     ckpt = Path(checkpoint) if checkpoint else out / "ckpt_best.sino"
     ck_cfg, params = load_model_checkpoint(ckpt)
@@ -193,25 +202,18 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     print(f"[evaluate] aggregate rel_l2 {report.aggregate_rel_l2:.6g} "
           f"({len(report.failures)} failures)")
     if superres:
-        fine_points = tuple(n * superres for n in cfg.train_points)
-        fine_grid = GridSpec(points=fine_points, length=cfg.domain_length)
-        solver = cfg.test_solver()
-        fine = generate_dataset(cfg.pde, solver, cfg.gen_grid, fine_grid,
+        # the test split's ICs and solver, stored on the finer grid
+        fine_grid = GridSpec(points=tuple(n * superres for n in cfg.train_points),
+                             length=cfg.domain_length)
+        fine = generate_dataset(cfg.pde, cfg.test_solver(), cfg.gen_grid, fine_grid,
                                 cfg.n_test, split="test", grf=cfg.grf)
-        pair = evaluation.superres_eval(params, model_cfg, fine)
-        evaluation.export_csv(pair["fine"], out / f"eval_superres_x{superres}.csv", run_hash)
-        print(f"[evaluate] superres x{superres}: native {pair['native'].aggregate_rel_l2:.6g} "
-              f"fine {pair['fine'].aggregate_rel_l2:.6g}")
+        fine_report = evaluation.evaluate_rollout(params, model_cfg, fine)
+        evaluation.export_csv(fine_report, out / f"eval_superres_x{superres}.csv", run_hash)
+        print(f"[evaluate] superres x{superres}: native {report.aggregate_rel_l2:.6g} "
+              f"fine {fine_report.aggregate_rel_l2:.6g}")
     if ood:
-        raster = evaluation.builtin_raster(ood)
-        ic = evaluation.pattern_ic(evaluation.PatternIC(raster=raster, grid=cfg.train_grid))
-        if cfg.pde.channels != 1:
-            ic = np.repeat(ic, cfg.pde.channels, axis=0)
-        solver = cfg.test_solver()
-        ic_gen = spectral_resample(ic, cfg.train_grid, cfg.gen_grid)
-        truth = simulate(cfg.pde, solver, cfg.gen_grid, cfg.train_grid, ic_gen)
-        ood_set = TrajectoryDataset(grid=cfg.train_grid, cadence=solver.save_dt,
-                                    data=truth[np.newaxis])
+        ood_set = evaluation.pattern_test_set(ood, cfg.pde, cfg.test_solver(), cfg.gen_grid,
+                                              cfg.train_grid)
         report = evaluation.evaluate_rollout(params, model_cfg, ood_set)
         evaluation.export_csv(report, out / f"eval_ood_{ood}.csv", run_hash)
         print(f"[evaluate] OOD {ood}: rel_l2 {report.aggregate_rel_l2:.6g}")
@@ -304,13 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, ablation_flags=True):
         p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--preset", help="case preset id (E1..E7, E1-desk..E7-desk)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, default=None,
                        help="training seed: parameter init and curriculum sampling")
-        for flag in ABLATION_FLAGS:
+        # ablate sets each flag itself, one variant per row
+        for flag in ABLATION_FLAGS if ablation_flags else ():
             option = "--euler" if flag == "euler_time" else "--" + flag.replace("_", "-")
             p.add_argument(option, dest=flag, action="store_true")
 
@@ -326,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--checkpoint", help="checkpoint path (default out/ckpt_best.sino)")
     p_eval.add_argument("--superres", type=int, default=0,
-                        help="also evaluate at this multiple of the training resolution")
+                        help="also score the test ICs at this multiple of the training resolution; "
+                        "the native score printed beside it is the test-set score")
     p_eval.add_argument("--ood", choices=("star", "smiley", "ai"),
                         help="evaluate an out-of-distribution pattern initial condition")
 
-    common(sub.add_parser("ablate", help="train and score the six architecture variants"))
+    common(sub.add_parser("ablate", help="train and score the six architecture variants"),
+           ablation_flags=False)
 
     p_sweep = sub.add_parser("sweep", help="grid over C x K or training-set size")
     common(p_sweep)

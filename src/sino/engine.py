@@ -73,10 +73,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-
-
 def _toposort(root: Tensor) -> list[Tensor]:
     order, visited = [], set()
     stack = [(root, False)]
@@ -305,15 +301,6 @@ def conj(a) -> Tensor:
         return (np.conjugate(g),)
 
     return _node(np.conjugate(a.data), (a,), vjp)
-
-
-def real(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g.astype(np.complex128),)
-
-    return _node(np.ascontiguousarray(a.data.real), (a,), vjp)
 
 
 def _weight_interior(h: np.ndarray, axis: int, n: int, factor: float) -> np.ndarray:

@@ -1,6 +1,9 @@
-"""Evaluation: full-horizon rollout reports, zero-shot super-resolution
-comparison, and out-of-distribution initial conditions built from raster
-patterns.
+"""Evaluation: full-horizon rollout reports, and out-of-distribution test
+sets built from raster patterns.
+
+Every score comes from evaluate_rollout: a test set, an OOD pattern set or
+a set generated at a finer grid for zero-shot super-resolution. The model
+steps once per snapshot, so a set's cadence must be dt_model.
 
 A test set is scored as arrays, not snapshot by snapshot. The error and
 truth energies of every (trajectory, snapshot) are sums over the channel and
@@ -18,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as sino_model
-from .errors import IncompatibleDomain
 from .model import ModelConfig
-from .solvers import TrajectoryDataset
+from .solvers import PDESpec, SolverConfig, TrajectoryDataset, simulate
 from .spectral import GridSpec, forward_transform, freq_grid, grf_sample, inverse_transform, spectral_resample
 
 
@@ -53,15 +55,19 @@ class EvalReport:
     """Per-trajectory and pooled rollout metrics at snapshot cadence."""
 
     times: np.ndarray                 # (S,) seconds, including t=0
-    per_traj_rel_l2: list[float]      # full-horizon rel l2 per trajectory
     aggregate_rel_l2: float           # pooled over all snapshots and trajectories
     pcc_curves: np.ndarray            # (n_traj, S)
     rel_l2_cum: np.ndarray            # (n_traj, S) cumulative-in-time rel l2
     failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
+    def per_traj_rel_l2(self) -> list[float]:
+        """The full-horizon rel l2 of each trajectory: rel_l2_cum's last column."""
+        return self.rel_l2_cum[:, -1].tolist()
+
+    @property
     def n_traj(self) -> int:
-        return len(self.per_traj_rel_l2)
+        return len(self.rel_l2_cum)
 
 
 def evaluate_rollout(
@@ -70,7 +76,8 @@ def evaluate_rollout(
     test_set: TrajectoryDataset,
 ) -> EvalReport:
     """Roll the model from every test IC in one batch over the full
-    trajectory length and score against the stored truth.
+    trajectory length, one step per snapshot, and score against the stored
+    truth. The set's cadence must equal dt_model.
 
     A diverging trajectory is recorded as a failure, not an abort: its
     rollout turns non-finite and stays so, the failure names the first
@@ -78,15 +85,12 @@ def evaluate_rollout(
     score leaves out. The batch holds every trajectory's intermediates at
     once, so the memory of a step grows with the set.
     """
-    steps_per_snap = round(test_set.cadence / cfg.dt_model)
-    if abs(steps_per_snap * cfg.dt_model - test_set.cadence) > 1e-9 * test_set.cadence:
-        raise ValueError(
-            f"snapshot cadence {test_set.cadence} is not a multiple of dt_model {cfg.dt_model}"
-        )
+    if abs(test_set.cadence - cfg.dt_model) > 1e-9 * cfg.dt_model:
+        raise ValueError(f"snapshot cadence {test_set.cadence} must equal "
+                         f"dt_model {cfg.dt_model}")
     times = np.arange(test_set.n_snapshots) * test_set.cadence
     preds = sino_model.rollout(test_set.data[:, 0], params, cfg, test_set.grid,
-                               (test_set.n_snapshots - 1) * steps_per_snap,
-                               record_every=steps_per_snap)
+                               test_set.n_snapshots - 1)
     snap_finite = np.isfinite(preds).reshape(preds.shape[:2] + (-1,)).all(axis=-1)
     diverged = ~snap_finite.all(axis=1)
     failures = []
@@ -111,39 +115,11 @@ def evaluate_rollout(
     aggregate = math.sqrt(err_pool / truth_pool) if truth_pool > 0 else float("nan")
     return EvalReport(
         times=times,
-        per_traj_rel_l2=cum[:, -1].tolist(),
         aggregate_rel_l2=aggregate,
         pcc_curves=pcc_curves,
         rel_l2_cum=cum,
         failures=failures,
     )
-
-
-def superres_eval(
-    params: dict[str, np.ndarray],
-    cfg: ModelConfig,
-    fine_test_set: TrajectoryDataset,
-) -> dict[str, EvalReport]:
-    """Evaluate the same parameters at native and at fine resolution.
-
-    The fine pass re-evaluates Freq2Vec on the finer frequency grid; the
-    native pass scores against the fine data spectrally downsampled. The
-    native score therefore includes the native grid's own truncation of the
-    fine truth: modes the fine dynamics carry above the native 2/3 band,
-    which no native-resolution model can produce.
-    """
-    fine_grid = fine_test_set.grid
-    native_grid = GridSpec(points=cfg.native_points, length=fine_grid.length)
-    if any(f < n for f, n in zip(fine_grid.points, native_grid.points)):
-        raise IncompatibleDomain("fine grid must be at least the native resolution")
-    fine = fine_test_set.data
-    native = spectral_resample(fine.reshape((-1,) + fine_grid.points), fine_grid, native_grid)
-    native_set = TrajectoryDataset(grid=native_grid, cadence=fine_test_set.cadence,
-                                   data=native.reshape(fine.shape[:3] + native_grid.points))
-    return {
-        "native": evaluate_rollout(params, cfg, native_set),
-        "fine": evaluate_rollout(params, cfg, fine_test_set),
-    }
 
 
 # -- pattern (OOD) initial conditions -----------------------------------------
@@ -246,6 +222,17 @@ def builtin_raster(name: str, size: int = 128) -> np.ndarray:
     else:
         raise ValueError(f"unknown builtin raster {name!r}")
     return img
+
+
+def pattern_test_set(name: str, pde: PDESpec, solver: SolverConfig, gen_grid: GridSpec,
+                     grid: GridSpec) -> TrajectoryDataset:
+    """One trajectory from the builtin raster `name`: its pattern IC on grid,
+    repeated over the PDE's channels, simulated on gen_grid and stored on
+    grid, as a generated test set is."""
+    ic = np.repeat(pattern_ic(PatternIC(raster=builtin_raster(name), grid=grid)),
+                   pde.channels, axis=0)
+    truth = simulate(pde, solver, gen_grid, grid, spectral_resample(ic, grid, gen_grid))
+    return TrajectoryDataset(grid=grid, cadence=solver.save_dt, data=truth[np.newaxis])
 
 
 # -- CSV export ----------------------------------------------------------------

@@ -384,26 +384,24 @@ def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                grid: GridSpec) -> np.ndarray:
     """Advance one dt_model (RK4, or forward Euler under the euler_time flag)."""
-    maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    # a diverging step overflows; the check below reports it as NonFinite
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _step(_batch_of_one(u, cfg, grid), maps, cfg, grid).data[:, 0]
+    out = rollout(_check_state(u, cfg, grid)[np.newaxis], params, cfg, grid, 1)[0, 1]
     if not np.isfinite(out).all():
         raise NonFinite("model step produced non-finite values")
     return out
 
 
 def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
-            grid: GridSpec, n_steps: int, record_every: int = 1) -> np.ndarray:
-    """Step a batch of states u0 (B, c_in, *points) n_steps times, recording
-    the start and every record_every-th state.
+            grid: GridSpec, n_steps: int) -> np.ndarray:
+    """Step a batch of states u0 (B, c_in, *points) n_steps steps of
+    dt_model, recording the start and every step.
 
     The snapshots come in TrajectoryDataset.data's layout,
-    (B, n_steps // record_every + 1, c_in, *points). The batch steps as one
-    state with B columns per grid point, and no column mixes with another,
-    so each trajectory equals its own rollout bit for bit. A diverging
-    trajectory is marked, not raised: from its first step that is not
-    finite its snapshots are non-finite, and the others step on unchanged.
+    (B, n_steps + 1, c_in, *points), so a set whose cadence is dt_model rolls
+    out onto its own snapshots. The batch steps as one state with B columns
+    per grid point, and no column mixes with another, so each trajectory
+    equals its own rollout bit for bit. A diverging trajectory is marked, not
+    raised: from its first step that is not finite its snapshots are
+    non-finite, and the others step on unchanged.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -411,7 +409,7 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     if u0.shape[1:] != (cfg.c_in,) + grid.points:
         raise ValueError(f"a batch of states must have shape (B, {cfg.c_in}, "
                          f"{grid.points}), got {u0.shape}")
-    snaps = np.empty((u0.shape[0], n_steps // record_every + 1) + u0.shape[1:])
+    snaps = np.empty((u0.shape[0], n_steps + 1) + u0.shape[1:])
     snaps[:, 0] = u0
     # the model's batch axis follows the channels: (c_in, B, *points)
     state = Tensor(np.ascontiguousarray(np.swapaxes(u0, 0, 1)))
@@ -420,8 +418,7 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             state = _step(state, maps, cfg, grid)
-            if step % record_every == 0:
-                snaps[:, step // record_every] = np.swapaxes(state.data, 0, 1)
+            snaps[:, step] = np.swapaxes(state.data, 0, 1)
     return snaps
 
 

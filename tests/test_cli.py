@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sino import cli, training
+from sino import cli, evaluation, training
 from sino.config import load_yaml, presets
 from sino.containers import (
     read_checkpoint,
@@ -195,6 +195,20 @@ class TestRoundTrip:
             assert len(rows) == 1 + 11
             assert {r[1] for r in rows[1:]} == {cfg.config_hash()}
 
+    def test_superres_native_is_the_test_set_score(self, run, tmp_path, capsys):
+        path, cfg, out = run
+        shutil.copytree(out, tmp_path / "out")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
+                         "--superres", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        aggregate = lines[0].split("aggregate rel_l2 ")[1].split()[0]
+        assert lines[1].startswith(f"[evaluate] superres x2: native {aggregate} fine ")
+        _, params = cli.load_model_checkpoint(out / "ckpt_best.sino")
+        test_set = cli.load_split(out / "data", "test")
+        report = evaluation.evaluate_rollout(params, cfg.model, test_set)
+        assert aggregate == f"{report.aggregate_rel_l2:.6g}"
+
     def test_ablate_scores_every_variant(self, run):
         path, cfg, out = run
         assert cli.main(["ablate", "--config", path]) == 0
@@ -321,6 +335,28 @@ class TestExitCodes:
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             assert named in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--no-pi", "--no-filter", "--no-freq2vec", "--no-linear",
+                                      "--euler"])
+    def test_ablate_takes_no_ablation_flag(self, tmp_path, capsys, flag):
+        # ablate sets every flag itself; a flag on top would train it in every row
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["ablate", "--preset", "E6-desk", "--out", str(tmp_path / "out"), flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        args = cli.build_parser().parse_args(["ablate", "--preset", "E6-desk", "--seed", "3"])
+        assert args.seed == 3
+
+    def test_negative_superres_is_refused_before_any_work(self, run, tmp_path, capsys):
+        path, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        for report in (tmp_path / "out").glob("eval_*.csv"):
+            report.unlink()
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
+                         "--superres", "-2"]) == 2
+        assert "--superres" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("eval_*.csv"))
 
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2

@@ -2,7 +2,21 @@ import numpy as np
 import pytest
 
 from sino import engine as eg
-from sino.engine import Tensor, parameter
+from sino.engine import Tensor
+
+
+def parameter(data) -> Tensor:
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+def real(a) -> Tensor:
+    """The real part of a complex tensor, as a tape op."""
+    a = eg.as_tensor(a)
+
+    def vjp(g):
+        return (g.astype(np.complex128),)
+
+    return eg._node(np.ascontiguousarray(a.data.real), (a,), vjp)
 
 
 def fd_check(build, params, h=1e-6, tol=1e-6):
@@ -136,7 +150,7 @@ class TestComplexOps:
 
         def build():
             z = eg.mul(eg.to_complex(re, im), const)
-            return eg.sum_all(eg.mul(eg.real(z), eg.real(z)))
+            return eg.sum_all(eg.mul(real(z), real(z)))
 
         fd_check(build, [re, im])
 
@@ -153,7 +167,7 @@ class TestComplexOps:
             z = eg.to_complex(re, im)
             both = z[:, np.concatenate([np.arange(6), neg])]
             sym = eg.mul(eg.add(both[:, :6], eg.conj(both[:, 6:])), 0.5)
-            r = eg.real(eg.mul(sym, w))
+            r = real(eg.mul(sym, w))
             return eg.sum_all(eg.mul(r, r))
 
         fd_check(build, [re, im])
@@ -177,7 +191,7 @@ class TestComplexOps:
 
         def build():
             z = eg.mul(eg.rfftn(x, (1, 2)), eg.conj(y))
-            return eg.sum_all(eg.real(z))
+            return eg.sum_all(real(z))
 
         fd_check(build, [x])
 
@@ -196,7 +210,7 @@ class TestHalfSpectrumOps:
         assert np.abs(np.fft.rfftn(x.data, axes=axes)[..., -1]).min() > 0
 
         def build():
-            w = eg.real(eg.mul(eg.rfftn(x, axes), y))
+            w = real(eg.mul(eg.rfftn(x, axes), y))
             return eg.sum_all(eg.mul(w, w))
 
         fd_check(build, [x])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sino.errors import IncompatibleDomain
 from sino.evaluation import (
     EvalReport,
     PatternIC,
@@ -11,11 +10,11 @@ from sino.evaluation import (
     evaluate_rollout,
     export_csv,
     pattern_ic,
+    pattern_test_set,
     pcc,
-    superres_eval,
 )
 from sino.model import exact_burgers_params, init_params, config_for_grid
-from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate
+from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate, simulate
 from sino.spectral import (
     GridSpec,
     forward_transform,
@@ -201,15 +200,12 @@ class TestEvaluateRollout:
 
 class TestSuperresEval:
     def test_constructed_params_transfer_exact(self):
+        # parameters built on 16^2 score the 32^2 fine set and the 16^2 set
+        # of the same ICs to the reference solvers' precision
         coarse = grid2(16)
         fine = grid2(32)
         dt = 5e-3
         cfg, params = exact_burgers_params(coarse, nu=0.01, dt_model=dt)
-        # the IC is bandlimited to the coarse dealias band, but the quadratic
-        # term moves energy above it within a few steps: the downsampled fine
-        # truth is not a 16^2 trajectory, so the native pass is held to the
-        # 16^2 reference solver's own score, and exactness at 16^2 is checked
-        # against that solver's truth
         pde = PDESpec(kind="burgers", nu=0.01)
         scfg = SolverConfig(dt=dt, t_end=10 * dt, save_dt=dt)
         fine_trajs, coarse_trajs = [], []
@@ -220,32 +216,19 @@ class TestSuperresEval:
             coarse_trajs.append(np.stack(integrate(pde, scfg, coarse, ic_coarse)))
         ds_fine = TrajectoryDataset(grid=fine, cadence=dt, data=np.stack(fine_trajs))
         ds_coarse = TrajectoryDataset(grid=coarse, cadence=dt, data=np.stack(coarse_trajs))
-        pair = superres_eval(params, cfg, ds_fine)
-        assert pair["fine"].aggregate_rel_l2 < 1e-6
+        assert evaluate_rollout(params, cfg, ds_fine).aggregate_rel_l2 < 1e-6
         assert evaluate_rollout(params, cfg, ds_coarse).aggregate_rel_l2 < 1e-6
-        downsampled = np.stack(
-            [np.stack([spectral_resample(s, fine, coarse) for s in traj]) for traj in ds_fine.data]
-        )
-        solver_native = math.sqrt(float(np.sum((ds_coarse.data - downsampled) ** 2))
-                                  / float(np.sum(downsampled**2)))
-        assert abs(pair["native"].aggregate_rel_l2 - solver_native) < 1e-8
 
-    def test_native_resolution_consistency(self):
+    def test_cadence_must_be_the_model_step(self):
+        # the model steps once per snapshot: a set saved every second step
+        # is refused, not rolled out two steps per snapshot
         g = grid2(16)
         dt = 5e-3
         cfg, params = exact_burgers_params(g, nu=0.01, dt_model=dt)
-        ds = burgers_test_set(g, dt, n_snap=6, cutoff=5)
-        pair = superres_eval(params, cfg, ds)
-        direct = evaluate_rollout(params, cfg, ds)
-        assert pair["fine"].aggregate_rel_l2 == pytest.approx(direct.aggregate_rel_l2)
-
-    def test_incompatible_fine_grid(self):
-        g = grid2(32)
-        dt = 5e-3
-        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=dt)
-        ds = burgers_test_set(grid2(16), dt, n_snap=4, cutoff=5)
-        with pytest.raises(IncompatibleDomain):
-            superres_eval(params, cfg, ds)
+        ds = burgers_test_set(g, dt, n_snap=5, cutoff=5)
+        every_other = TrajectoryDataset(grid=g, cadence=2 * dt, data=ds.data[:, ::2])
+        with pytest.raises(ValueError, match="must equal dt_model"):
+            evaluate_rollout(params, cfg, every_other)
 
 
 class TestPatternIC:
@@ -292,6 +275,20 @@ class TestPatternIC:
             math.sqrt(float(np.mean(ref**2))), rel=1e-10
         )
 
+    def test_pattern_test_set_is_one_simulated_trajectory(self):
+        # the star IC on the 16^2 grid, one copy per Burgers channel,
+        # simulated on 32^2 and stored on 16^2
+        pde = PDESpec(kind="burgers", nu=0.01)
+        solver = SolverConfig(dt=5e-3, t_end=0.02, save_dt=5e-3)
+        gen, grid = grid2(32), grid2(16)
+        ds = pattern_test_set("star", pde, solver, gen, grid)
+        assert ds.grid == grid and ds.cadence == solver.save_dt
+        assert ds.data.shape == (1, 5, pde.channels) + grid.points
+        ic = pattern_ic(PatternIC(raster=builtin_raster("star"), grid=grid))
+        ic = np.concatenate([ic] * pde.channels)
+        truth = simulate(pde, solver, gen, grid, spectral_resample(ic, grid, gen))
+        assert np.array_equal(ds.data[0], truth)
+
 
 class TestExportCsv:
     def make_report(self, n_traj=2, n_time=3):
@@ -299,15 +296,13 @@ class TestExportCsv:
         rng = np.random.default_rng(4)
         return EvalReport(
             times=times,
-            per_traj_rel_l2=[0.1] * n_traj,
             aggregate_rel_l2=0.1,
             pcc_curves=rng.uniform(-1, 1, (n_traj, n_time)),
             rel_l2_cum=rng.uniform(0, 1, (n_traj, n_time)),
         )
 
     def test_empty_report_header_only(self, tmp_path):
-        report = EvalReport(times=np.zeros(0), per_traj_rel_l2=[],
-                            aggregate_rel_l2=float("nan"),
+        report = EvalReport(times=np.zeros(0), aggregate_rel_l2=float("nan"),
                             pcc_curves=np.zeros((0, 0)), rel_l2_cum=np.zeros((0, 0)))
         path = tmp_path / "empty.csv"
         export_csv(report, path, "0123456789ab")

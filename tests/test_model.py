@@ -320,6 +320,17 @@ class TestStepAndRollout:
         u = bandlimited(g, 22, cutoff=7)
         assert np.array_equal(model_step(u, params, cfg, g), u)
 
+    def test_model_step_checks_its_state_and_result(self):
+        # one state, not a batch; a step that overflows raises NonFinite
+        from sino.errors import NonFinite
+        g = grid2(16)
+        cfg, params = exact_burgers_params(g, nu=0.01, dt_model=0.1)
+        u = bandlimited(g, 62, cutoff=5, channels=2)
+        with pytest.raises(ValueError):
+            model_step(u[np.newaxis], params, cfg, g)
+        with pytest.raises(NonFinite):
+            model_step(1e200 * u, params, cfg, g)
+
     def test_rollout_zero_steps(self):
         g = grid2()
         cfg = small_cfg(g)
@@ -381,10 +392,10 @@ class TestStepAndRollout:
         params = init_params(cfg, 33)
         u0 = np.stack([0.5 * bandlimited(g, 34 + b, cutoff=5, channels=cfg.c_in)
                        for b in range(3)])
-        batch = rollout(u0, params, cfg, g, 4, record_every=2)
-        assert batch.shape == (3, 3, cfg.c_in) + g.points
+        batch = rollout(u0, params, cfg, g, 4)
+        assert batch.shape == (3, 5, cfg.c_in) + g.points
         for b in range(3):
-            single = rollout(u0[b : b + 1], params, cfg, g, 4, record_every=2)
+            single = rollout(u0[b : b + 1], params, cfg, g, 4)
             assert np.array_equal(batch[b], single[0])
 
     def test_a_diverging_trajectory_leaves_the_others_unchanged(self):
