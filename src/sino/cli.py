@@ -18,20 +18,24 @@ required one is a validation error. For example:
     train: {iterations: 200}
     out_dir: runs/burgers-16
 
-evaluate scores the test split and writes eval_test.csv. --superres N also
-generates the test ICs stored at N times the training resolution and scores
-them (eval_superres_xN.csv); it prints that fine score beside the test-set
-score as native. --ood NAME scores one pattern IC (eval_ood_NAME.csv).
-ablate trains every architecture variant itself, so it takes none of the
-ablation flags that the other commands accept.
+A run keeps one checkpoint, ckpt_last.sino: its config echo and its whole
+training state. evaluate scores the checkpoint's best parameters under its
+echo; --config, --preset and --out only locate the run directory. It scores
+the test split (eval_test.csv). --superres N also generates the run's test
+ICs stored at N times the training resolution and scores them
+(eval_superres_xN.csv); it prints that fine score beside the test-set score
+as native. --ood NAME scores one 2D pattern IC (eval_ood_NAME.csv).
+generate and evaluate train nothing, so they take neither --seed nor an
+ablation flag; ablate trains every variant itself, so it takes no flag.
 
 Every CSV a job writes (history.csv, eval_*.csv, ablation.csv, sweep.csv)
 has a config_hash column: the hash of the config that produced the row. A
-train or evaluate run's rows carry the run's config, the hash manifest.txt
-records when generate ran under it. A resumed train rewrites history.csv
-with its own hash on every row, the resumed rows included, as its
-checkpoint echoes only its own config. An ablate or sweep row carries its
-own variant's or point's config.
+train run's rows carry the run's config, the hash manifest.txt records
+when generate ran under it, and an evaluate run's rows carry the hash of
+the checkpoint's run. A resumed train rewrites history.csv with its own
+hash on every row, the resumed rows included, as its checkpoint echoes
+only its own config. An ablate or sweep row carries its own variant's or
+point's config.
 
 Exit codes: 0 success, 2 validation error (including a malformed config),
 3 numerical failure, 4 I/O error.
@@ -72,7 +76,7 @@ def _resolve_config(args) -> ExperimentConfig:
         raise ValueError("one of --preset or --config is required")
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     flags = {flag: True for flag in ABLATION_FLAGS if getattr(args, flag, False)}
     if flags:
@@ -127,20 +131,15 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _read_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
-    """The config echo and the tensors of a checkpoint."""
+def _read_checkpoint(path) -> tuple[ExperimentConfig, TrainState]:
+    """The config echo and the training state of a run's checkpoint."""
     echo, tensors = containers.read_checkpoint(path)
     try:
-        return from_dict(json.loads(echo)), tensors
+        cfg = from_dict(json.loads(echo))
     except ValueError as err:
         raise ValueError(f"{path}: the checkpoint's config echo is from another config "
                          f"schema than this version's: {err}") from err
-
-
-def load_model_checkpoint(path) -> tuple[ExperimentConfig, dict[str, np.ndarray]]:
-    """Config and parameter tensors from a checkpoint (best params if present)."""
-    cfg, tensors = _read_checkpoint(path)
-    return cfg, training.params_from_tensors(tensors)
+    return cfg, TrainState.from_tensors(tensors)
 
 
 def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainState]:
@@ -148,7 +147,7 @@ def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainS
     for the run's model and curriculum sampler: train replays the sampler's
     draws, which continues the original stream only under the same seed,
     batch, n1 and n2."""
-    ck_cfg, tensors = _read_checkpoint(path)
+    ck_cfg, state = _read_checkpoint(path)
     changed = [f"model.{f.name}" for f in fields(cfg.model)
                if getattr(ck_cfg.model, f.name) != getattr(cfg.model, f.name)]
     changed += [f"train.{name}" for name in ("seed", "batch", "n1", "n2")
@@ -156,7 +155,7 @@ def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainS
     if changed:
         raise ValueError(f"{path} was trained with a different model or sampler: "
                          f"{', '.join(changed)} differ")
-    return ck_cfg, TrainState.from_tensors(tensors)
+    return ck_cfg, state
 
 
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
@@ -173,10 +172,7 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
                   f"one-cycle schedule of {cfg.train.iterations}, so the history holds two")
     state = train(ds_train, ds_val, cfg.model, cfg.train, state,
                   log_every=max(1, cfg.train.iterations // 20))
-    echo = cfg.canonical_json()
-    containers.write_checkpoint(out / "ckpt_best.sino", echo,
-                                training.params_to_tensors(state.best_params))
-    containers.write_checkpoint(out / "ckpt_last.sino", echo, state.to_tensors())
+    containers.write_checkpoint(out / "ckpt_last.sino", cfg.canonical_json(), state.to_tensors())
     training.write_history_csv(state.history, out / "history.csv", cfg.config_hash())
     print(f"[train] best val rel_l2 {state.best_val:.6g} at iteration {state.best_iteration}")
     return 0
@@ -187,34 +183,32 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     if superres < 0:
         raise ValueError(f"--superres must be >= 0, got {superres}")
     out = Path(cfg.out_dir)
-    ckpt = Path(checkpoint) if checkpoint else out / "ckpt_best.sino"
-    ck_cfg, params = load_model_checkpoint(ckpt)
-    if tuple(ck_cfg.model.freq_norm) != tuple(cfg.model.freq_norm):
-        raise ValueError(
-            f"checkpoint native grid {ck_cfg.model.native_points} does not match "
-            f"configured training grid {cfg.train_grid.points}"
-        )
-    model_cfg = ck_cfg.model
-    run_hash = cfg.config_hash()
+    run, state = _read_checkpoint(checkpoint or out / "ckpt_last.sino")
+    if ood and run.pde.dim != 2:
+        raise ValueError(f"--ood: pattern initial conditions are 2D; the run is {run.pde.dim}D")
     ds_test = load_split(out / "data", "test")
-    report = evaluation.evaluate_rollout(params, model_cfg, ds_test)
+    if ds_test.grid != run.train_grid:
+        raise ValueError(f"the test split's grid {ds_test.grid} is not the run's training "
+                         f"grid {run.train_grid}")
+    params, run_hash = state.best_params, run.config_hash()
+    report = evaluation.evaluate_rollout(params, run.model, ds_test)
     evaluation.export_csv(report, out / "eval_test.csv", run_hash)
     print(f"[evaluate] aggregate rel_l2 {report.aggregate_rel_l2:.6g} "
           f"({len(report.failures)} failures)")
     if superres:
         # the test split's ICs and solver, stored on the finer grid
-        fine_grid = GridSpec(points=tuple(n * superres for n in cfg.train_points),
-                             length=cfg.domain_length)
-        fine = generate_dataset(cfg.pde, cfg.test_solver(), cfg.gen_grid, fine_grid,
-                                cfg.n_test, split="test", grf=cfg.grf)
-        fine_report = evaluation.evaluate_rollout(params, model_cfg, fine)
+        fine_grid = GridSpec(points=tuple(n * superres for n in run.train_points),
+                             length=run.domain_length)
+        fine = generate_dataset(run.pde, run.test_solver(), run.gen_grid, fine_grid,
+                                run.n_test, split="test", grf=run.grf)
+        fine_report = evaluation.evaluate_rollout(params, run.model, fine)
         evaluation.export_csv(fine_report, out / f"eval_superres_x{superres}.csv", run_hash)
         print(f"[evaluate] superres x{superres}: native {report.aggregate_rel_l2:.6g} "
               f"fine {fine_report.aggregate_rel_l2:.6g}")
     if ood:
-        ood_set = evaluation.pattern_test_set(ood, cfg.pde, cfg.test_solver(), cfg.gen_grid,
-                                              cfg.train_grid)
-        report = evaluation.evaluate_rollout(params, model_cfg, ood_set)
+        ood_set = evaluation.pattern_test_set(ood, run.pde, run.test_solver(), run.gen_grid,
+                                              run.train_grid)
+        report = evaluation.evaluate_rollout(params, run.model, ood_set)
         evaluation.export_csv(report, out / f"eval_ood_{ood}.csv", run_hash)
         print(f"[evaluate] OOD {ood}: rel_l2 {report.aggregate_rel_l2:.6g}")
     return 0
@@ -306,18 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ablation_flags=True):
+    def common(p, seed=True, ablation_flags=True):
         p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--preset", help="case preset id (E1..E7, E1-desk..E7-desk)")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, default=None,
-                       help="training seed: parameter init and curriculum sampling")
-        # ablate sets each flag itself, one variant per row
+        # generate and evaluate train nothing; ablate sets each flag itself
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="training seed: parameter init and curriculum sampling")
         for flag in ABLATION_FLAGS if ablation_flags else ():
             option = "--euler" if flag == "euler_time" else "--" + flag.replace("_", "-")
             p.add_argument(option, dest=flag, action="store_true")
 
-    common(sub.add_parser("generate", help="simulate and write train/val/test datasets"))
+    common(sub.add_parser("generate", help="simulate and write train/val/test datasets"),
+           seed=False, ablation_flags=False)
 
     p_train = sub.add_parser("train", help="train on generated datasets")
     common(p_train)
@@ -326,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "remaining iterations follow the new total's one-cycle schedule")
 
     p_eval = sub.add_parser("evaluate", help="full-horizon test evaluation")
-    common(p_eval)
-    p_eval.add_argument("--checkpoint", help="checkpoint path (default out/ckpt_best.sino)")
+    common(p_eval, seed=False, ablation_flags=False)
+    p_eval.add_argument("--checkpoint", help="checkpoint path (default out/ckpt_last.sino); "
+                        "its best parameters are scored under its run's config")
     p_eval.add_argument("--superres", type=int, default=0,
                         help="also score the test ICs at this multiple of the training resolution; "
                         "the native score printed beside it is the test-set score")

@@ -82,6 +82,9 @@ def read_field_container(path) -> tuple[GridSpec, float, np.ndarray]:
     points, pos = _unpack(f"<{ndim}Q", blob, pos, path)
     lengths, pos = _unpack(f"<{ndim}d", blob, pos, path)
     (snapshots, cadence), pos = _unpack("<Qd", blob, pos, path)
+    if not 0.0 < cadence < math.inf or snapshots < 1:  # the CRC covers the payload only
+        raise ContainerError(f"{path}: need a finite positive cadence and a snapshot, "
+                             f"got cadence {cadence} and {snapshots} snapshots")
     try:
         grid = GridSpec(points=points, length=lengths)
     except ValueError as err:

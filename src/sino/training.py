@@ -206,16 +206,6 @@ def _strip(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
     return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
 
 
-def params_to_tensors(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A parameter set as checkpoint tensors, param.<name>."""
-    return {f"param.{k}": v for k, v in params.items()}
-
-
-def params_from_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The parameters a checkpoint serves: a training state's best ones, else param.*."""
-    return _strip(tensors, "best.") or _strip(tensors, "param.")
-
-
 @dataclass
 class TrainState:
     params: dict[str, np.ndarray]
@@ -244,7 +234,7 @@ class TrainState:
         for key in ("meta.step", "meta.best_val", "meta.best_iteration", "meta.history"):
             if key not in tensors:
                 raise ContainerError(f"not a training state: no {key}; "
-                                     "resume from a ckpt_last.sino")
+                                     "a run's checkpoint is its ckpt_last.sino")
         history = [(int(it), float(lr), float(loss), None if math.isnan(val) else float(val))
                    for it, lr, loss, val in tensors["meta.history"]]
         opt = OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),

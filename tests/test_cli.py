@@ -20,7 +20,10 @@ from sino.containers import (
 from sino.errors import NonFinite
 from sino.model import exact_burgers_params
 from sino.solvers import TrajectoryDataset
-from sino.spectral import GridSpec
+from sino.spectral import GridSpec, spectral_resample
+
+
+ABLATION_OPTIONS = ["--no-pi", "--no-filter", "--no-freq2vec", "--no-linear", "--euler"]
 
 
 def tiny_config(out, iterations=4):
@@ -67,11 +70,13 @@ class TestRoundTrip:
 
     def test_train_writes_checkpoints_and_history(self, run):
         _, cfg, out = run
+        assert [p.name for p in out.glob("*.sino")] == ["ckpt_last.sino"]
         echo, last = read_checkpoint(out / "ckpt_last.sino")
         assert echo == cfg.canonical_json()
         assert int(last["meta.step"]) == 4
-        _, best = read_checkpoint(out / "ckpt_best.sino")
-        assert best and all(k.startswith("param.") for k in best)
+        state = training.TrainState.from_tensors(last)
+        assert state.best_iteration in (2, 4)
+        assert sorted(state.best_params) == sorted(state.params)
         rows = read_csv(out / "history.csv")
         assert rows[0] == ["iteration", "config_hash", "lr", "train_loss", "val_rel_l2"]
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4]
@@ -103,9 +108,14 @@ class TestRoundTrip:
         assert "one-cycle schedule of 5" in capsys.readouterr().out
 
     def test_resume_from_a_best_checkpoint_is_refused(self, run, tmp_path):
+        # a checkpoint of parameters alone is no training state
         path, _, out = run
-        best = str(out / "ckpt_best.sino")
-        assert cli.main(["train", "--config", path, "--resume", best]) == 4
+        echo, tensors = read_checkpoint(out / "ckpt_last.sino")
+        best = tmp_path / "best.sino"
+        write_checkpoint(best, echo, {"param." + k[len("best."):]: v
+                                      for k, v in tensors.items() if k.startswith("best.")})
+        assert cli.main(["train", "--config", path, "--resume", str(best)]) == 4
+        assert cli.main(["evaluate", "--config", path, "--checkpoint", str(best)]) == 4
 
     def test_resume_after_a_skipped_iteration(self, run, tmp_path, monkeypatch):
         # iteration 3 is non-finite: it takes no Adam step but has a row
@@ -204,10 +214,21 @@ class TestRoundTrip:
         lines = capsys.readouterr().out.splitlines()
         aggregate = lines[0].split("aggregate rel_l2 ")[1].split()[0]
         assert lines[1].startswith(f"[evaluate] superres x2: native {aggregate} fine ")
-        _, params = cli.load_model_checkpoint(out / "ckpt_best.sino")
+        _, state = cli._read_checkpoint(out / "ckpt_last.sino")
         test_set = cli.load_split(out / "data", "test")
-        report = evaluation.evaluate_rollout(params, cfg.model, test_set)
+        report = evaluation.evaluate_rollout(state.best_params, cfg.model, test_set)
         assert aggregate == f"{report.aggregate_rel_l2:.6g}"
+
+    def test_evaluate_labels_rows_with_the_checkpoints_run(self, run, tmp_path):
+        # the hash of the run that trained the model, not of evaluate's config
+        path, cfg, out = run
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        args = ["--config", path, "--out", str(tmp_path / "out")]
+        assert cli.main(["train", *args, "--seed", "5"]) == 0
+        assert cli.main(["evaluate", *args]) == 0
+        trained = replace(cfg, out_dir=str(tmp_path / "out"), train=replace(cfg.train, seed=5))
+        for name in ("history.csv", "eval_test.csv"):
+            assert {r[1] for r in read_csv(tmp_path / "out" / name)[1:]} == {trained.config_hash()}
 
     def test_ablate_scores_every_variant(self, run):
         path, cfg, out = run
@@ -336,12 +357,18 @@ class TestExitCodes:
             assert named in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--no-pi", "--no-filter", "--no-freq2vec", "--no-linear",
-                                      "--euler"])
-    def test_ablate_takes_no_ablation_flag(self, tmp_path, capsys, flag):
-        # ablate sets every flag itself; a flag on top would train it in every row
+    @pytest.mark.parametrize("command, option", [
+        *(pytest.param("ablate", [flag], id=flag) for flag in ABLATION_OPTIONS),
+        *(pytest.param(command, option, id=command + option[0])
+          for command in ("generate", "evaluate")
+          for option in [["--seed", "3"]] + [[flag] for flag in ABLATION_OPTIONS]),
+    ])
+    def test_ablate_takes_no_ablation_flag(self, tmp_path, capsys, command, option):
+        # ablate sets every flag itself; a flag on top would train it in every
+        # row. generate and evaluate train nothing: a seed or flag would only
+        # change the config hash they record
         with pytest.raises(SystemExit) as exit_:
-            cli.main(["ablate", "--preset", "E6-desk", "--out", str(tmp_path / "out"), flag])
+            cli.main([command, "--preset", "E6-desk", "--out", str(tmp_path / "out"), *option])
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -356,6 +383,36 @@ class TestExitCodes:
         assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
                          "--superres", "-2"]) == 2
         assert "--superres" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("eval_*.csv"))
+
+    def test_test_split_on_another_grid_is_refused(self, run, tmp_path, capsys):
+        path, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        for report in (tmp_path / "out").glob("eval_*.csv"):
+            report.unlink()
+        test = tmp_path / "out" / "data" / "test_000.sino"
+        grid, cadence, snaps = read_field_container(test)
+        fine = GridSpec(points=(32, 32), length=grid.length)
+        write_field_container(test, fine, cadence,
+                              np.stack([spectral_resample(s, grid, fine) for s in snaps]))
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "training grid" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("eval_*.csv"))
+
+    def test_ood_on_a_3d_run_is_refused_before_any_work(self, tmp_path, capsys):
+        # a tiny 3D Burgers run, generated and trained for one iteration
+        c = presets()["E7-desk"]
+        cfg = replace(c, gen_points=(8,) * 3, train_points=(8,) * 3,
+                      solver=replace(c.solver, dt=0.01, t_end=0.2),
+                      model=replace(c.model, K=2, C=2, mlp_hidden=(4,), freq_norm=(4,) * 3),
+                      train=replace(c.train, iterations=1, n1=1, n2=2, val_every=1),
+                      n_train=1, n_val=1, n_test=1, out_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path / "e7.yaml", cfg)
+        assert cli.main(["generate", "--config", path]) == 0
+        assert cli.main(["train", "--config", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", path, "--ood", "star"]) == 2
+        assert "pattern initial conditions are 2D" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("eval_*.csv"))
 
     def test_document_not_a_mapping(self, tmp_path):

@@ -64,6 +64,15 @@ class TestFieldContainer:
             with pytest.raises(ContainerError, match="ndim"):
                 read_field_container(path)
 
+    @pytest.mark.parametrize("cadence, snapshots", [
+        (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.5, 2), (0.5, 0)])
+    def test_header_values_outside_the_crc(self, tmp_path, cadence, snapshots):
+        # the CRC covers the payload only, and a NaN cadence fails every later test
+        path = tmp_path / "f.sino"
+        write_field_container(path, GRID, cadence, np.zeros((snapshots, 1) + GRID.points))
+        with pytest.raises(ContainerError, match="finite positive cadence and a snapshot"):
+            read_field_container(path)
+
     @pytest.mark.parametrize("offset, value", [
         (17, 2**63),           # points[0]: the payload cannot fit
         (17, 2**64 - 2),       # a product that wraps in 64-bit arithmetic
