@@ -29,10 +29,11 @@ generate and evaluate train nothing, so they take neither --seed nor an
 ablation flag; ablate trains every variant itself, so it takes no flag.
 
 Every CSV a job writes (history.csv, eval_*.csv, ablation.csv, sweep.csv)
-has a config_hash column: the hash of the config that produced the row. A
-train run's rows carry the run's config, the hash manifest.txt records
-when generate ran under it, and an evaluate run's rows carry the hash of
-the checkpoint's run. A resumed train rewrites history.csv with its own
+has a config_hash column: the hash of the config that produced the row,
+which leaves out out_dir, so a run copied or repeated elsewhere keeps its
+hash. A train run's rows carry the run's config, the hash manifest.txt
+records when generate ran under it, and an evaluate run's rows carry the
+hash of the checkpoint's run. A resumed train rewrites history.csv with its own
 hash on every row, the resumed rows included, as its checkpoint echoes
 only its own config. An ablate or sweep row carries its own variant's or
 point's config.
@@ -89,7 +90,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, files: list[Path]) -> None
     lines = [f"config {cfg.config_hash()}"]
     for f in sorted(files):
         lines.append(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    containers.write_lines(out / "manifest.txt", lines)
 
 
 def _generate_split(cfg: ExperimentConfig, split: str, n_traj: int, out: Path) -> list[Path]:
@@ -234,22 +235,16 @@ def _train_and_score(cfg: ExperimentConfig, ds_train, ds_val, ds_test) -> str:
     return f"{err:.17g}" if math.isfinite(err) and not report.failures else "NaN"
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header] + rows) + "\n")
-
-
 def cmd_ablate(cfg: ExperimentConfig) -> int:
     ds_train, ds_val, ds_test = _load_splits(cfg)
-    rows = []
+    rows = ["variant,config_hash,rel_l2"]
     for variant in ("full",) + ABLATION_FLAGS:
         flags = {} if variant == "full" else {variant: True}
         variant_cfg = replace(cfg, model=replace(cfg.model, **flags))
         cell = _train_and_score(variant_cfg, ds_train, ds_val, ds_test)
         rows.append(f"{variant},{variant_cfg.config_hash()},{cell}")
         print(f"[ablate] {variant}: {cell}")
-    _write_csv(Path(cfg.out_dir) / "ablation.csv", "variant,config_hash,rel_l2", rows)
+    containers.write_lines(Path(cfg.out_dir) / "ablation.csv", rows)
     return 0
 
 
@@ -286,12 +281,12 @@ def cmd_sweep(cfg: ExperimentConfig, channels: str | None, embed: str | None,
             for k in ks:
                 points.append((f"C={c},K={k}", replace(cfg, model=replace(cfg.model, C=c, K=k)),
                                ds_train))
-    rows = []
+    rows = ["point,config_hash,rel_l2"]
     for label, point_cfg, subset in points:
         cell = "NaN" if subset is None else _train_and_score(point_cfg, subset, ds_val, ds_test)
         rows.append(f"\"{label}\",{point_cfg.config_hash()},{cell}")
         print(f"[sweep] {label}: {cell}")
-    _write_csv(Path(cfg.out_dir) / "sweep.csv", "point,config_hash,rel_l2", rows)
+    containers.write_lines(Path(cfg.out_dir) / "sweep.csv", rows)
     return 0
 
 

@@ -15,7 +15,8 @@ The schema is the dataclasses themselves: a config document is a mapping of
 ExperimentConfig's field names, and its pde, solver, model and train values
 are mappings of the fields of PDESpec, SolverConfig, ModelConfig and
 TrainConfig. to_dict is dataclasses.asdict, and the SHA-256 prefix of its
-key-sorted JSON form is the config hash. Every value must fit its field's
+key-sorted JSON form with out_dir blanked is the config hash, so the hash
+names the experiment, not its directory. Every value must fit its field's
 type hint: an int is accepted for a float field, a bool only for a bool
 field, and a list for a tuple field whose elements fit its element type.
 The model must fit the experiment: pde.dim is the number of axes of
@@ -110,7 +111,9 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:12]
+        """One experiment run in two directories has one hash: out_dir is left out."""
+        experiment = replace(self, out_dir="").canonical_json()
+        return hashlib.sha256(experiment.encode("utf-8")).hexdigest()[:12]
 
 
 def _fits(value, hint) -> bool:

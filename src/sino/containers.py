@@ -10,7 +10,9 @@ CheckpointContainer ("SINOCKPT", version 1), little-endian:
     n_tensors u32 | { name_len u32 | name utf-8 | rank u8 | dims u64*rank |
     data f64 }* | crc32(everything after version) u32
 
-Writes go through a temp file and an atomic rename.
+Every file a run writes (these containers, its CSVs and its manifest) goes
+through one writer: a temp file, then an atomic rename, so a job killed
+while writing leaves the old file or none, never a truncated one.
 """
 
 from __future__ import annotations
@@ -37,11 +39,18 @@ def _atomic_write(path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def write_lines(path, lines) -> None:
+    """The lines joined by LF, with a trailing LF, written atomically."""
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def write_field_container(path, grid: GridSpec, cadence: float, snaps: np.ndarray) -> None:
-    """snaps has shape (snapshots, channels, *points)."""
+    """snaps has shape (snapshots >= 1, channels, *points); cadence is finite and positive."""
     snaps = np.asarray(snaps, dtype=np.float64)
-    if snaps.ndim != grid.dim + 2 or snaps.shape[2:] != grid.points:
-        raise ValueError(f"snapshot block must be (S, C, {grid.points}), got {snaps.shape}")
+    if snaps.ndim != grid.dim + 2 or snaps.shape[2:] != grid.points or not len(snaps):
+        raise ValueError(f"snapshot block must be (S >= 1, C, {grid.points}), got {snaps.shape}")
+    if not 0.0 < cadence < math.inf:  # what read_field_container refuses
+        raise ValueError(f"cadence must be finite and positive, got {cadence}")
     header = bytearray()
     header += FIELD_MAGIC
     header += struct.pack("<I", VERSION)

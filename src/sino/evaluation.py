@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import containers
 from . import model as sino_model
 from .model import ModelConfig
 from .solvers import PDESpec, SolverConfig, TrajectoryDataset, simulate
@@ -125,16 +126,6 @@ def evaluate_rollout(
 # -- pattern (OOD) initial conditions -----------------------------------------
 
 
-@dataclass
-class PatternIC:
-    """A grayscale raster turned into a zero-mean bandlimited initial state."""
-
-    raster: np.ndarray          # (H, W) intensities in [0, 1]
-    grid: GridSpec
-    amplitude: float | None = None  # target RMS; None matches a reference GRF draw
-    cutoff: int = 8             # keep modes with max_i |k_i| <= cutoff
-
-
 def _bilinear(raster: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Sample the raster at the grid points: the image spans the domain edge
     to edge, grid point j sits at fraction j/N of it (GridSpec.coords), and
@@ -165,21 +156,22 @@ def _bilinear(raster: np.ndarray, grid: GridSpec) -> np.ndarray:
     )
 
 
-def pattern_ic(p: PatternIC) -> np.ndarray:
-    """Raster -> zero-mean, low-passed, RMS-normalized field (1, *points)."""
-    raster = np.asarray(p.raster, dtype=np.float64)
+def pattern_ic(raster: np.ndarray, grid: GridSpec, amplitude: float | None = None,
+               cutoff: int = 8) -> np.ndarray:
+    """Raster (H, W) in [0, 1] -> zero-mean field (1, *points) with the modes
+    max_i |k_i| <= cutoff, at RMS amplitude (None: a reference GRF draw's)."""
+    raster = np.asarray(raster, dtype=np.float64)
     if raster.ndim != 2 or raster.size == 0:
         raise ValueError("raster must be a non-empty 2D array")
-    if p.grid.dim != 2:
+    if grid.dim != 2:
         raise ValueError("pattern initial conditions are 2D")
-    f = _bilinear(raster, p.grid)[np.newaxis]
+    f = _bilinear(raster, grid)[np.newaxis]
     f = f - f.mean()
-    fg = freq_grid(p.grid)
-    keep = (np.max(np.abs(fg.index), axis=0) <= p.cutoff).astype(np.float64)
-    f = inverse_transform(forward_transform(f, p.grid) * keep, p.grid)
-    amplitude = p.amplitude
+    fg = freq_grid(grid)
+    keep = (np.max(np.abs(fg.index), axis=0) <= cutoff).astype(np.float64)
+    f = inverse_transform(forward_transform(f, grid) * keep, grid)
     if amplitude is None:
-        ref = grf_sample(p.grid, seed=0, alpha=2.5, tau=7.0)
+        ref = grf_sample(grid, seed=0, alpha=2.5, tau=7.0)
         amplitude = float(np.sqrt(np.mean(ref**2)))
     rms = float(np.sqrt(np.mean(f**2)))
     if rms < 1e-12 * (float(np.max(np.abs(raster))) + 1e-300):
@@ -187,12 +179,13 @@ def pattern_ic(p: PatternIC) -> np.ndarray:
     return f * (amplitude / rms)
 
 
-def builtin_raster(name: str, size: int = 128) -> np.ndarray:
-    """Procedural stand-ins for the published star / smiley / 'AI' patterns.
+def builtin_raster(name: str) -> np.ndarray:
+    """Procedural 128x128 stand-ins for the published star / smiley / 'AI' patterns.
 
     Shapes are drawn at the pixel centres -1 + (2i+1)/size that _bilinear
     assumes, so a pattern has the same physical size at every size.
     """
+    size = 128
     centres = -1.0 + (2.0 * np.arange(size) + 1.0) / size
     yy, xx = np.meshgrid(centres, centres, indexing="ij")
     img = np.zeros((size, size))
@@ -229,8 +222,7 @@ def pattern_test_set(name: str, pde: PDESpec, solver: SolverConfig, gen_grid: Gr
     """One trajectory from the builtin raster `name`: its pattern IC on grid,
     repeated over the PDE's channels, simulated on gen_grid and stored on
     grid, as a generated test set is."""
-    ic = np.repeat(pattern_ic(PatternIC(raster=builtin_raster(name), grid=grid)),
-                   pde.channels, axis=0)
+    ic = np.repeat(pattern_ic(builtin_raster(name), grid), pde.channels, axis=0)
     truth = simulate(pde, solver, gen_grid, grid, spectral_resample(ic, grid, gen_grid))
     return TrajectoryDataset(grid=grid, cadence=solver.save_dt, data=truth[np.newaxis])
 
@@ -240,7 +232,7 @@ def pattern_test_set(name: str, pde: PDESpec, solver: SolverConfig, gen_grid: Gr
 
 def export_csv(report: EvalReport, path, config_hash: str) -> None:
     """One row per snapshot per trajectory, each with the hash of the config
-    that produced the report; 17 significant digits, LF endings."""
+    that produced the report; 17 significant digits, LF endings, one atomic write."""
     lines = ["trajectory,config_hash,time_s,pcc,rel_l2_cum"]
     for t in range(report.n_traj):
         for s in range(len(report.times)):
@@ -249,8 +241,4 @@ def export_csv(report: EvalReport, path, config_hash: str) -> None:
             p_s = "" if np.isnan(p) else f"{p:.17g}"
             c_s = "" if np.isnan(c) else f"{c:.17g}"
             lines.append(f"{t},{config_hash},{report.times[s]:.17g},{p_s},{c_s}")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise OSError(f"failed writing report to {path}: {err}") from err
+    containers.write_lines(path, lines)

@@ -451,12 +451,8 @@ def exact_burgers_params(grid: GridSpec, nu: float,
     scale = [2.0 * math.pi * f / length for f, length in zip(cfg.freq_norm, grid.length)]
     k_ref = max(scale)
     z = 2 * d  # layer-1 pair carrying z sits after the d pairs carrying q_a
-    w0 = np.zeros((d, 2 * d))
-    b0 = np.zeros(2 * d)
-    w1 = np.zeros((2 * d, 2 * d + 2))
-    b1 = np.zeros(2 * d + 2)
-    w2 = np.zeros((2 * d + 2, 2 * K))
-    b2 = np.zeros(2 * K)
+    params = {name: np.zeros(shape) for name, shape in _param_shapes(cfg).items()}
+    w0, b0, w1, b1, w2, b2 = (params[f"freq2vec.{n}"] for n in ("w0", "b0", "w1", "b1", "w2", "b2"))
     for a in range(d):
         plus, minus = 2 * a, 2 * a + 1
         w0[a, [plus, minus]] = 1.0
@@ -474,19 +470,6 @@ def exact_burgers_params(grid: GridSpec, nu: float,
     w2[z, K - 1] = -0.25 * k_ref**2              # real part: -|k|^2
     w2[z + 1, K - 1] = 0.25 * k_ref**2
     b2[0] = 1.0                                  # real part: 1
-    params = {
-        "freq2vec.w0": w0, "freq2vec.b0": b0,
-        "freq2vec.w1": w1, "freq2vec.b1": b1,
-        "freq2vec.w2": w2, "freq2vec.b2": b2,
-        "pi.0.w": np.zeros((C, d * K)),
-        "pi.0.b": np.zeros(C),
-        "pi.1.w": np.zeros((C, d * K)),
-        "pi.1.b": np.zeros(C),
-        "linear.w": np.zeros((C, d * K)),
-        "linear.b": np.zeros(C),
-        "out.w": np.zeros((d, 2 * C)),
-        "out.b": np.zeros(d),
-    }
     for c in range(d):
         for j in range(d):
             row = c * d + j

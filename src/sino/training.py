@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import containers
 from . import engine as eg
 from . import evaluation
 from . import model as sino_model
@@ -360,11 +361,10 @@ def train(
 
 
 def write_history_csv(history: list[tuple], path, config_hash: str) -> None:
-    """History rows as CSV: iteration, the hash of the run's config, lr,
-    train_loss, val_rel_l2 (blank if absent)."""
+    """History rows as CSV, written atomically: iteration, the hash of the
+    run's config, lr, train_loss, val_rel_l2 (blank if absent)."""
     lines = ["iteration,config_hash,lr,train_loss,val_rel_l2"]
     for it, lr, loss, val in history:
         val_s = "" if val is None else f"{val:.17g}"
         lines.append(f"{it},{config_hash},{lr:.17g},{loss:.17g},{val_s}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    containers.write_lines(path, lines)

@@ -61,6 +61,11 @@ class TestHashCoversEveryLevel:
         c = presets()["E6-desk"]
         assert change(c).config_hash() != c.config_hash()
 
+    def test_out_dir_leaves_the_hash(self):
+        # one experiment run in two directories is one row of results
+        c = presets()["E6-desk"]
+        assert replace(c, out_dir="elsewhere").config_hash() == c.config_hash()
+
 
 class TestFromDict:
     def base(self):

@@ -18,6 +18,8 @@ from sino.spectral import GridSpec
 GRID = GridSpec(points=(4, 6), length=(2 * math.pi, 1.0))
 # magic, version, ndim, channels, points, lengths, snapshots, cadence
 FIELD_HEADER = 8 + 4 + 1 + 4 + 8 * 2 + 8 * 2 + 8 + 8
+# cadence and snapshot count outside what the reader accepts
+BAD_HEADERS = [(math.nan, 2), (math.inf, 2), (0.0, 2), (-0.5, 2), (0.5, 0)]
 
 
 def field_file(tmp_path, name="f.sino", seed=0):
@@ -64,14 +66,22 @@ class TestFieldContainer:
             with pytest.raises(ContainerError, match="ndim"):
                 read_field_container(path)
 
-    @pytest.mark.parametrize("cadence, snapshots", [
-        (math.nan, 2), (math.inf, 2), (0.0, 2), (-0.5, 2), (0.5, 0)])
+    @pytest.mark.parametrize("cadence, snapshots", BAD_HEADERS)
     def test_header_values_outside_the_crc(self, tmp_path, cadence, snapshots):
         # the CRC covers the payload only, and a NaN cadence fails every later test
-        path = tmp_path / "f.sino"
-        write_field_container(path, GRID, cadence, np.zeros((snapshots, 1) + GRID.points))
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<Qd", blob, 49, snapshots, cadence)
+        path.write_bytes(bytes(blob))
         with pytest.raises(ContainerError, match="finite positive cadence and a snapshot"):
             read_field_container(path)
+
+    @pytest.mark.parametrize("cadence, snapshots", BAD_HEADERS)
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, cadence, snapshots):
+        with pytest.raises(ValueError):
+            write_field_container(tmp_path / "f.sino", GRID, cadence,
+                                  np.zeros((snapshots, 1) + GRID.points))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("offset, value", [
         (17, 2**63),           # points[0]: the payload cannot fit

@@ -1,11 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from sino.evaluation import (
     EvalReport,
-    PatternIC,
     builtin_raster,
     evaluate_rollout,
     export_csv,
@@ -233,18 +233,15 @@ class TestSuperresEval:
 
 class TestPatternIC:
     def test_uniform_raster_zero_field(self):
-        p = PatternIC(raster=np.full((32, 32), 0.6), grid=grid2(), amplitude=1.0)
-        assert np.all(pattern_ic(p) == 0.0)
+        assert np.all(pattern_ic(np.full((32, 32), 0.6), grid2(), amplitude=1.0) == 0.0)
 
     def test_rms_matches_amplitude(self):
-        p = PatternIC(raster=builtin_raster("star"), grid=grid2(), amplitude=2.5)
-        f = pattern_ic(p)
+        f = pattern_ic(builtin_raster("star"), grid2(), amplitude=2.5)
         assert math.sqrt(float(np.mean(f**2))) == pytest.approx(2.5, abs=1e-10)
         assert abs(f.mean()) < 1e-12
 
     def test_spectrum_empty_above_cutoff(self):
-        p = PatternIC(raster=builtin_raster("smiley"), grid=grid2(), amplitude=1.0, cutoff=6)
-        f = pattern_ic(p)
+        f = pattern_ic(builtin_raster("smiley"), grid2(), amplitude=1.0, cutoff=6)
         fg = freq_grid(grid2())
         spec = forward_transform(f, grid2())
         outside = np.max(np.abs(fg.index), axis=0) > 6
@@ -262,13 +259,12 @@ class TestPatternIC:
             return inside.reshape(n, sub, n, sub).mean(axis=(1, 3))
 
         g = grid2(64)
-        a = pattern_ic(PatternIC(raster=disk(64), grid=g, amplitude=1.0, cutoff=6))
-        b = pattern_ic(PatternIC(raster=disk(128), grid=g, amplitude=1.0, cutoff=6))
+        a = pattern_ic(disk(64), g, amplitude=1.0, cutoff=6)
+        b = pattern_ic(disk(128), g, amplitude=1.0, cutoff=6)
         assert math.sqrt(float(np.mean((a - b) ** 2))) < 1e-3 * 10
 
     def test_default_amplitude_from_reference_draw(self):
-        p = PatternIC(raster=builtin_raster("ai"), grid=grid2())
-        f = pattern_ic(p)
+        f = pattern_ic(builtin_raster("ai"), grid2())
         from sino.spectral import grf_sample
         ref = grf_sample(grid2(), seed=0, alpha=2.5, tau=7.0)
         assert math.sqrt(float(np.mean(f**2))) == pytest.approx(
@@ -284,7 +280,7 @@ class TestPatternIC:
         ds = pattern_test_set("star", pde, solver, gen, grid)
         assert ds.grid == grid and ds.cadence == solver.save_dt
         assert ds.data.shape == (1, 5, pde.channels) + grid.points
-        ic = pattern_ic(PatternIC(raster=builtin_raster("star"), grid=grid))
+        ic = pattern_ic(builtin_raster("star"), grid)
         ic = np.concatenate([ic] * pde.channels)
         truth = simulate(pde, solver, gen, grid, spectral_resample(ic, grid, gen))
         assert np.array_equal(ds.data[0], truth)
@@ -327,6 +323,19 @@ class TestExportCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        export_csv(self.make_report(), path, "0123456789ab")
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            export_csv(self.make_report(n_traj=1), path, "ba9876543210")
+        assert path.read_bytes() == before
+
 
 class TestPatternGridAlignment:
     def test_ic_independent_of_grid_resolution(self):
@@ -336,6 +345,6 @@ class TestPatternGridAlignment:
         c = -1.0 + (2.0 * np.arange(n * sub) + 1.0) / (n * sub)
         y, x = np.meshgrid(c, c, indexing="ij")
         disk = (np.hypot(x, y) <= 0.62).astype(float).reshape(n, sub, n, sub).mean(axis=(1, 3))
-        coarse = pattern_ic(PatternIC(raster=disk, grid=grid2(64), amplitude=1.0, cutoff=6))
-        fine = pattern_ic(PatternIC(raster=disk, grid=grid2(128), amplitude=1.0, cutoff=6))
+        coarse = pattern_ic(disk, grid2(64), amplitude=1.0, cutoff=6)
+        fine = pattern_ic(disk, grid2(128), amplitude=1.0, cutoff=6)
         assert math.sqrt(float(np.mean((coarse - fine[:, ::2, ::2]) ** 2))) < 0.01

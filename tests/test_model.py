@@ -5,6 +5,7 @@ import pytest
 
 from sino.model import (
     ModelConfig,
+    _param_shapes,
     config_for_grid,
     exact_burgers_params,
     freq2vec_eval,
@@ -80,6 +81,11 @@ class TestParams:
         assert "pi.1.w" not in init_params(small_cfg(g, no_pi=True), 0)
         assert "freq2vec.table" in init_params(small_cfg(g, no_freq2vec=True), 0)
         assert "freq2vec.w0" not in init_params(small_cfg(g, no_freq2vec=True), 0)
+
+    @pytest.mark.parametrize("grid", [grid2(), GridSpec(points=(8, 8, 8), length=(TWO_PI,) * 3)])
+    def test_exact_burgers_params_fill_the_parameter_table(self, grid):
+        cfg, params = exact_burgers_params(grid, nu=0.01, dt_model=5e-3)
+        assert [(k, v.shape) for k, v in params.items()] == list(_param_shapes(cfg).items())
 
 
 class TestFreq2Vec:

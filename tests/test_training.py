@@ -1,4 +1,5 @@
 import math
+import os
 import zlib
 from dataclasses import replace
 
@@ -531,3 +532,17 @@ class TestTrainLoop:
         assert float(lines[1].split(",")[3]) == 1.25e-3
         assert lines[1].split(",")[4] == ""
         assert float(lines[2].split(",")[4]) == 0.5
+
+    def test_failed_history_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "history.csv"
+        write_history_csv([(1, 0.004, 1.25e-3, None)], path, "0123456789ab")
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_history_csv([(1, 0.004, 1.25e-3, None), (2, 0.0041, 7.5e-4, 0.5)],
+                              path, "ba9876543210")
+        assert path.read_bytes() == before
