@@ -33,10 +33,16 @@ VERSION = 1
 
 
 def _atomic_write(path, blob: bytes) -> None:
+    """blob written to a temp file beside path, then renamed onto it; a
+    failed write or rename removes the temp file and raises."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_lines(path, lines) -> None:

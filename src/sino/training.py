@@ -262,13 +262,17 @@ def _warm_up(starts: np.ndarray, ns: np.ndarray, params, model_cfg: ModelConfig,
     """The start states (B, c_in, *points), each advanced by its own warm-up
     ns[b] steps without gradients.
 
-    The batch rolls as one for max(ns) steps and each sample takes its
-    snapshot at its own n. A batch's trajectories step independently, so
-    each state equals that of its own rollout bit for bit. Raises NonFinite
-    if any of the states it returns is non-finite.
+    The batch rolls to each distinct n in ascending order, and a sample
+    leaves it once its own n is reached, so the batch takes ns.sum() sample-
+    steps. A batch's trajectories step independently, so each state equals
+    that of its own rollout bit for bit. Raises NonFinite if any of the
+    states it returns is non-finite.
     """
-    snaps = sino_model.rollout(starts, params, model_cfg, grid, int(ns.max()))
-    states = snaps[np.arange(len(ns)), ns]
+    states, reached = starts.copy(), 0
+    for n in np.unique(ns[ns > 0]):
+        rows = np.flatnonzero(ns >= n)
+        states[rows] = sino_model.rollout(states[rows], params, model_cfg, grid, n - reached)[:, -1]
+        reached = n
     if not np.isfinite(states).all():
         raise NonFinite("a warm-up rollout diverged")
     return states

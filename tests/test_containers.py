@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from sino.containers import (
     read_field_container,
     write_checkpoint,
     write_field_container,
+    write_lines,
 )
 from sino.errors import ContainerError
 from sino.spectral import GridSpec
@@ -82,6 +84,19 @@ class TestFieldContainer:
             write_field_container(tmp_path / "f.sino", GRID, cadence,
                                   np.zeros((snapshots, 1) + GRID.points))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_lines(path, ["a,b", "1,2"]),
+        lambda path: write_field_container(path, GRID, 0.5, np.zeros((1, 1) + GRID.points)),
+    ], ids=["write_lines", "write_field_container"])
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch, write):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path / "out")
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     @pytest.mark.parametrize("offset, value", [
         (17, 2**63),           # points[0]: the payload cannot fit

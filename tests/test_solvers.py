@@ -417,6 +417,19 @@ class TestEveryPresetFirstStep:
         assert not np.array_equal(snaps[1], snaps[0])
 
 
+@pytest.mark.parametrize("case", sorted(name for name in presets() if name.endswith("-desk")))
+def test_preset_step_holds_the_step_halving_bound(case):
+    # every snapshot of one generated trajectory over the first 0.05 time
+    # units is within 1e-8 rel-l2 of the same integrator at half the step
+    c = presets()[case]
+    solver = replace(c.solver, t_end=0.05)
+    ic = sample_ic(c.pde, c.gen_grid, SPLIT_SEEDS["train"], 0, c.grf)
+    snaps = integrate(c.pde, solver, c.gen_grid, ic)
+    halved = integrate(c.pde, replace(solver, dt=solver.dt / 2), c.gen_grid, ic)
+    for a, b in zip(snaps[1:], halved[1:], strict=True):
+        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+
 class TestBlowUpIsNonFinite:
     @pytest.mark.parametrize("case, dt", [("E6-desk", 0.05), ("E1-desk", 0.1)])
     def test_blow_up_raises_nonfinite_with_step(self, case, dt):

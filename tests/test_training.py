@@ -478,6 +478,31 @@ class TestTrainLoop:
         # under n1 = 0 the batch's one warm-up rollout makes no step
         self.assert_train_equals_one_sample_at_a_time(0, 2, [[0, 0], [0, 0]])
 
+    def test_each_warm_up_steps_only_its_own_n(self, monkeypatch):
+        # the batch takes ns.sum() sample-steps, not B * max(ns), and each
+        # state still equals its own rollout bit for bit
+        import sino.model
+        from sino.training import _warm_up
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        params = init_params(cfg, 2)
+        starts = ds.data[[0, 1, 0, 1, 0], [0, 3, 5, 2, 7]]
+        ns = np.array([4, 0, 2, 4, 1])
+        sample_steps = []
+        real_rollout = sino.model.rollout
+
+        def counting_rollout(u0, params, cfg, grid, n_steps):
+            sample_steps.append(len(u0) * n_steps)
+            return real_rollout(u0, params, cfg, grid, n_steps)
+
+        monkeypatch.setattr(sino.model, "rollout", counting_rollout)
+        states = _warm_up(starts, ns, params, cfg, g)
+        assert sum(sample_steps) == ns.sum()
+        for b, n in enumerate(ns):
+            alone = real_rollout(starts[b:b + 1], params, cfg, g, int(n))[0, -1]
+            assert np.array_equal(states[b], alone)
+
     def test_a_diverging_warm_up_skips_the_iteration(self, monkeypatch):
         # trajectory 1 is so large that one model step overflows. At seed 12
         # iteration 1 warms it up for one step: the warm-up goes non-finite,
