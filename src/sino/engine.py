@@ -4,8 +4,10 @@ A small tape engine specialized for FFT-based networks: an operation with
 an input that requires a gradient records its parents and a
 vector-Jacobian product, and `Tensor.backward` walks the tape in reverse
 topological order. An operation on constants alone records nothing.
-A node keeps its inputs and output; affine_product alone recomputes its
-intermediates in the pullback, as they are wider than its inputs.
+A node keeps its inputs and output. A caller may also build a node by
+hand, a Tensor with its parents and a pullback: model._step records a
+whole time step as one node that keeps only the stage inputs and
+recomputes the rest in its pullback.
 
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the
@@ -13,18 +15,17 @@ pullback of a C-linear map A is its conjugate transpose, the elementwise
 product w = a*b pulls back as g_a = conj(b)*g. Where a real tensor feeds
 a complex op, the real part of the complex pullback is the gradient.
 
-Spectra are real-FFT half spectra: rfftn keeps the modes 0..N/2 of the
-last transformed axis, and irfftn rebuilds a real field from them, taking
-each interior mode 1..N/2-1 for itself and its conjugate partner -k. So an
-interior mode is weighted twice in the real field and the edge modes (0
-and N/2) once, and the pullbacks carry that weighting: rfftn pulls back as
-prod(N) * irfftn of the cotangent with its interior modes halved, irfftn
-as rfftn of the cotangent over prod(N) with its interior modes doubled.
+Spectra are real-FFT half spectra: np.fft.rfftn keeps the modes 0..N/2 of
+the last transformed axis, and np.fft.irfftn rebuilds a real field from
+them, taking each interior mode 1..N/2-1 for itself and its conjugate
+partner -k. So an interior mode is weighted twice in the real field and
+the edge modes (0 and N/2) once, and a pullback carries that weighting
+(_weight_interior): rfftn pulls back as prod(N) * irfftn of the cotangent
+with its interior modes halved, irfftn as rfftn of the cotangent over
+prod(N) with its interior modes doubled.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -175,61 +176,6 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def affine_product(d, factors, out_w) -> Tensor:
-    """out_w @ prod_p (w_p @ d + b_p) of real 2D operands, as one tape node.
-
-    factors is a sequence of (w_p, b_p) pairs, each b_p broadcasting against
-    w_p @ d. The node keeps d and the weights, not the factors: its pullback
-    recomputes them, so a product of wide factors costs the tape only the
-    output. The pullback forms the products of the composition of matmul,
-    add and mul in the same order, so with one or two factors its gradients
-    equal that composition's bit for bit.
-    """
-    d, out_w = as_tensor(d), as_tensor(out_w)
-    factors = [(as_tensor(w), as_tensor(b)) for w, b in factors]
-
-    def factor_values():
-        fs = []
-        for w, b in factors:
-            f = w.data @ d.data
-            f += b.data
-            fs.append(f)
-        return fs
-
-    fs = factor_values()
-    v = fs[0]
-    for f in fs[1:]:
-        v *= f
-
-    def vjp(g):
-        fs = factor_values()
-        # prefix[p] = f_0 * ... * f_p, the composition's running products
-        prefix = [fs[0]]
-        for f in fs[1:]:
-            prefix.append(prefix[-1] * f)
-        g_out = g @ prefix[-1].T if out_w.requires_grad else None
-        # sweep back through the products; each buffer is free once read
-        gv = out_w.data.T @ g
-        g_fs = [None] * len(fs)
-        for p in range(len(fs) - 1, 0, -1):
-            g_fs[p] = np.multiply(prefix[p - 1], gv, out=prefix[p])
-            gv = np.multiply(fs[p], gv, out=fs[p])
-        g_fs[0] = gv
-        g_d = None
-        if d.requires_grad:
-            g_d = factors[0][0].data.T @ g_fs[0]
-            for (w, _), g_f in zip(factors[1:], g_fs[1:]):
-                g_d += w.data.T @ g_f
-        grads = [g_d]
-        for (w, b), g_f in zip(factors, g_fs):
-            grads.append(g_f @ d.data.T if w.requires_grad else None)
-            grads.append(_unbroadcast(g_f, b.data.shape) if b.requires_grad else None)
-        return (*grads, g_out)
-
-    parents = (d, *(t for pair in factors for t in pair), out_w)
-    return _node(out_w.data @ v, parents, vjp)
-
-
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum()
@@ -282,7 +228,7 @@ def getitem(a, idx) -> Tensor:
     return _node(a.data[idx], (a,), vjp)
 
 
-# -- complex / spectral ops --------------------------------------------------
+# -- complex ops and the half-spectrum weighting -----------------------------
 
 
 def to_complex(re, im) -> Tensor:
@@ -310,27 +256,3 @@ def _weight_interior(h: np.ndarray, axis: int, n: int, factor: float) -> np.ndar
     idx[axis] = slice(1, (n + 1) // 2)
     h[tuple(idx)] *= factor
     return h
-
-
-def rfftn(a, axes) -> Tensor:
-    """Unnormalized FFT of a real field; the last of axes keeps modes 0..N/2."""
-    a = as_tensor(a)
-    shape = tuple(a.data.shape[ax] for ax in axes)
-
-    def vjp(g):
-        g = _weight_interior(g.copy(), axes[-1], shape[-1], 0.5)
-        return (math.prod(shape) * np.fft.irfftn(g, s=shape, axes=axes),)
-
-    return _node(np.fft.rfftn(a.data, axes=axes), (a,), vjp)
-
-
-def irfftn(a, axes, s) -> Tensor:
-    """Normalized inverse of rfftn: a half spectrum to the real field of shape s."""
-    a = as_tensor(a)
-    s = tuple(s)
-
-    def vjp(g):
-        gh = np.fft.rfftn(g, axes=axes) / math.prod(s)
-        return (_weight_interior(gh, axes[-1], s[-1], 2.0),)
-
-    return _node(np.fft.irfftn(a.data, s=s, axes=axes), (a,), vjp)

@@ -23,19 +23,13 @@ table, depend on the parameters alone and are built once per tape
 of out.w is W_pi; under no_filter the low-pass is the identity. The
 parameters are the paper's; only roundoff differs from the paper's order.
 
-The Pi-block and its mix, W_pi prod_p (W_p d + b_p), are one tape node
-(engine.affine_product). The node keeps d and the weights, and its
-pullback recomputes the C-wide factors, so a stage puts c_in output
-channels on the tape where the factors, their product and the two
-matmuls put five C-wide arrays. The gradients are the same bits.
-
-Spectra are real-FFT half spectra (engine.rfftn / engine.irfftn), laid
+Spectra are real-FFT half spectra (np.fft.rfftn / np.fft.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
 one indexed -N/2. Freq2Vec evaluates its multipliers on that half
 spectrum, so every field stays real by construction.
 
 A step works on half spectra, as the reference solvers do. It transforms
-the state once, evaluates the four RK4 stages as half spectra (_rhs_hat)
+the state once, evaluates the four RK4 stages as half spectra (_stage)
 and transforms the combined increment back once. A stage multiplies its
 input spectrum by the Freq2Vec table (the SLB spectra z), makes one
 inverse transform of the c_in*K SLB channels for the Pi-block, mixes the
@@ -47,6 +41,20 @@ c_in channels (44 on E6-desk). A stage adds only Hermitian-consistent half
 spectra (the table is conjugate-symmetric wherever k and -k both lie in the
 half spectrum), so this is the same function up to roundoff.
 
+A step is one tape node (_step), whose forward is plain numpy. Under
+gradients it keeps the state and the stage inputs, c_in-channel half
+spectra, and its pullback (_stage_vjp per stage, last stage first) is the
+discrete adjoint of RK4: it recomputes each stage's SLB spectra, features
+and C-wide Pi factors from the stage input and pulls the cotangent back
+through the transposed Pi product and mixes, the mask, the transforms and
+the conjugate SLB. That is per-step gradient checkpointing (Chen et al.,
+arXiv:1604.06174), and the adjoint of an RK scheme is itself an RK scheme
+(Sanz-Serna, SIAM Review 58, 2016). A training window's tape holds the
+Freq2Vec and _rhs_maps nodes, one node per step and the loss; the stage
+intermediates live only while one stage's pullback runs. Without a
+gradient a step keeps nothing. rhs_eval, slb_apply and pi_block run the
+same stage code.
+
 Inside the model the state carries a batch axis after the channels,
 (c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1
 maps see B*n_points columns, so a batch of B trajectories steps as one
@@ -55,9 +63,8 @@ rollout bit for bit (the tests check it). A training iteration rolls its
 batch's warm-ups as one and evaluation rolls a whole test set as one; the
 supervised steps with gradients take one sample at a time.
 
-All forward functions come in two flavors: module-level wrappers that take
-and return numpy arrays, and tape-building internals (prefixed with an
-underscore) used by the training loop.
+The public functions take and return numpy arrays; the underscored
+internals that build the tape (_rhs_maps, _step) serve the training loop.
 """
 
 from __future__ import annotations
@@ -238,7 +245,7 @@ class _RhsMaps:
     with b as a column; pi_out (c_in, C) is the output map's Pi columns;
     linear (c_in, c_in*K) is the linear branch folded into the output map,
     None under no_linear; bias (c_in, 1) is the folded output bias; mask is
-    the 2/3 low-pass, None under no_filter.
+    the 2/3 low-pass, a constant array, None under no_filter.
     """
 
     table: Tensor
@@ -246,7 +253,14 @@ class _RhsMaps:
     pi_out: Tensor
     linear: Tensor | None
     bias: Tensor
-    mask: Tensor | None
+    mask: np.ndarray | None
+
+    @property
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The maps a step reads, in the order its pullback returns their cotangents."""
+        linear = () if self.linear is None else (self.linear,)
+        return (self.table, *(t for pair in self.pi for t in pair), self.pi_out, *linear,
+                self.bias)
 
 
 def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, Tensor], ...]:
@@ -254,8 +268,8 @@ def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, 
                  for p in range(cfg.n_pi_factors))
 
 
-def _mask(cfg: ModelConfig, grid: GridSpec) -> Tensor | None:
-    return None if cfg.no_filter else Tensor(two_thirds_mask(grid))
+def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray | None:
+    return None if cfg.no_filter else two_thirds_mask(grid)
 
 
 def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMaps:
@@ -278,48 +292,174 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
     )
 
 
-def _slb(xh: Tensor, table: Tensor, cfg: ModelConfig, grid: GridSpec) -> tuple[Tensor, Tensor]:
+# -- the step: one tape node with a hand-written pullback ---------------------
+
+
+def _slb(xh: np.ndarray, table: np.ndarray, cfg: ModelConfig,
+         grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The SLB of half spectra xh (c_in, B, *half points): the multiplied
     spectra z (c_in, K, B, *half points) and the features d, flat
     (c_in*K, B*n_points); table is shaped (1, K, 1, *half points)."""
-    z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), table)
-    d = eg.irfftn(z, grid.axes, grid.points)
-    return z, eg.reshape(d, (cfg.slb_channels, -1))
+    z = xh.reshape((cfg.c_in, 1) + xh.shape[1:]) * table
+    d = np.fft.irfftn(z, s=grid.points, axes=grid.axes)
+    return z, d.reshape(cfg.slb_channels, -1)
 
 
-def _lowpass_hat(v: Tensor, mask: Tensor | None, grid: GridSpec) -> Tensor:
+def _factors(d: np.ndarray, pi) -> list[np.ndarray]:
+    """The Pi factors w_p d + b_p of the features d, each (C, columns); pi
+    holds the (w_p, b_p) tensors."""
+    fs = []
+    for w, b in pi:
+        f = w.data @ d
+        f += b.data
+        fs.append(f)
+    return fs
+
+
+def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
+    """prod_p (w_p d + b_p): the C Pi channels of the features d, unfiltered."""
+    fs = _factors(d, pi)
+    v = fs[0]
+    for f in fs[1:]:
+        v *= f
+    return v
+
+
+def _lowpass_hat(v: np.ndarray, mask: np.ndarray | None, grid: GridSpec) -> np.ndarray:
     """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
-    vh = eg.rfftn(v, grid.axes)
-    return vh if mask is None else eg.mul(vh, mask)
+    vh = np.fft.rfftn(v, axes=grid.axes)
+    return vh if mask is None else vh * mask
 
 
-def _rhs_hat(xh: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+def _stage(xh: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     """The right-hand side of half spectra xh (c_in, B, *half points), as half spectra."""
-    z, d = _slb(xh, maps.table, cfg, grid)
+    z, d = _slb(xh, maps.table.data, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
     # output map: mix the C Pi channels down to c_in, then filter those
-    nonlinear = eg.add(eg.affine_product(d, maps.pi, maps.pi_out), maps.bias)
-    out = _lowpass_hat(eg.reshape(nonlinear, xh.shape[:2] + grid.points), maps.mask, grid)
+    v = _pi_channels(d, maps.pi)
+    nonlinear = maps.pi_out.data @ v + maps.bias.data
+    out = _lowpass_hat(nonlinear.reshape(xh.shape[:2] + grid.points), maps.mask, grid)
     if maps.linear is None:
         return out
     # the linear branch acts pointwise, so it maps the spectra z directly
-    linear = eg.matmul(maps.linear, eg.reshape(z, (cfg.slb_channels, -1)))
-    return eg.add(eg.reshape(linear, xh.shape), out)
+    linear = maps.linear.data @ z.reshape(cfg.slb_channels, -1)
+    return linear.reshape(xh.shape) + out
+
+
+def _rfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The pullback of rfftn over the grid axes: a cotangent half spectrum
+    g, which it overwrites, to a cotangent field (..., *points). Here and in
+    _irfftn_vjp the interior modes are weighted as the engine docstring says."""
+    g = eg._weight_interior(g, grid.axes[-1], grid.points[-1], 0.5)
+    return grid.n_points * np.fft.irfftn(g, s=grid.points, axes=grid.axes)
+
+
+def _irfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The pullback of irfftn over the grid axes: a cotangent field g
+    (..., *points) to a cotangent half spectrum."""
+    gh = np.fft.rfftn(g, axes=grid.axes)
+    gh /= grid.n_points
+    return eg._weight_interior(gh, grid.axes[-1], grid.points[-1], 2.0)
+
+
+def _pi_vjp(d: np.ndarray, pi, pi_out: np.ndarray, g: np.ndarray):
+    """Pull the cotangent g (c_in, columns) of pi_out @ prod_p (w_p d + b_p)
+    back to d, to each of the (w_p, b_p) tensors in pi and to pi_out,
+    recomputing the factors.
+
+    The C-wide buffers are freed or reused once read, so at most three of
+    them are live at a time."""
+    fs = _factors(d, pi)
+    v = fs[0] if len(fs) == 1 else fs[0] * fs[1]
+    g_pi_out = g @ v.T
+    del v  # its buffer is free for gv
+    gv = pi_out.T @ g
+    if len(fs) == 1:
+        g_fs = [gv]
+    else:
+        f0, f1 = fs
+        g_fs = [gv, np.multiply(f0, gv, out=f0)]  # g_f1 = f0 gv, in f0's buffer
+        gv *= f1                                  # g_f0 = f1 gv, in gv's
+    g_d = pi[0][0].data.T @ g_fs[0]
+    for (w, _), g_f in zip(pi[1:], g_fs[1:]):
+        g_d += w.data.T @ g_f
+    g_pi = [t for g_f in g_fs for t in (g_f @ d.T, g_f.sum(axis=1, keepdims=True))]
+    return g_d, g_pi, g_pi_out
+
+
+def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
+               grid: GridSpec, grads: list) -> np.ndarray:
+    """Pull the cotangent g of the stage at xh back: add each map's cotangent
+    into grads, in maps.tensors order, and return that of xh.
+
+    The SLB spectra, features and Pi factors are recomputed from xh."""
+    table = maps.table.data
+    # the mask and the low-pass rfftn
+    g_nl = _rfftn_vjp(g.copy() if maps.mask is None else g * maps.mask, grid)
+    g_nl = g_nl.reshape(cfg.c_in, -1)
+    # the mix and the Pi product
+    z, d = _slb(xh, table, cfg, grid)
+    g_d, g_pi, g_pi_out = _pi_vjp(d, maps.pi, maps.pi_out.data, g_nl)
+    # the SLB's irfftn
+    gz = _irfftn_vjp(g_d.reshape(z.shape[:-grid.dim] + grid.points), grid)
+    linear = []
+    if maps.linear is not None:
+        g_flat = g.reshape(cfg.c_in, -1)
+        linear.append((g_flat @ np.conjugate(z.reshape(cfg.slb_channels, -1)).T).real)
+        gz += (maps.linear.data.T @ g_flat).reshape(gz.shape)
+    # the SLB's product with the table
+    xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
+    g_table = (np.conjugate(xr) * gz).sum(axis=(0, 2), keepdims=True)
+    contributions = (g_table, *g_pi, g_pi_out, *linear, g_nl.sum(axis=1, keepdims=True))
+    for i, c in enumerate(contributions):
+        grads[i] = c if grads[i] is None else grads[i] + c
+    return (np.conjugate(table) * gz).sum(axis=1)
 
 
 def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
-    """One dt_model of states u (c_in, B, *points): the stages on half spectra."""
+    """One dt_model of states u (c_in, B, *points), as one tape node.
+
+    The state is transformed once, the stages (four for RK4, one under
+    euler_time) run on half spectra and the increment is transformed back
+    once. With a parent that requires a gradient the node keeps the stage
+    inputs, c_in-channel half spectra, and its pullback walks the stages
+    backwards, each recomputed from its input: the discrete adjoint of the
+    scheme. Otherwise it keeps nothing.
+    """
     dt = cfg.dt_model
-    uh = eg.rfftn(u, grid.axes)
+    # stage i+1 reads uh + a[i] * k_i; the increment weighs k_i by b[i]
+    a, b = ((), (dt,)) if cfg.euler_time else \
+        ((0.5 * dt, 0.5 * dt, dt), (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0))
+    parents = (u, *maps.tensors)
+    keep = any(p.requires_grad for p in parents)
+    uh = np.fft.rfftn(u.data, axes=grid.axes)
+    xs, ks = [uh], [_stage(uh, maps, cfg, grid)]
+    for a_i in a:
+        x = uh + ks[-1] * a_i
+        ks.append(_stage(x, maps, cfg, grid))
+        if keep:
+            xs.append(x)
     if cfg.euler_time:
-        incr = eg.mul(_rhs_hat(uh, maps, cfg, grid), dt)
+        incr = ks[0] * dt
     else:
-        k1 = _rhs_hat(uh, maps, cfg, grid)
-        k2 = _rhs_hat(eg.add(uh, eg.mul(k1, 0.5 * dt)), maps, cfg, grid)
-        k3 = _rhs_hat(eg.add(uh, eg.mul(k2, 0.5 * dt)), maps, cfg, grid)
-        k4 = _rhs_hat(eg.add(uh, eg.mul(k3, dt)), maps, cfg, grid)
-        incr = eg.mul(eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0)), dt / 6.0)
-    return eg.add(u, eg.irfftn(incr, grid.axes, grid.points))
+        k1, k2, k3, k4 = ks
+        incr = ((k1 + k4) + (k2 + k3) * 2.0) * (dt / 6.0)
+    out = u.data + np.fft.irfftn(incr, s=grid.points, axes=grid.axes)
+    if not keep:
+        return Tensor(out)
+
+    def vjp(g):
+        g_incr = _irfftn_vjp(g, grid)
+        grads = [None] * len(maps.tensors)
+        g_uh, g_k = None, None
+        for i in reversed(range(len(xs))):
+            g_ki = g_incr * b[i] if g_k is None else g_incr * b[i] + g_k
+            g_x = _stage_vjp(xs[i], g_ki, maps, cfg, grid, grads)
+            g_uh = g_x if g_uh is None else g_uh + g_x
+            g_k = g_x * a[i - 1] if i else None
+        return (g + _rfftn_vjp(g_uh, grid) if u.requires_grad else None, *grads)
+
+    return Tensor(out, requires_grad=True, parents=parents, vjp=vjp)
 
 
 # -- numpy-facing API ---------------------------------------------------------
@@ -332,9 +472,9 @@ def _check_state(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     return u
 
 
-def _batch_of_one(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> Tensor:
+def _batch_of_one(u: np.ndarray, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     """A checked state (c_in, *points) as the batch (c_in, 1, *points)."""
-    return Tensor(_check_state(u, cfg, grid)[:, np.newaxis])
+    return _check_state(u, cfg, grid)[:, np.newaxis]
 
 
 def freq2vec_eval(params: dict[str, np.ndarray], cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
@@ -354,31 +494,29 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
         raise ValueError(
             f"table must have shape ({cfg.K}, {grid.half_points}), got {table.shape}"
         )
-    table = Tensor(table.reshape((1, cfg.K, 1) + grid.half_points))
-    _, d = _slb(eg.rfftn(u, grid.axes), table, cfg, grid)
-    return d.data.reshape((cfg.slb_channels,) + grid.points)
+    table = table.reshape((1, cfg.K, 1) + grid.half_points)
+    _, d = _slb(np.fft.rfftn(u, axes=grid.axes), table, cfg, grid)
+    return d.reshape((cfg.slb_channels,) + grid.points)
 
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """Product of two affine projections of SLB features (one under no_pi),
     then the low-pass (none under no_filter)."""
-    flat = Tensor(np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points))
-    factors = _pi_factors(_wrap_params(params, False), cfg)
-    v = eg.affine_product(flat, factors, np.eye(cfg.C)).data
-    v = v.reshape((cfg.C,) + grid.points)
+    flat = np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points)
+    pi = _pi_factors(_wrap_params(params, False), cfg)
+    v = _pi_channels(flat, pi).reshape((cfg.C,) + grid.points)
     if cfg.no_filter:
         return v
-    return eg.irfftn(_lowpass_hat(Tensor(v), _mask(cfg, grid), grid), grid.axes, grid.points).data
+    return np.fft.irfftn(_lowpass_hat(v, _mask(cfg, grid), grid), s=grid.points, axes=grid.axes)
 
 
 def rhs_eval(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """The learned right-hand side evaluated at a state."""
-    u = _batch_of_one(u, cfg, grid)
+    uh = np.fft.rfftn(_batch_of_one(u, cfg, grid), axes=grid.axes)
     maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
-    return eg.irfftn(_rhs_hat(eg.rfftn(u, grid.axes), maps, cfg, grid), grid.axes,
-                     grid.points).data[:, 0]
+    return np.fft.irfftn(_stage(uh, maps, cfg, grid), s=grid.points, axes=grid.axes)[:, 0]
 
 
 def model_step(u: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,

@@ -227,26 +227,32 @@ def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     return _rhs("burgers", nu, grid, u)
 
 
-def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray) -> list[np.ndarray]:
+def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
+              out_grid: GridSpec | None = None) -> np.ndarray:
     """Integrate from an initial condition, recording a snapshot every save_dt.
 
     Integrating-factor RK4 on the half spectrum: the diagonal linear part is
     advanced exactly by exp(dt * lin), only the nonlinear term (and forcing)
-    is stepped explicitly. Returns the list [state(0), state(save_dt), ...];
-    snapshot count is n_steps // save_every + 1. A non-finite stage or result
-    raises NonFinite carrying the step and time of the failed step.
+    is stepped explicitly. Returns the snapshots [state(0), state(save_dt),
+    ...] as one array (n_snapshots, channels, *points) with n_snapshots =
+    n_steps // save_every + 1. Each snapshot is resampled to out_grid (by
+    default grid) as it is saved, so the integration holds one state on
+    grid at a time. A non-finite stage or result raises NonFinite carrying
+    the step and time of the failed step.
     """
     ic = np.asarray(ic, dtype=np.float64)
     if ic.shape != (spec.channels,) + grid.points:
         raise ValueError(
             f"initial condition must have shape ({spec.channels}, {grid.points}), got {ic.shape}"
         )
+    out_grid = grid if out_grid is None else out_grid
     lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half
     uh = forward_transform(ic, grid)
-    snaps = [ic.copy()]
+    snaps = np.empty((cfg.n_steps // cfg.save_every + 1,) + ic.shape[:1] + out_grid.points)
+    snaps[0] = spectral_resample(ic, grid, out_grid)
     # a blow-up overflows; the transforms' and each step's checks report it
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.n_steps):
@@ -263,7 +269,8 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray) 
                 raise NonFinite(f"solver blew up at t={t:.6g} (step {step + 1}): {err}",
                                 time=t, step=step + 1) from err
             if (step + 1) % cfg.save_every == 0:
-                snaps.append(inverse_transform(uh, grid))
+                snaps[(step + 1) // cfg.save_every] = spectral_resample(
+                    inverse_transform(uh, grid), grid, out_grid)
     return snaps
 
 
@@ -299,8 +306,7 @@ def simulate(spec: PDESpec, cfg: SolverConfig, gen_grid: GridSpec, train_grid: G
              ic: np.ndarray) -> np.ndarray:
     """One trajectory from an IC on the generation grid, its snapshots
     resampled to the training grid: (n_snapshots, channels, *train points)."""
-    snaps = integrate(spec, cfg, gen_grid, ic)
-    return np.stack([spectral_resample(s, gen_grid, train_grid) for s in snaps])
+    return integrate(spec, cfg, gen_grid, ic, train_grid)
 
 
 def generate_dataset(

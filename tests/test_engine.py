@@ -1,8 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sino import engine as eg
+from sino import model as sino_model
+from sino import training
+from sino.config import presets
 from sino.engine import Tensor
+from sino.solvers import integrate, sample_ic
 
 
 def parameter(data) -> Tensor:
@@ -17,6 +24,111 @@ def real(a) -> Tensor:
         return (g.astype(np.complex128),)
 
     return eg._node(np.ascontiguousarray(a.data.real), (a,), vjp)
+
+
+def rfftn(a, axes) -> Tensor:
+    """Unnormalized FFT of a real field; the last of axes keeps modes 0..N/2."""
+    a = eg.as_tensor(a)
+    shape = tuple(a.data.shape[ax] for ax in axes)
+
+    def vjp(g):
+        g = eg._weight_interior(g.copy(), axes[-1], shape[-1], 0.5)
+        return (math.prod(shape) * np.fft.irfftn(g, s=shape, axes=axes),)
+
+    return eg._node(np.fft.rfftn(a.data, axes=axes), (a,), vjp)
+
+
+def irfftn(a, axes, s) -> Tensor:
+    """Normalized inverse of rfftn: a half spectrum to the real field of shape s."""
+    a = eg.as_tensor(a)
+    s = tuple(s)
+
+    def vjp(g):
+        gh = np.fft.rfftn(g, axes=axes) / math.prod(s)
+        return (eg._weight_interior(gh, axes[-1], s[-1], 2.0),)
+
+    return eg._node(np.fft.irfftn(a.data, s=s, axes=axes), (a,), vjp)
+
+
+def affine_product(d, factors, out_w) -> Tensor:
+    """out_w @ prod_p (w_p @ d + b_p) of real 2D operands, as one tape node.
+
+    factors is a sequence of (w_p, b_p) pairs, each b_p broadcasting against
+    w_p @ d. The node keeps d and the weights, not the factors: its pullback
+    recomputes them.
+    """
+    d, out_w = eg.as_tensor(d), eg.as_tensor(out_w)
+    factors = [(eg.as_tensor(w), eg.as_tensor(b)) for w, b in factors]
+
+    def factor_values():
+        fs = []
+        for w, b in factors:
+            f = w.data @ d.data
+            f += b.data
+            fs.append(f)
+        return fs
+
+    fs = factor_values()
+    v = fs[0]
+    for f in fs[1:]:
+        v *= f
+
+    def vjp(g):
+        fs = factor_values()
+        # prefix[p] = f_0 * ... * f_p, the composition's running products
+        prefix = [fs[0]]
+        for f in fs[1:]:
+            prefix.append(prefix[-1] * f)
+        g_out = g @ prefix[-1].T if out_w.requires_grad else None
+        gv = out_w.data.T @ g
+        g_fs = [None] * len(fs)
+        for p in range(len(fs) - 1, 0, -1):
+            g_fs[p] = prefix[p - 1] * gv
+            gv = fs[p] * gv
+        g_fs[0] = gv
+        g_d = None
+        if d.requires_grad:
+            g_d = factors[0][0].data.T @ g_fs[0]
+            for (w, _), g_f in zip(factors[1:], g_fs[1:]):
+                g_d += w.data.T @ g_f
+        grads = [g_d]
+        for (w, b), g_f in zip(factors, g_fs):
+            grads.append(g_f @ d.data.T if w.requires_grad else None)
+            grads.append(eg._unbroadcast(g_f, b.data.shape) if b.requires_grad else None)
+        return (*grads, g_out)
+
+    parents = (d, *(t for pair in factors for t in pair), out_w)
+    return eg._node(out_w.data @ v, parents, vjp)
+
+
+def op_by_op_step(u, maps, cfg, grid) -> Tensor:
+    """model._step as a composition of tape ops, one node per op: the
+    reference for the step node's loss, gradients and rollouts."""
+    dt = cfg.dt_model
+    mask = None if maps.mask is None else Tensor(maps.mask)
+
+    def rhs_hat(xh):
+        z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), maps.table)
+        d = eg.reshape(irfftn(z, grid.axes, grid.points), (cfg.slb_channels, -1))
+        nonlinear = eg.add(affine_product(d, maps.pi, maps.pi_out), maps.bias)
+        out = rfftn(eg.reshape(nonlinear, xh.shape[:2] + grid.points), grid.axes)
+        if mask is not None:
+            out = eg.mul(out, mask)
+        if maps.linear is None:
+            return out
+        linear = eg.matmul(maps.linear, eg.reshape(z, (cfg.slb_channels, -1)))
+        return eg.add(eg.reshape(linear, xh.shape), out)
+
+    uh = rfftn(u, grid.axes)
+    if cfg.euler_time:
+        incr = eg.mul(rhs_hat(uh), dt)
+    else:
+        k1 = rhs_hat(uh)
+        k2 = rhs_hat(eg.add(uh, eg.mul(k1, 0.5 * dt)))
+        k3 = rhs_hat(eg.add(uh, eg.mul(k2, 0.5 * dt)))
+        k4 = rhs_hat(eg.add(uh, eg.mul(k3, dt)))
+        incr = eg.mul(eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0)), dt / 6.0)
+    return eg.add(u, irfftn(incr, grid.axes, grid.points))
 
 
 def fd_check(build, params, h=1e-6, tol=1e-6):
@@ -98,47 +210,60 @@ class TestAffineProduct:
         weight = Tensor(rng.standard_normal((2, 7)))
 
         def build():
-            y = eg.mul(eg.affine_product(d, factors, out_w), weight)
+            y = eg.mul(affine_product(d, factors, out_w), weight)
             return eg.sum_all(eg.mul(y, y))
 
         fd_check(build, [d, *(t for pair in factors for t in pair), out_w])
 
+
+class TestStepNode:
+    """model._step, one tape node with a hand-written pullback, against the
+    same step composed of tape ops (op_by_op_step)."""
+
     @pytest.mark.parametrize("flag", ["full", "no_pi", "no_filter", "no_freq2vec", "no_linear",
                                       "euler_time"])
-    def test_training_gradients_equal_the_composed_ops(self, flag, monkeypatch):
-        # the loss and every gradient of a 9-frame E6-desk window are the
-        # bits the composition of matmul, add and mul gives
-        from dataclasses import replace
-
-        from sino import training
-        from sino.config import presets
-        from sino.model import init_params
-        from sino.solvers import integrate, sample_ic
-
-        case = presets()["E6-desk"]
+    @pytest.mark.parametrize("preset, frames", [("E6-desk", 9), ("E7-desk", 4)], ids=["2d", "3d"])
+    def test_loss_gradients_and_rollout_equal_the_op_by_op_step(self, preset, frames, flag,
+                                                                monkeypatch):
+        # the forward runs the same numpy ops in the same order, so losses
+        # and rollouts are the same bits; the pullback sums in another order
+        case = presets()[preset]
         g = case.train_grid
         cfg = case.model if flag == "full" else replace(case.model, **{flag: True})
-        solver = replace(case.solver, t_end=8 * case.solver.save_dt)
+        solver = replace(case.solver, t_end=(frames - 1) * case.solver.save_dt)
         segment = integrate(case.pde, solver, g, sample_ic(case.pde, g, 0, 0, case.grf))
         rng = np.random.default_rng(14)
         params = {k: v + 0.1 * rng.standard_normal(v.shape)
-                  for k, v in init_params(cfg, 15).items()}
-        loss, grads = training.backward(params, cfg, g, segment)
+                  for k, v in sino_model.init_params(cfg, 15).items()}
+        u0 = np.stack(segment[:2])
 
-        def composed(d, factors, out_w):
-            w, b = factors[0]
-            v = eg.add(eg.matmul(w, d), b)
-            for w, b in factors[1:]:
-                v = eg.mul(v, eg.add(eg.matmul(w, d), b))
-            return eg.matmul(out_w, v)
+        def run():
+            loss, grads = training.backward(params, cfg, g, segment)
+            return loss, grads, sino_model.rollout(u0, params, cfg, g, 3)
 
-        monkeypatch.setattr(eg, "affine_product", composed)
-        ref_loss, ref_grads = training.backward(params, cfg, g, segment)
-        assert len(segment) == 9 and len(grads) == (14 if flag == "full" else len(params))
+        loss, grads, states = run()
+        monkeypatch.setattr(sino_model, "_step", op_by_op_step)
+        ref_loss, ref_grads, ref_states = run()
+        assert len(segment) == frames and sorted(grads) == sorted(ref_grads) == sorted(params)
         assert loss == ref_loss
-        assert sorted(grads) == sorted(ref_grads)
+        assert np.array_equal(states, ref_states)
         for name, grad in grads.items():
-            assert np.array_equal(grad, ref_grads[name]), name
+            ref = ref_grads[name]
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), name
+
+    def test_a_window_records_one_node_per_step(self):
+        # each further step of a window adds its step node and the seven
+        # tensors of its loss term: the target, sub, mul, sum_all, the
+        # mean's constant and mul, and the add
+        case = presets()["E6-desk"]
+        cfg, g = case.model, case.train_grid
+        rng = np.random.default_rng(16)
+        segment = rng.standard_normal((9, cfg.c_in) + g.points)
+        params = sino_model.init_params(cfg, 17)
+        counts = [len(eg._toposort(training._rollout_loss_graph(
+            sino_model._wrap_params(params, True), cfg, g, segment[:frames])))
+            for frames in (2, 9)]
+        assert counts[1] - counts[0] == 7 * 8
 
 
 class TestComplexOps:
@@ -178,7 +303,7 @@ class TestComplexOps:
         mult = Tensor(np.exp(1j * rng.standard_normal((4, 3))))
 
         def build():
-            back = eg.irfftn(eg.mul(eg.rfftn(u, (1, 2)), mult), (1, 2), (4, 4))
+            back = irfftn(eg.mul(rfftn(u, (1, 2)), mult), (1, 2), (4, 4))
             return eg.sum_all(eg.mul(back, back))
 
         fd_check(build, [u])
@@ -190,7 +315,7 @@ class TestComplexOps:
         y = Tensor(rng.standard_normal((1, 4, 3)) + 1j * rng.standard_normal((1, 4, 3)))
 
         def build():
-            z = eg.mul(eg.rfftn(x, (1, 2)), eg.conj(y))
+            z = eg.mul(rfftn(x, (1, 2)), eg.conj(y))
             return eg.sum_all(real(z))
 
         fd_check(build, [x])
@@ -210,7 +335,7 @@ class TestHalfSpectrumOps:
         assert np.abs(np.fft.rfftn(x.data, axes=axes)[..., -1]).min() > 0
 
         def build():
-            w = real(eg.mul(eg.rfftn(x, axes), y))
+            w = real(eg.mul(rfftn(x, axes), y))
             return eg.sum_all(eg.mul(w, w))
 
         fd_check(build, [x])
@@ -227,7 +352,7 @@ class TestHalfSpectrumOps:
         s = tuple(shape[ax] for ax in axes)
 
         def build():
-            u = eg.irfftn(eg.to_complex(re, im), axes, s)
+            u = irfftn(eg.to_complex(re, im), axes, s)
             return eg.sum_all(eg.mul(eg.mul(u, u), w))
 
         fd_check(build, [re, im])
@@ -237,9 +362,9 @@ class TestHalfSpectrumOps:
         rng = np.random.default_rng(10)
         x = rng.standard_normal(shape)
         full = np.fft.fftn(x, axes=axes)
-        half = eg.rfftn(Tensor(x), axes).data
+        half = rfftn(Tensor(x), axes).data
         assert np.allclose(half, full[..., : shape[-1] // 2 + 1], rtol=0, atol=1e-12)
-        back = eg.irfftn(Tensor(half), axes, tuple(shape[ax] for ax in axes)).data
+        back = irfftn(Tensor(half), axes, tuple(shape[ax] for ax in axes)).data
         assert np.allclose(back, np.fft.ifftn(full, axes=axes).real, rtol=0, atol=1e-13)
 
 

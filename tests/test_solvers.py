@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from sino.solvers import (
     kse_rhs,
     nse_rhs,
     sample_ic,
+    simulate,
 )
 from sino.spectral import (
     GridSpec,
@@ -391,6 +393,25 @@ class TestGenerateDataset:
             for b in ("train", "val", "test"):
                 if a < b:
                     assert not np.array_equal(sets[a].data, sets[b].data)
+
+    def test_traced_peak_does_not_grow_with_the_snapshot_count(self):
+        # each snapshot is resampled to the training grid as it is saved, so
+        # beyond its result a trajectory of 80 snapshots holds less than one
+        # more generation-grid state than a trajectory of 10
+        fine, coarse = grid2(64), grid2(16)
+        spec = PDESpec(kind="burgers", nu=0.01)
+        ic = sample_ic(spec, fine, 0, 0)
+        over = []
+        for n in (1, 10, 80):
+            cfg = SolverConfig(dt=1e-3, t_end=n * 1e-3, save_dt=1e-3)
+            tracemalloc.start()
+            try:
+                snaps = simulate(spec, cfg, fine, coarse, ic)
+                over.append(tracemalloc.get_traced_memory()[1] - snaps.nbytes)
+            finally:
+                tracemalloc.stop()
+            assert snaps.shape == (n + 1, 2, 16, 16)
+        assert over[2] < over[1] + ic.nbytes
 
     def test_snapshot_cadence_uniform(self):
         g = grid2(16, 12 * math.pi)
