@@ -7,7 +7,8 @@ topological order. An operation on constants alone records nothing.
 A node keeps its inputs and output. A caller may also build a node by
 hand, a Tensor with its parents and a pullback: model._step records a
 whole time step as one node that keeps only the stage inputs and
-recomputes the rest in its pullback.
+recomputes the rest in its pullback, model._mlp the Freq2Vec MLP, and
+training._squared_error one step's loss term.
 
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the
@@ -140,16 +141,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _node(out, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -176,21 +167,6 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum()
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.data.shape),)
-
-    return _node(out, (a,), vjp)
-
-
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    return mul(sum_all(a), 1.0 / a.data.size)
-
-
 # -- shape manipulation ----------------------------------------------------
 
 
@@ -201,18 +177,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _node(a.data.reshape(shape), (a,), vjp)
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    # materialized: a strided view would make every later op on the result
-    # (FFTs included) walk memory out of order
-    return _node(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), vjp)
 
 
 def getitem(a, idx) -> Tensor:

@@ -49,19 +49,29 @@ and C-wide Pi factors from the stage input and pulls the cotangent back
 through the transposed Pi product and mixes, the mask, the transforms and
 the conjugate SLB. That is per-step gradient checkpointing (Chen et al.,
 arXiv:1604.06174), and the adjoint of an RK scheme is itself an RK scheme
-(Sanz-Serna, SIAM Review 58, 2016). A training window's tape holds the
-Freq2Vec and _rhs_maps nodes, one node per step and the loss; the stage
-intermediates live only while one stage's pullback runs. Without a
-gradient a step keeps nothing. rhs_eval, slb_apply and pi_block run the
-same stage code.
+(Sanz-Serna, SIAM Review 58, 2016). The Freq2Vec MLP is one node too
+(_mlp), whose pullback recomputes its activations. So a training window's
+tape holds the MLP node and the few _rhs_maps nodes after it, one node per
+step and per loss term; the stage intermediates live only while one
+stage's pullback runs. Without a gradient a step keeps nothing. rhs_eval,
+slb_apply and pi_block run the same stage code.
+
+The step's arrays wider than c_in channels, except the features d, their
+cotangent spectra and the transforms' own temporaries, are views of one
+module-level arena: one flat buffer per role, grown to the largest request
+and filled with out= (_buffer). A warm step therefore allocates no C-wide
+array, and glibc does not hand their pages back to the system and fault
+them in again at every stage. Each view is overwritten by the next stage,
+so none is returned or kept on the tape, and two threads must not step at
+once. The buffers keep the size of the largest step the process has run.
 
 Inside the model the state carries a batch axis after the channels,
 (c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1
 maps see B*n_points columns, so a batch of B trajectories steps as one
 state. Its columns are independent, so each trajectory equals its own
 rollout bit for bit (the tests check it). A training iteration rolls its
-batch's warm-ups as one and evaluation rolls a whole test set as one; the
-supervised steps with gradients take one sample at a time.
+batch's warm-ups as one, and then steps its B windows as one state on one
+tape, on maps built once; evaluation rolls a whole test set as one.
 
 The public functions take and return numpy arrays; the underscored
 internals that build the tape (_rhs_maps, _step) serve the training loop.
@@ -225,15 +235,50 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
         raw = eg.getitem(pt["freq2vec.table"], (slice(None), flat))
         psi = eg.to_complex(raw[: cfg.K], raw[cfg.K :])
     else:
-        h: Tensor = Tensor(np.ascontiguousarray(modes.T) / np.array(cfg.freq_norm))
-        n_layers = len(cfg.mlp_hidden) + 1
-        for i in range(n_layers):
-            h = eg.add(eg.matmul(h, pt[f"freq2vec.w{i}"]), pt[f"freq2vec.b{i}"])
-            if i < n_layers - 1:
-                h = eg.mul(h, h)
-        psi = eg.transpose(eg.to_complex(h[:, : cfg.K], h[:, cfg.K :]), (1, 0))
+        psi = _mlp(np.ascontiguousarray(modes.T) / np.array(cfg.freq_norm), pt, cfg)
     table = eg.mul(eg.add(psi[:, :n], eg.conj(psi[:, n:])), 0.5)
     return eg.reshape(table, (cfg.K,) + grid.half_points)
+
+
+def _mlp(h0: np.ndarray, pt: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """The Freq2Vec MLP of the normalized modes h0 (M, dim) as psi (K, M),
+    complex, one tape node.
+
+    Each layer is h @ w + b, squared after every hidden layer; the output's
+    first K columns are psi's real parts and the last K its imaginary parts.
+    The node keeps h0 and the weights, and its pullback recomputes the
+    activations, so the tape holds none of the (M, hidden) arrays.
+    """
+    layers = [(pt[f"freq2vec.w{i}"], pt[f"freq2vec.b{i}"])
+              for i in range(len(cfg.mlp_hidden) + 1)]
+
+    def activations():
+        """The input of every layer, the pre-square value of every hidden
+        layer, and the output."""
+        hs, pre = [h0], []
+        for w, b in layers[:-1]:
+            pre.append(hs[-1] @ w.data + b.data)
+            hs.append(pre[-1] * pre[-1])
+        w, b = layers[-1]
+        return hs, pre, hs[-1] @ w.data + b.data
+
+    _, _, h = activations()
+    psi = np.ascontiguousarray((h[:, : cfg.K] + 1j * h[:, cfg.K :]).T)
+
+    def vjp(g):
+        hs, pre, _ = activations()
+        g_h = np.empty((len(h0), 2 * cfg.K))
+        g_h[:, : cfg.K] = g.real.T
+        g_h[:, cfg.K :] = g.imag.T
+        grads = []
+        for i in reversed(range(len(layers))):
+            grads += [g_h.sum(axis=0), hs[i].T @ g_h]
+            if i:
+                g_h = pre[i - 1] * (g_h @ layers[i][0].data.T)
+                g_h += g_h
+        return tuple(reversed(grads))
+
+    return eg._node(psi, tuple(t for pair in layers for t in pair), vjp)
 
 
 @dataclass(frozen=True)
@@ -294,30 +339,54 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
 
 # -- the step: one tape node with a hand-written pullback ---------------------
 
+# The arena's roles: the SLB spectra "z", the Pi factors "f0" and "f1",
+# their product or its cotangent "v", the features' cotangent "g_d", and a
+# complex "scratch". The features d and the spectra gz of their cotangent
+# are np.fft's own outputs: the benchmark's span tracer cannot pass an out=
+# keyword through to np.fft.
+_ARENA: dict[str, np.ndarray] = {}
+_COMPLEX_ROLES = ("z", "scratch")
+
+
+def _buffer(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A view of shape on the arena's buffer for role."""
+    n = math.prod(shape)
+    flat = _ARENA.get(role)
+    if flat is None or flat.size < n:
+        dtype = np.complex128 if role in _COMPLEX_ROLES else np.float64
+        flat = _ARENA[role] = np.empty(n, dtype)
+    return flat[:n].reshape(shape)
+
 
 def _slb(xh: np.ndarray, table: np.ndarray, cfg: ModelConfig,
          grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The SLB of half spectra xh (c_in, B, *half points): the multiplied
     spectra z (c_in, K, B, *half points) and the features d, flat
     (c_in*K, B*n_points); table is shaped (1, K, 1, *half points)."""
-    z = xh.reshape((cfg.c_in, 1) + xh.shape[1:]) * table
+    xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
+    # a free table (no_freq2vec) is laid out K-innermost and numpy lays its
+    # product out alike; the roundoff of the transforms and matmuls after it
+    # depends on that layout, so such a z is not an arena view
+    z = _buffer("z", (cfg.c_in, cfg.K) + xh.shape[1:]) if table.flags.c_contiguous else None
+    z = np.multiply(xr, table, out=z)
     d = np.fft.irfftn(z, s=grid.points, axes=grid.axes)
     return z, d.reshape(cfg.slb_channels, -1)
 
 
 def _factors(d: np.ndarray, pi) -> list[np.ndarray]:
-    """The Pi factors w_p d + b_p of the features d, each (C, columns); pi
-    holds the (w_p, b_p) tensors."""
+    """The Pi factors w_p d + b_p of the features d, each (C, columns) in the
+    arena; pi holds the (w_p, b_p) tensors."""
     fs = []
-    for w, b in pi:
-        f = w.data @ d
+    for p, (w, b) in enumerate(pi):
+        f = np.matmul(w.data, d, out=_buffer(f"f{p}", (w.shape[0], d.shape[1])))
         f += b.data
         fs.append(f)
     return fs
 
 
 def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
-    """prod_p (w_p d + b_p): the C Pi channels of the features d, unfiltered."""
+    """prod_p (w_p d + b_p): the C Pi channels of the features d, unfiltered,
+    in the arena."""
     fs = _factors(d, pi)
     v = fs[0]
     for f in fs[1:]:
@@ -328,7 +397,9 @@ def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
 def _lowpass_hat(v: np.ndarray, mask: np.ndarray | None, grid: GridSpec) -> np.ndarray:
     """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
     vh = np.fft.rfftn(v, axes=grid.axes)
-    return vh if mask is None else vh * mask
+    if mask is not None:
+        vh *= mask
+    return vh
 
 
 def _stage(xh: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
@@ -336,14 +407,14 @@ def _stage(xh: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> 
     z, d = _slb(xh, maps.table.data, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
     # output map: mix the C Pi channels down to c_in, then filter those
-    v = _pi_channels(d, maps.pi)
-    nonlinear = maps.pi_out.data @ v + maps.bias.data
+    nonlinear = maps.pi_out.data @ _pi_channels(d, maps.pi)
+    nonlinear += maps.bias.data
     out = _lowpass_hat(nonlinear.reshape(xh.shape[:2] + grid.points), maps.mask, grid)
     if maps.linear is None:
         return out
     # the linear branch acts pointwise, so it maps the spectra z directly
-    linear = maps.linear.data @ z.reshape(cfg.slb_channels, -1)
-    return linear.reshape(xh.shape) + out
+    out += (maps.linear.data @ z.reshape(cfg.slb_channels, -1)).reshape(xh.shape)
+    return out
 
 
 def _rfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -351,7 +422,9 @@ def _rfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
     g, which it overwrites, to a cotangent field (..., *points). Here and in
     _irfftn_vjp the interior modes are weighted as the engine docstring says."""
     g = eg._weight_interior(g, grid.axes[-1], grid.points[-1], 0.5)
-    return grid.n_points * np.fft.irfftn(g, s=grid.points, axes=grid.axes)
+    out = np.fft.irfftn(g, s=grid.points, axes=grid.axes)
+    out *= grid.n_points
+    return out
 
 
 def _irfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -367,23 +440,25 @@ def _pi_vjp(d: np.ndarray, pi, pi_out: np.ndarray, g: np.ndarray):
     back to d, to each of the (w_p, b_p) tensors in pi and to pi_out,
     recomputing the factors.
 
-    The C-wide buffers are freed or reused once read, so at most three of
-    them are live at a time."""
+    The C-wide arrays are the arena's f0, f1 and v: v holds the product,
+    then its cotangent gv and then the first factor's cotangent f1 gv, and
+    f0's buffer takes the second factor's, f0 gv. The cotangent of d is the
+    arena's g_d; d, last read by the weights' cotangents, takes the second
+    factor's term of it."""
     fs = _factors(d, pi)
-    v = fs[0] if len(fs) == 1 else fs[0] * fs[1]
+    v = fs[0] if len(fs) == 1 else np.multiply(fs[0], fs[1], out=_buffer("v", fs[0].shape))
     g_pi_out = g @ v.T
-    del v  # its buffer is free for gv
-    gv = pi_out.T @ g
+    gv = np.matmul(pi_out.T, g, out=_buffer("v", fs[0].shape))
     if len(fs) == 1:
         g_fs = [gv]
     else:
         f0, f1 = fs
         g_fs = [gv, np.multiply(f0, gv, out=f0)]  # g_f1 = f0 gv, in f0's buffer
         gv *= f1                                  # g_f0 = f1 gv, in gv's
-    g_d = pi[0][0].data.T @ g_fs[0]
-    for (w, _), g_f in zip(pi[1:], g_fs[1:]):
-        g_d += w.data.T @ g_f
     g_pi = [t for g_f in g_fs for t in (g_f @ d.T, g_f.sum(axis=1, keepdims=True))]
+    g_d = np.matmul(pi[0][0].data.T, g_fs[0], out=_buffer("g_d", d.shape))
+    for (w, _), g_f in zip(pi[1:], g_fs[1:]):
+        g_d += np.matmul(w.data.T, g_f, out=d)
     return g_d, g_pi, g_pi_out
 
 
@@ -402,18 +477,23 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
     g_d, g_pi, g_pi_out = _pi_vjp(d, maps.pi, maps.pi_out.data, g_nl)
     # the SLB's irfftn
     gz = _irfftn_vjp(g_d.reshape(z.shape[:-grid.dim] + grid.points), grid)
+    scratch = _buffer("scratch", gz.shape)
     linear = []
     if maps.linear is not None:
         g_flat = g.reshape(cfg.c_in, -1)
-        linear.append((g_flat @ np.conjugate(z.reshape(cfg.slb_channels, -1)).T).real)
-        gz += (maps.linear.data.T @ g_flat).reshape(gz.shape)
+        z_flat = z.reshape(cfg.slb_channels, -1)
+        flat = scratch.reshape(z_flat.shape)
+        # a K-innermost z (see _slb) keeps its layout in its conjugate
+        z_conj = np.conjugate(z_flat, out=flat if z_flat.flags.c_contiguous else None)
+        linear.append((g_flat @ z_conj.T).real)
+        gz += np.matmul(maps.linear.data.T, g_flat, out=flat).reshape(gz.shape)
     # the SLB's product with the table
     xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
-    g_table = (np.conjugate(xr) * gz).sum(axis=(0, 2), keepdims=True)
+    g_table = np.multiply(np.conjugate(xr), gz, out=scratch).sum(axis=(0, 2), keepdims=True)
     contributions = (g_table, *g_pi, g_pi_out, *linear, g_nl.sum(axis=1, keepdims=True))
     for i, c in enumerate(contributions):
         grads[i] = c if grads[i] is None else grads[i] + c
-    return (np.conjugate(table) * gz).sum(axis=1)
+    return np.multiply(np.conjugate(table), gz, out=scratch).sum(axis=1)
 
 
 def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
@@ -507,7 +587,7 @@ def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
     pi = _pi_factors(_wrap_params(params, False), cfg)
     v = _pi_channels(flat, pi).reshape((cfg.C,) + grid.points)
     if cfg.no_filter:
-        return v
+        return v.copy()  # v is an arena view
     return np.fft.irfftn(_lowpass_hat(v, _mask(cfg, grid), grid), s=grid.points, axes=grid.axes)
 
 

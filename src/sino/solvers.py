@@ -88,6 +88,10 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    @property
+    def n_snapshots(self) -> int:
+        return self.n_steps // self.save_every + 1
+
 
 @dataclass
 class TrajectoryDataset:
@@ -228,17 +232,17 @@ def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
 
 
 def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
-              out_grid: GridSpec | None = None) -> np.ndarray:
+              out_grid: GridSpec | None = None, snaps: np.ndarray | None = None) -> np.ndarray:
     """Integrate from an initial condition, recording a snapshot every save_dt.
 
     Integrating-factor RK4 on the half spectrum: the diagonal linear part is
     advanced exactly by exp(dt * lin), only the nonlinear term (and forcing)
     is stepped explicitly. Returns the snapshots [state(0), state(save_dt),
-    ...] as one array (n_snapshots, channels, *points) with n_snapshots =
-    n_steps // save_every + 1. Each snapshot is resampled to out_grid (by
-    default grid) as it is saved, so the integration holds one state on
-    grid at a time. A non-finite stage or result raises NonFinite carrying
-    the step and time of the failed step.
+    ...] as one array (cfg.n_snapshots, channels, *points), written into
+    snaps if given. Each snapshot is resampled to out_grid (by default grid)
+    as it is saved, so the integration holds one state on grid at a time. A
+    non-finite stage or result raises NonFinite carrying the step and time
+    of the failed step.
     """
     ic = np.asarray(ic, dtype=np.float64)
     if ic.shape != (spec.channels,) + grid.points:
@@ -246,12 +250,16 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
             f"initial condition must have shape ({spec.channels}, {grid.points}), got {ic.shape}"
         )
     out_grid = grid if out_grid is None else out_grid
+    shape = (cfg.n_snapshots,) + ic.shape[:1] + out_grid.points
+    if snaps is None:
+        snaps = np.empty(shape)
+    elif snaps.shape != shape:
+        raise ValueError(f"snaps must have shape {shape}, got {snaps.shape}")
     lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half
     uh = forward_transform(ic, grid)
-    snaps = np.empty((cfg.n_steps // cfg.save_every + 1,) + ic.shape[:1] + out_grid.points)
     snaps[0] = spectral_resample(ic, grid, out_grid)
     # a blow-up overflows; the transforms' and each step's checks report it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,15 +328,16 @@ def generate_dataset(
     split_seed: int | None = None,
 ) -> TrajectoryDataset:
     """Simulate n_traj trajectories at generation resolution and resample the
-    snapshots to the training grid.
+    snapshots to the training grid, each integrated into its slice of the
+    one array the dataset holds.
 
     Split seeds follow the fixed convention train=0, val=1, test=2; per-
     trajectory IC seeds derive deterministically from (split seed, index).
     """
     if split_seed is None:
         split_seed = SPLIT_SEEDS[split]
-    trajs = [
-        simulate(spec, cfg, gen_grid, train_grid, sample_ic(spec, gen_grid, split_seed, t, grf))
-        for t in range(n_traj)
-    ]
-    return TrajectoryDataset(grid=train_grid, cadence=cfg.save_dt, data=np.stack(trajs))
+    data = np.empty((n_traj, cfg.n_snapshots, spec.channels) + train_grid.points)
+    for t in range(n_traj):
+        integrate(spec, cfg, gen_grid, sample_ic(spec, gen_grid, split_seed, t, grf),
+                  train_grid, data[t])
+    return TrajectoryDataset(grid=train_grid, cadence=cfg.save_dt, data=data)

@@ -4,9 +4,10 @@ one-cycle schedule, and the warm-up curriculum loop.
 Each iteration draws B windows as integers (trajectory, warm-up length n
 in {0..n1}, start) and gathers their frames in one step. The start states
 roll together without gradients (warm-up), each sample taking its state
-after its own n steps; each sample then predicts n2 steps with gradients
-against its frames in its own backward, and the step averages the B losses
-and gradients. Model selection is by full-horizon validation error.
+after its own n steps. The B windows then predict n2 steps with gradients
+as one state, on one tape whose maps are built once, and one backward
+gives the batch-mean loss and its gradients. Model selection is by
+full-horizon validation error.
 
 A run is a TrainState: the parameters, the Adam state, the best parameters
 with their validation error and iteration, and one (iteration, lr,
@@ -146,25 +147,42 @@ def sample_curriculum(
 # -- rollout loss -------------------------------------------------------------
 
 
+def _squared_error(state: Tensor, target: np.ndarray) -> Tensor:
+    """The mean of (state - target)^2 over every entry, as one tape node
+    that keeps nothing of its own: its pullback recomputes the difference."""
+    diff = state.data - target
+    loss = np.sum(diff * diff) * (1.0 / diff.size)
+
+    def vjp(g):
+        g_state = state.data - target
+        g_state *= (1.0 / g_state.size) * g
+        g_state += g_state
+        return (g_state,)
+
+    return eg._node(loss, (state,), vjp)
+
+
 def _rollout_loss_graph(
     pt: dict[str, Tensor],
     model_cfg: ModelConfig,
     grid: GridSpec,
-    segment: list[np.ndarray] | np.ndarray,
+    segment,
 ) -> Tensor:
     maps = sino_model._rhs_maps(pt, model_cfg, grid)
-    # the model steps a batch (c_in, B, *points); a segment is one trajectory
-    segment = np.asarray(segment, dtype=np.float64)[:, :, np.newaxis]
-    state = Tensor(segment[0])
+    segment = np.asarray(segment, dtype=np.float64)
+    if segment.ndim == grid.dim + 2:
+        segment = segment[np.newaxis]  # one window is a batch of one
+    # the model steps a batch (c_in, B, *points): frames (n2+1, c_in, B, *points)
+    frames = np.ascontiguousarray(np.moveaxis(segment, 0, 2))
+    state = Tensor(frames[0])
     step_losses = []
     # a diverging step overflows; each step's check reports it as NonFinite
     with np.errstate(over="ignore", invalid="ignore"):
-        for target in segment[1:]:
+        for target in frames[1:]:
             state = sino_model._step(state, maps, model_cfg, grid)
             if not np.isfinite(state.data).all():
                 raise NonFinite(f"rollout diverged at supervised step {len(step_losses) + 1}")
-            diff = eg.sub(state, Tensor(target))
-            step_losses.append(eg.mean_all(eg.mul(diff, diff)))
+            step_losses.append(_squared_error(state, target))
     total = step_losses[0]
     for sl in step_losses[1:]:
         total = eg.add(total, sl)
@@ -177,7 +195,9 @@ def loss_rollout(
     grid: GridSpec,
     segment,
 ) -> float:
-    """Mean per-step squared error of an n-step rollout from segment[0] vs segment[1:]."""
+    """Mean per-step squared error of an n-step rollout from segment[0] vs
+    segment[1:]; segment is one window (n+1, c_in, *points) or a batch of
+    windows (B, n+1, c_in, *points), whose loss is the batch mean."""
     pt = sino_model._wrap_params(params, False)
     return float(_rollout_loss_graph(pt, model_cfg, grid, segment).data)
 
@@ -188,7 +208,13 @@ def backward(
     grid: GridSpec,
     segment,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and its exact gradient with respect to every parameter tensor."""
+    """loss_rollout and its exact gradient with respect to every parameter
+    tensor.
+
+    A batch of windows builds the Freq2Vec table and the folded maps once
+    and steps as one state, on one tape; its gradients equal the mean of the
+    windows' own to roundoff, as the maps' cotangents sum over the batch in
+    another order."""
     pt = sino_model._wrap_params(params, True)
     loss = _rollout_loss_graph(pt, model_cfg, grid, segment)
     loss.backward()
@@ -330,7 +356,7 @@ def train(
         try:
             segments[:, 0] = _warm_up(dataset_train.data[traj, start], ns, state.params,
                                       model_cfg, grid)
-            results = [backward(state.params, model_cfg, grid, segment) for segment in segments]
+            loss, grads = backward(state.params, model_cfg, grid, segments)
         except NonFinite:
             nonfinite_streak += 1
             if nonfinite_streak > 5:
@@ -341,8 +367,6 @@ def train(
             continue
         nonfinite_streak = 0
 
-        loss = sum(l / batch for l, _ in results)
-        grads = {k: sum(g[k] / batch for _, g in results) for k in results[0][1]}
         grads, _ = clip_global_norm(grads, GRAD_CLIP)
         state.params = adam_step(state.opt, state.params, grads, lr)
 

@@ -26,6 +26,39 @@ def real(a) -> Tensor:
     return eg._node(np.ascontiguousarray(a.data.real), (a,), vjp)
 
 
+def sub(a, b) -> Tensor:
+    a, b = eg.as_tensor(a), eg.as_tensor(b)
+
+    def vjp(g):
+        return eg._unbroadcast(g, a.data.shape), eg._unbroadcast(-g, b.data.shape)
+
+    return eg._node(a.data - b.data, (a, b), vjp)
+
+
+def sum_all(a) -> Tensor:
+    a = eg.as_tensor(a)
+
+    def vjp(g):
+        return (np.broadcast_to(g, a.data.shape),)
+
+    return eg._node(a.data.sum(), (a,), vjp)
+
+
+def mean_all(a) -> Tensor:
+    a = eg.as_tensor(a)
+    return eg.mul(sum_all(a), 1.0 / a.data.size)
+
+
+def transpose(a, axes) -> Tensor:
+    a = eg.as_tensor(a)
+    inverse = tuple(np.argsort(axes))
+
+    def vjp(g):
+        return (np.transpose(g, inverse),)
+
+    return eg._node(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), vjp)
+
+
 def rfftn(a, axes) -> Tensor:
     """Unnormalized FFT of a real field; the last of axes keeps modes 0..N/2."""
     a = eg.as_tensor(a)
@@ -131,6 +164,30 @@ def op_by_op_step(u, maps, cfg, grid) -> Tensor:
     return eg.add(u, irfftn(incr, grid.axes, grid.points))
 
 
+def op_by_op_mlp(h0, pt, cfg) -> Tensor:
+    """model._mlp as a composition of tape ops, one node per op: the
+    reference for the Freq2Vec node's table and gradients."""
+    h = Tensor(h0)
+    n_layers = len(cfg.mlp_hidden) + 1
+    for i in range(n_layers):
+        h = eg.add(eg.matmul(h, pt[f"freq2vec.w{i}"]), pt[f"freq2vec.b{i}"])
+        if i < n_layers - 1:
+            h = eg.mul(h, h)
+    return transpose(eg.to_complex(h[:, : cfg.K], h[:, cfg.K :]), (1, 0))
+
+
+def op_by_op_squared_error(state, target) -> Tensor:
+    """training._squared_error as a composition of tape ops."""
+    diff = sub(state, Tensor(target))
+    return mean_all(eg.mul(diff, diff))
+
+
+def tape_bytes(roots) -> int:
+    """The bytes of the values that the nodes under roots keep, leaves aside."""
+    nodes = {id(n): n for r in roots for n in eg._toposort(r) if n._parents}
+    return sum(n.data.nbytes for n in nodes.values())
+
+
 def fd_check(build, params, h=1e-6, tol=1e-6):
     """Central-difference check of d(loss)/d(param) for every coordinate."""
     loss = build()
@@ -154,35 +211,35 @@ class TestBasicOps:
         rng = np.random.default_rng(0)
         a = parameter(rng.standard_normal((3, 4)))
         b = parameter(rng.standard_normal((4,)))
-        fd_check(lambda: eg.sum_all(eg.mul(eg.add(a, b), eg.add(a, b))), [a, b])
+        fd_check(lambda: sum_all(eg.mul(eg.add(a, b), eg.add(a, b))), [a, b])
 
     def test_matmul_chain(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((5, 3)))
         w = parameter(rng.standard_normal((3, 2)))
         b = parameter(rng.standard_normal((2,)))
-        fd_check(lambda: eg.sum_all(eg.mul(h := eg.add(eg.matmul(x, w), b), h)), [w, b])
+        fd_check(lambda: sum_all(eg.mul(h := eg.add(eg.matmul(x, w), b), h)), [w, b])
 
     def test_reshape_transpose_getitem(self):
         rng = np.random.default_rng(3)
         a = parameter(rng.standard_normal((2, 6)))
 
         def build():
-            t = eg.transpose(eg.reshape(a, (3, 4)), (1, 0))
-            return eg.sum_all(eg.mul(t[1:3, :], t[1:3, :]))
+            t = transpose(eg.reshape(a, (3, 4)), (1, 0))
+            return sum_all(eg.mul(t[1:3, :], t[1:3, :]))
 
         fd_check(build, [a])
 
     def test_getitem_repeated_index_accumulates(self):
         # every occurrence of a repeated fancy index contributes its cotangent
         x = parameter(np.arange(4.0))
-        eg.sum_all(x[np.array([1, 1, 2])]).backward()
+        sum_all(x[np.array([1, 1, 2])]).backward()
         assert np.array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
         rng = np.random.default_rng(11)
         a = parameter(rng.standard_normal((3, 5)))
         idx = (slice(None), np.array([4, 0, 4, 2, 0, 4]))
         w = Tensor(rng.standard_normal((3, 6)))
-        fd_check(lambda: eg.sum_all(eg.mul(eg.mul(a[idx], a[idx]), w)), [a])
+        fd_check(lambda: sum_all(eg.mul(eg.mul(a[idx], a[idx]), w)), [a])
 
     def test_fanout_accumulation(self):
         x = parameter(np.array([1.5]))
@@ -193,7 +250,7 @@ class TestBasicOps:
 
     def test_mean_all(self):
         x = parameter(np.ones((2, 3)))
-        eg.mean_all(eg.mul(x, x)).backward()
+        mean_all(eg.mul(x, x)).backward()
         assert x.grad == pytest.approx(np.full((2, 3), 2.0 / 6.0))
 
 
@@ -211,7 +268,7 @@ class TestAffineProduct:
 
         def build():
             y = eg.mul(affine_product(d, factors, out_w), weight)
-            return eg.sum_all(eg.mul(y, y))
+            return sum_all(eg.mul(y, y))
 
         fd_check(build, [d, *(t for pair in factors for t in pair), out_w])
 
@@ -252,9 +309,8 @@ class TestStepNode:
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), name
 
     def test_a_window_records_one_node_per_step(self):
-        # each further step of a window adds its step node and the seven
-        # tensors of its loss term: the target, sub, mul, sum_all, the
-        # mean's constant and mul, and the add
+        # each further step of a window adds three nodes: its step, its
+        # loss term and the add that sums the terms
         case = presets()["E6-desk"]
         cfg, g = case.model, case.train_grid
         rng = np.random.default_rng(16)
@@ -263,7 +319,46 @@ class TestStepNode:
         counts = [len(eg._toposort(training._rollout_loss_graph(
             sino_model._wrap_params(params, True), cfg, g, segment[:frames])))
             for frames in (2, 9)]
-        assert counts[1] - counts[0] == 7 * 8
+        assert counts[1] - counts[0] == 3 * 7
+
+
+class TestFreq2VecAndLossNodes:
+    """model._mlp and training._squared_error, one tape node each, against
+    the same functions composed of tape ops."""
+
+    @pytest.mark.parametrize("preset, frames", [("E6-desk", 9), ("E7-desk", 4)], ids=["2d", "3d"])
+    def test_loss_and_gradients_equal_the_op_by_op_nodes(self, preset, frames, monkeypatch):
+        case = presets()[preset]
+        cfg, g = case.model, case.train_grid
+        rng = np.random.default_rng(18)
+        params = {k: v + 0.1 * rng.standard_normal(v.shape)
+                  for k, v in sino_model.init_params(cfg, 19).items()}
+        segment = 0.5 * rng.standard_normal((frames, cfg.c_in) + g.points)
+        table = sino_model.freq2vec_eval(params, cfg, g)
+        loss, grads = training.backward(params, cfg, g, segment)
+        monkeypatch.setattr(sino_model, "_mlp", op_by_op_mlp)
+        monkeypatch.setattr(training, "_squared_error", op_by_op_squared_error)
+        ref_loss, ref_grads = training.backward(params, cfg, g, segment)
+        assert np.array_equal(sino_model.freq2vec_eval(params, cfg, g), table)
+        assert loss == ref_loss
+        for name, grad in grads.items():
+            ref = ref_grads[name]
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), name
+
+    def test_the_maps_tape_keeps_no_activations(self, monkeypatch):
+        # the Freq2Vec node recomputes its (M, hidden) activations in its
+        # pullback, so the E6-desk maps' tape holds a tenth of their bytes
+        case = presets()["E6-desk"]
+        cfg, g = case.model, case.train_grid
+        params = sino_model.init_params(cfg, 20)
+
+        def maps_bytes():
+            maps = sino_model._rhs_maps(sino_model._wrap_params(params, True), cfg, g)
+            return tape_bytes(maps.tensors)
+
+        held = maps_bytes()
+        monkeypatch.setattr(sino_model, "_mlp", op_by_op_mlp)
+        assert held < 0.5e6 < 3e6 < maps_bytes()
 
 
 class TestComplexOps:
@@ -275,7 +370,7 @@ class TestComplexOps:
 
         def build():
             z = eg.mul(eg.to_complex(re, im), const)
-            return eg.sum_all(eg.mul(real(z), real(z)))
+            return sum_all(eg.mul(real(z), real(z)))
 
         fd_check(build, [re, im])
 
@@ -293,7 +388,7 @@ class TestComplexOps:
             both = z[:, np.concatenate([np.arange(6), neg])]
             sym = eg.mul(eg.add(both[:, :6], eg.conj(both[:, 6:])), 0.5)
             r = real(eg.mul(sym, w))
-            return eg.sum_all(eg.mul(r, r))
+            return sum_all(eg.mul(r, r))
 
         fd_check(build, [re, im])
 
@@ -304,7 +399,7 @@ class TestComplexOps:
 
         def build():
             back = irfftn(eg.mul(rfftn(u, (1, 2)), mult), (1, 2), (4, 4))
-            return eg.sum_all(eg.mul(back, back))
+            return sum_all(eg.mul(back, back))
 
         fd_check(build, [u])
 
@@ -316,7 +411,7 @@ class TestComplexOps:
 
         def build():
             z = eg.mul(rfftn(x, (1, 2)), eg.conj(y))
-            return eg.sum_all(real(z))
+            return sum_all(real(z))
 
         fd_check(build, [x])
 
@@ -336,7 +431,7 @@ class TestHalfSpectrumOps:
 
         def build():
             w = real(eg.mul(rfftn(x, axes), y))
-            return eg.sum_all(eg.mul(w, w))
+            return sum_all(eg.mul(w, w))
 
         fd_check(build, [x])
 
@@ -353,7 +448,7 @@ class TestHalfSpectrumOps:
 
         def build():
             u = irfftn(eg.to_complex(re, im), axes, s)
-            return eg.sum_all(eg.mul(eg.mul(u, u), w))
+            return sum_all(eg.mul(eg.mul(u, u), w))
 
         fd_check(build, [re, im])
 
@@ -372,17 +467,17 @@ class TestGraphMechanics:
     def test_constants_get_no_gradient(self):
         x = parameter(np.ones(3))
         c = Tensor(np.full(3, 2.0))
-        eg.sum_all(eg.mul(x, c)).backward()
+        sum_all(eg.mul(x, c)).backward()
         assert c.grad is None
         assert x.grad == pytest.approx(np.full(3, 2.0))
 
     def test_seeded_backward_scales_gradients(self):
         x = parameter(np.array([3.0]))
-        l1 = eg.sum_all(eg.mul(x, x))
+        l1 = sum_all(eg.mul(x, x))
         l1.backward()
         g1 = x.grad.copy()
         x.grad = None
-        l2 = eg.sum_all(eg.mul(x, x))
+        l2 = sum_all(eg.mul(x, x))
         l2.backward(seed=np.array(2.0))
         assert x.grad == pytest.approx(2.0 * g1)
 
@@ -392,5 +487,5 @@ class TestGraphMechanics:
         y = x
         for _ in range(3000):
             y = eg.add(y, x)
-        eg.sum_all(y).backward()
+        sum_all(y).backward()
         assert x.grad[0] == pytest.approx(3001.0)

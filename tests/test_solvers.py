@@ -413,6 +413,25 @@ class TestGenerateDataset:
             assert snaps.shape == (n + 1, 2, 16, 16)
         assert over[2] < over[1] + ic.nbytes
 
+    def test_traced_peak_stays_near_its_result(self):
+        # each trajectory is integrated into its slice of the dataset's one
+        # array, where stacking the finished trajectories peaked at twice it
+        g = grid2(16)
+        spec = PDESpec(kind="burgers", nu=0.01)
+        cfg = SolverConfig(dt=1e-3, t_end=0.2, save_dt=1e-3)
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(spec, cfg, g, g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.data.shape == (3, 201, 2, 16, 16)
+        assert peak < 1.5 * ds.data.nbytes
+        alone = integrate(spec, cfg, g, sample_ic(spec, g, SPLIT_SEEDS["train"], 2))
+        assert np.array_equal(ds.data[2], alone)
+        with pytest.raises(ValueError, match="snaps must have shape"):
+            integrate(spec, cfg, g, ds.data[0, 0], snaps=np.empty((200, 2, 16, 16)))
+
     def test_snapshot_cadence_uniform(self):
         g = grid2(16, 12 * math.pi)
         spec = PDESpec(kind="kse")

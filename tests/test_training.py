@@ -10,7 +10,7 @@ import pytest
 from sino.config import presets
 from sino.errors import InsufficientLength
 from sino.evaluation import evaluate_rollout
-from sino.model import config_for_grid, exact_burgers_params, init_params
+from sino.model import ABLATION_FLAGS, config_for_grid, exact_burgers_params, init_params
 from sino.solvers import (
     PDESpec,
     SolverConfig,
@@ -208,6 +208,24 @@ class TestBackward:
             tracemalloc.stop()
         assert len(segment) == 9 and peak <= 10e6
 
+    @pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
+    def test_a_batch_backward_is_the_mean_of_its_windows(self, flag):
+        # one tape for the batch: the maps are built once and the windows
+        # step as one state, so the maps' cotangents sum over the batch in
+        # another order than the mean of the windows' own backwards
+        g, cfg, params, _ = self.small(**({} if flag is None else {flag: True}))
+        windows = np.stack([np.stack([bandlimited(g, 50 + 4 * b + i, cutoff=5)
+                                      for i in range(4)]) for b in range(3)])
+        loss, grads = backward(params, cfg, g, windows)
+        alone = [backward(params, cfg, g, w) for w in windows]
+        mean_loss = sum(l for l, _ in alone) / len(alone)
+        assert loss == pytest.approx(mean_loss, rel=1e-12, abs=0.0)
+        assert loss_rollout(params, cfg, g, windows) == loss
+        assert sorted(grads) == sorted(params)
+        for name, grad in grads.items():
+            ref = sum(g_b[name] for _, g_b in alone) / len(alone)
+            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref), name
+
     def test_pi_factor_permutation_symmetry(self):
         g, cfg, params, segment = self.small()
         loss_a, bundle_a = backward(params, cfg, g, segment)
@@ -284,8 +302,9 @@ class TestCurriculum:
             sample_curriculum(ds, cfg, np.random.default_rng(4))
 
     def test_warmup_state_is_start_frame(self, monkeypatch):
-        # train warms up the snapshot at each draw's start, and backward gets
-        # that state followed by the n2 snapshots after start + n
+        # train warms up the snapshot at each draw's start, and its one
+        # backward gets, for each draw, that state followed by the n2
+        # snapshots after start + n
         import sino.training
         ds = self.make_dataset()
         g = ds.grid
@@ -309,12 +328,14 @@ class TestCurriculum:
         monkeypatch.setattr(sino.training, "backward", recording_backward)
         train(ds, ds, cfg, tc)
         (starts, ns, states), = warm_ups
+        (batch,) = segments
         assert [n for _, n, _ in draws] == ns.tolist()
+        assert batch.shape == (tc.batch, tc.n2 + 1) + ds.data.shape[2:]
         for b, (traj, n, start) in enumerate(draws):
             first = start + n + 1
             assert np.array_equal(starts[b], ds.data[traj, start])
-            assert np.array_equal(segments[b][0], states[b])
-            assert np.array_equal(segments[b][1:], ds.data[traj, first:first + tc.n2])
+            assert np.array_equal(batch[b, 0], states[b])
+            assert np.array_equal(batch[b, 1:], ds.data[traj, first:first + tc.n2])
 
 
 class TestAdam:
@@ -476,6 +497,12 @@ class TestTrainLoop:
         return history, params, warm_ups
 
     def assert_train_equals_one_sample_at_a_time(self, n1, batch, expected_warm_ups):
+        """train against the loop above. A batch of one is the same bits. A
+        larger batch steps on one tape, whose maps' cotangents sum over the
+        batch in another order, so its losses agree to 1e-12 relative, and
+        its params to 1e-12 of their global norm: Adam divides a gradient
+        entry that is zero but for roundoff by its own size, so such an
+        entry's roundoff moves its parameter by up to lr / EPS times it."""
         g = grid2(8)
         ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
         cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
@@ -483,19 +510,30 @@ class TestTrainLoop:
         state = train(ds, ds, cfg, tc)
         history, params, warm_ups = self.train_one_sample_at_a_time(ds, cfg, tc)
         assert warm_ups == expected_warm_ups
-        assert state.history == history
-        assert all(np.array_equal(state.params[k], params[k]) for k in params)
+        if batch == 1:
+            assert state.history == history
+            assert all(np.array_equal(state.params[k], params[k]) for k in params)
+            return
+        assert [row[:2] for row in state.history] == [row[:2] for row in history]
+        for row, ref in zip(state.history, history):
+            assert row[2] == pytest.approx(ref[2], rel=1e-12, abs=0.0)
+            assert (row[3] is None) == (ref[3] is None)
+            assert row[3] is None or row[3] == pytest.approx(ref[3], rel=1e-12, abs=0.0)
+        diff = math.sqrt(sum(np.sum((state.params[k] - params[k]) ** 2) for k in params))
+        assert diff <= 1e-12 * math.sqrt(sum(np.sum(p ** 2) for p in params.values()))
 
     def test_batched_warm_ups_equal_a_rollout_per_sample(self):
-        # train rolls a batch's warm-ups together; the history and params
-        # equal those of a loop that warms each sample up with its own
-        # rollout. The draws hold no warm-up, warm-ups of different lengths
-        # and a repeated length.
+        # train rolls a batch's warm-ups together; the warm-ups equal those
+        # of a loop that warms each sample up with its own rollout. The draws
+        # hold no warm-up, warm-ups of different lengths and a repeated length.
         self.assert_train_equals_one_sample_at_a_time(4, 3, [[0, 2, 4], [3, 4, 4]])
 
     def test_zero_step_warm_ups_equal_the_start_states(self):
         # under n1 = 0 the batch's one warm-up rollout makes no step
         self.assert_train_equals_one_sample_at_a_time(0, 2, [[0, 0], [0, 0]])
+
+    def test_a_batch_of_one_equals_the_loop_bit_for_bit(self):
+        self.assert_train_equals_one_sample_at_a_time(4, 1, [[2], [0]])
 
     def test_each_warm_up_steps_only_its_own_n(self, monkeypatch):
         # the batch takes ns.sum() sample-steps, not B * max(ns), and each
@@ -554,7 +592,7 @@ class TestTrainLoop:
         assert it == 1 and math.isnan(loss) and val is None
         assert math.isfinite(state.history[1][2])
         assert state.opt.step == 1
-        assert len(backwards) == tc.batch
+        assert len(backwards) == 1  # one batched backward, in iteration 2
         # the warm-ups of iterations 1 and 2, then iteration 2's validation
         assert finite_rollouts == [False, True, True]
 
