@@ -57,7 +57,7 @@ import numpy as np
 from . import containers, evaluation, training
 from .config import ExperimentConfig, from_dict, load_yaml, presets
 from .errors import ContainerError, NonFinite, SinoError
-from .model import ABLATION_FLAGS
+from .model import ABLATION_FLAGS, _param_shapes
 from .solvers import TrajectoryDataset, generate_dataset
 from .spectral import GridSpec
 from .training import TrainState, train
@@ -133,14 +133,21 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def _read_checkpoint(path) -> tuple[ExperimentConfig, TrainState]:
-    """The config echo and the training state of a run's checkpoint."""
+    """The config echo and the training state of a run's checkpoint, if it fits the echo."""
     echo, tensors = containers.read_checkpoint(path)
     try:
         cfg = from_dict(json.loads(echo))
     except ValueError as err:
         raise ValueError(f"{path}: the checkpoint's config echo is from another config "
                          f"schema than this version's: {err}") from err
-    return cfg, TrainState.from_tensors(tensors)
+    state, shapes = TrainState.from_tensors(tensors), _param_shapes(cfg.model)
+    for prefix in ("param.", "best.", "adam_m.", "adam_v."):
+        got = {k[len(prefix):]: v.shape for k, v in tensors.items() if k.startswith(prefix)}
+        wrong = sorted({prefix + k for k, _ in shapes.items() ^ got.items()})
+        if wrong:
+            raise ContainerError(f"{path}: the checkpoint's tensors {', '.join(wrong)} are "
+                                 "missing, extra or misshapen for its echoed model")
+    return cfg, state
 
 
 def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainState]:
@@ -187,6 +194,9 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     run, state = _read_checkpoint(checkpoint or out / "ckpt_last.sino")
     if ood and run.pde.dim != 2:
         raise ValueError(f"--ood: pattern initial conditions are 2D; the run is {run.pde.dim}D")
+    if superres > 1 and run.model.no_freq2vec:
+        raise ValueError(f"--superres {superres}: the free multiplier table of a no_freq2vec "
+                         f"run is bound to its native resolution {run.train_points}")
     ds_test = load_split(out / "data", "test")
     if ds_test.grid != run.train_grid:
         raise ValueError(f"the test split's grid {ds_test.grid} is not the run's training "

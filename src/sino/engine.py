@@ -180,6 +180,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
+    """a[idx], C-ordered whatever axis an index array gathers along."""
     a = as_tensor(a)
 
     def vjp(g):
@@ -189,7 +190,7 @@ def getitem(a, idx) -> Tensor:
         np.add.at(full, idx, g)
         return (full,)
 
-    return _node(a.data[idx], (a,), vjp)
+    return _node(np.ascontiguousarray(a.data[idx]), (a,), vjp)
 
 
 # -- complex ops and the half-spectrum weighting -----------------------------

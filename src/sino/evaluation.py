@@ -23,7 +23,7 @@ import numpy as np
 from . import containers
 from . import model as sino_model
 from .model import ModelConfig
-from .solvers import PDESpec, SolverConfig, TrajectoryDataset, simulate
+from .solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate
 from .spectral import GridSpec, forward_transform, freq_grid, grf_sample, inverse_transform, spectral_resample
 
 
@@ -223,7 +223,7 @@ def pattern_test_set(name: str, pde: PDESpec, solver: SolverConfig, gen_grid: Gr
     repeated over the PDE's channels, simulated on gen_grid and stored on
     grid, as a generated test set is."""
     ic = np.repeat(pattern_ic(builtin_raster(name), grid), pde.channels, axis=0)
-    truth = simulate(pde, solver, gen_grid, grid, spectral_resample(ic, grid, gen_grid))
+    truth = integrate(pde, solver, gen_grid, spectral_resample(ic, grid, gen_grid), grid)
     return TrajectoryDataset(grid=grid, cadence=solver.save_dt, data=truth[np.newaxis])
 
 

@@ -19,9 +19,11 @@ every channel alike, so it commutes with the pointwise map W_pi. So the
 FFT pair of the low-pass runs on c_in channels, not C, and no C-wide linear
 branch or concatenation is formed. The folded maps, like the Freq2Vec
 table, depend on the parameters alone and are built once per tape
-(_rhs_maps), not in every right-hand side evaluation. Under no_linear all
-of out.w is W_pi; under no_filter the low-pass is the identity. The
-parameters are the paper's; only roundoff differs from the paper's order.
+(_rhs_maps), not in every right-hand side evaluation. The maps carry the
+ablations: under no_freq2vec the table is the free table, C-ordered as the
+MLP's is, under no_filter the mask is all ones, and under no_linear out.w
+is all W_pi. The parameters are the paper's; only roundoff differs from the
+paper's order.
 
 Spectra are real-FFT half spectra (np.fft.rfftn / np.fft.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
@@ -285,12 +287,12 @@ def _mlp(h0: np.ndarray, pt: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
 class _RhsMaps:
     """The parameter-only parts of the right-hand side, built once per tape.
 
-    table is the Freq2Vec table shaped (1, K, 1, *half points) to broadcast
-    over the input channels and the batch; pi holds the Pi factors (w, b)
-    with b as a column; pi_out (c_in, C) is the output map's Pi columns;
-    linear (c_in, c_in*K) is the linear branch folded into the output map,
-    None under no_linear; bias (c_in, 1) is the folded output bias; mask is
-    the 2/3 low-pass, a constant array, None under no_filter.
+    table is the Freq2Vec table, C-ordered and shaped (1, K, 1, *half points)
+    to broadcast over the input channels and the batch; pi holds the Pi
+    factors (w, b) with b as a column; pi_out (c_in, C) is the output map's
+    Pi columns; linear (c_in, c_in*K) is the linear branch folded into the
+    output map, None under no_linear; bias (c_in, 1) is the folded output
+    bias; mask is the 2/3 low-pass, a constant array, all ones under no_filter.
     """
 
     table: Tensor
@@ -298,7 +300,7 @@ class _RhsMaps:
     pi_out: Tensor
     linear: Tensor | None
     bias: Tensor
-    mask: np.ndarray | None
+    mask: np.ndarray
 
     @property
     def tensors(self) -> tuple[Tensor, ...]:
@@ -313,8 +315,8 @@ def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, 
                  for p in range(cfg.n_pi_factors))
 
 
-def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray | None:
-    return None if cfg.no_filter else two_thirds_mask(grid)
+def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
+    return np.ones(grid.half_points) if cfg.no_filter else two_thirds_mask(grid)
 
 
 def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMaps:
@@ -364,11 +366,7 @@ def _slb(xh: np.ndarray, table: np.ndarray, cfg: ModelConfig,
     spectra z (c_in, K, B, *half points) and the features d, flat
     (c_in*K, B*n_points); table is shaped (1, K, 1, *half points)."""
     xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
-    # a free table (no_freq2vec) is laid out K-innermost and numpy lays its
-    # product out alike; the roundoff of the transforms and matmuls after it
-    # depends on that layout, so such a z is not an arena view
-    z = _buffer("z", (cfg.c_in, cfg.K) + xh.shape[1:]) if table.flags.c_contiguous else None
-    z = np.multiply(xr, table, out=z)
+    z = np.multiply(xr, table, out=_buffer("z", (cfg.c_in, cfg.K) + xh.shape[1:]))
     d = np.fft.irfftn(z, s=grid.points, axes=grid.axes)
     return z, d.reshape(cfg.slb_channels, -1)
 
@@ -394,11 +392,10 @@ def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
     return v
 
 
-def _lowpass_hat(v: np.ndarray, mask: np.ndarray | None, grid: GridSpec) -> np.ndarray:
-    """The half spectrum of v (..., *points), 2/3 low-passed unless mask is None."""
+def _lowpass_hat(v: np.ndarray, mask: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The half spectrum of v (..., *points), times mask."""
     vh = np.fft.rfftn(v, axes=grid.axes)
-    if mask is not None:
-        vh *= mask
+    vh *= mask
     return vh
 
 
@@ -470,7 +467,7 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
     The SLB spectra, features and Pi factors are recomputed from xh."""
     table = maps.table.data
     # the mask and the low-pass rfftn
-    g_nl = _rfftn_vjp(g.copy() if maps.mask is None else g * maps.mask, grid)
+    g_nl = _rfftn_vjp(g * maps.mask, grid)
     g_nl = g_nl.reshape(cfg.c_in, -1)
     # the mix and the Pi product
     z, d = _slb(xh, table, cfg, grid)
@@ -483,9 +480,7 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
         g_flat = g.reshape(cfg.c_in, -1)
         z_flat = z.reshape(cfg.slb_channels, -1)
         flat = scratch.reshape(z_flat.shape)
-        # a K-innermost z (see _slb) keeps its layout in its conjugate
-        z_conj = np.conjugate(z_flat, out=flat if z_flat.flags.c_contiguous else None)
-        linear.append((g_flat @ z_conj.T).real)
+        linear.append((g_flat @ np.conjugate(z_flat, out=flat).T).real)
         gz += np.matmul(maps.linear.data.T, g_flat, out=flat).reshape(gz.shape)
     # the SLB's product with the table
     xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])

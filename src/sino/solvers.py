@@ -310,13 +310,6 @@ def sample_ic(spec: PDESpec, grid: GridSpec, split_seed: int, traj: int,
     )
 
 
-def simulate(spec: PDESpec, cfg: SolverConfig, gen_grid: GridSpec, train_grid: GridSpec,
-             ic: np.ndarray) -> np.ndarray:
-    """One trajectory from an IC on the generation grid, its snapshots
-    resampled to the training grid: (n_snapshots, channels, *train points)."""
-    return integrate(spec, cfg, gen_grid, ic, train_grid)
-
-
 def generate_dataset(
     spec: PDESpec,
     cfg: SolverConfig,

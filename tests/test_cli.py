@@ -272,6 +272,20 @@ class TestRoundTrip:
         assert rows[3][2] == "NaN"  # only 2 training trajectories exist
         assert all(float(r[2]) >= 0.0 for r in rows[1:3])
 
+    def test_a_sweep_over_channels_and_embed_has_a_row_per_point(self, run, tmp_path):
+        _, _, out = run
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        cfg = tiny_config(tmp_path / "out")
+        path = write_config(tmp_path / "tiny.yaml", cfg)
+        assert cli.main(["sweep", "--config", path, "--channels", "2,3", "--embed", "2"]) == 0
+        rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert [r[0] for r in rows[1:]] == ["C=2,K=2", "C=3,K=2"]
+        hashes = [r[1] for r in rows[1:]]
+        assert hashes == [replace(cfg, model=replace(cfg.model, C=c, K=2)).config_hash()
+                          for c in (2, 3)]
+        assert len(set(hashes + [cfg.config_hash()])) == 3
+        assert all(float(r[2]) >= 0.0 for r in rows[1:])
+
 
 class TestExitCodes:
     def generate(self, tmp_path, text):
@@ -414,6 +428,44 @@ class TestExitCodes:
         assert cli.main(["evaluate", "--config", path, "--ood", "star"]) == 2
         assert "pattern initial conditions are 2D" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("eval_*.csv"))
+
+    def test_superres_on_a_no_freq2vec_run_is_refused_before_any_work(self, run, tmp_path,
+                                                                      capsys):
+        # the free table holds the native grid's modes and no others
+        path, _, out = run
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        out_arg = ["--out", str(tmp_path / "out")]
+        assert cli.main(["train", "--config", path, *out_arg, "--no-freq2vec"]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", path, *out_arg, "--superres", "2"]) == 2
+        assert "native resolution (16, 16)" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("eval_*.csv"))
+
+    @pytest.mark.parametrize("command, option", [("train", "--resume"),
+                                                 ("evaluate", "--checkpoint")])
+    @pytest.mark.parametrize("change, named", [
+        ("drop", "best.out.w"),
+        ("reshape", "adam_m.pi.0.w"),
+        ("add", "param.extra"),
+    ])
+    def test_a_checkpoint_that_does_not_fit_its_model_exits_4(self, run, tmp_path, capsys,
+                                                              command, option, change, named):
+        path, _, out = run
+        echo, tensors = read_checkpoint(out / "ckpt_last.sino")
+        if change == "drop":
+            del tensors[named]
+        elif change == "reshape":
+            tensors[named] = tensors[named][:, :-1]
+        else:
+            tensors[named] = np.zeros(3)
+        ckpt = tmp_path / "bad.sino"
+        write_checkpoint(ckpt, echo, tensors)
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "out"),
+                         option, str(ckpt)]) == 4
+        err = capsys.readouterr().err
+        assert named in err and "echoed model" in err
+        assert "Traceback" not in err
 
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2

@@ -98,6 +98,14 @@ class TestFieldContainer:
             write(tmp_path / "out")
         assert list(tmp_path.glob("*.tmp.*")) == []
 
+    def test_a_flipped_payload_byte_fails_the_crc(self, tmp_path):
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[FIELD_HEADER + 5] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="payload CRC mismatch"):
+            read_field_container(path)
+
     @pytest.mark.parametrize("offset, value", [
         (17, 2**63),           # points[0]: the payload cannot fit
         (17, 2**64 - 2),       # a product that wraps in 64-bit arithmetic
@@ -136,6 +144,17 @@ class TestCli:
         (data / "manifest.txt").write_text("config x\n")
         assert cli.main(["train", "--preset", "E6-desk", "--out", str(tmp_path)]) == 4
         assert "truncated" in capsys.readouterr().err
+
+    def test_corrupt_payload_exits_4(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        path, _ = field_file(data, "train_000.sino")
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 0x80  # the payload's last byte, before its CRC
+        path.write_bytes(bytes(blob))
+        (data / "manifest.txt").write_text("config x\n")
+        assert cli.main(["train", "--preset", "E6-desk", "--out", str(tmp_path)]) == 4
+        assert "payload CRC mismatch" in capsys.readouterr().err
 
     def test_manifest_tells_files_apart(self, tmp_path):
         # same grid, length and header, different payloads: a whole-file

@@ -14,7 +14,7 @@ from sino.evaluation import (
     pcc,
 )
 from sino.model import exact_burgers_params, init_params, config_for_grid
-from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate, simulate
+from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate
 from sino.spectral import (
     GridSpec,
     forward_transform,
@@ -282,7 +282,7 @@ class TestPatternIC:
         assert ds.data.shape == (1, 5, pde.channels) + grid.points
         ic = pattern_ic(builtin_raster("star"), grid)
         ic = np.concatenate([ic] * pde.channels)
-        truth = simulate(pde, solver, gen, grid, spectral_resample(ic, grid, gen))
+        truth = integrate(pde, solver, gen, spectral_resample(ic, grid, gen), grid)
         assert np.array_equal(ds.data[0], truth)
 
 

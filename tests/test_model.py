@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sino.model import (
+    ABLATION_FLAGS,
     ModelConfig,
     _param_shapes,
     config_for_grid,
@@ -443,19 +444,23 @@ class TestStepAndRollout:
         channels = cfg.c_in + 4 * (cfg.c_in * cfg.K + cfg.c_in) + cfg.c_in
         assert sum(transformed) == channels == 44
 
-    def test_a_warm_step_allocates_only_narrow_arrays(self):
+    @pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
+    def test_a_warm_step_allocates_only_narrow_arrays(self, flag):
         # after a first call, the step's C-wide arrays and the SLB spectra
-        # are views of the model's arena. One more E6-desk step of a B=4
-        # state then peaks at 13.6 times the state under tracemalloc (30.6
-        # when they were fresh): c_in-channel spectra, the features d and the
-        # complex temporary of their inverse transform
+        # are views of the model's arena under every flag. One more E6-desk
+        # step of a B=4 state then peaks at 13.6 times the state under
+        # tracemalloc (30.6 when they were fresh): c_in-channel spectra, the
+        # features d and the complex temporary of their inverse transform
         import tracemalloc
+        from dataclasses import replace
 
         from sino import model as sino_model
         from sino.config import presets
         from sino.engine import Tensor
         case = presets()["E6-desk"]
         cfg, g = case.model, case.train_grid
+        if flag:
+            cfg = replace(cfg, **{flag: True})
         state = Tensor(np.stack([bandlimited(g, 37 + b, cutoff=10, channels=cfg.c_in)
                                  for b in range(4)], axis=1))
         maps = sino_model._rhs_maps(sino_model._wrap_params(init_params(cfg, 38), False), cfg, g)

@@ -19,7 +19,6 @@ from sino.solvers import (
     kse_rhs,
     nse_rhs,
     sample_ic,
-    simulate,
 )
 from sino.spectral import (
     GridSpec,
@@ -406,7 +405,7 @@ class TestGenerateDataset:
             cfg = SolverConfig(dt=1e-3, t_end=n * 1e-3, save_dt=1e-3)
             tracemalloc.start()
             try:
-                snaps = simulate(spec, cfg, fine, coarse, ic)
+                snaps = integrate(spec, cfg, fine, ic, coarse)
                 over.append(tracemalloc.get_traced_memory()[1] - snaps.nbytes)
             finally:
                 tracemalloc.stop()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sino.config import presets
-from sino.errors import InsufficientLength
+from sino.errors import InsufficientLength, NonFinite
 from sino.evaluation import evaluate_rollout
 from sino.model import ABLATION_FLAGS, config_for_grid, exact_burgers_params, init_params
 from sino.solvers import (
@@ -595,6 +595,56 @@ class TestTrainLoop:
         assert len(backwards) == 1  # one batched backward, in iteration 2
         # the warm-ups of iterations 1 and 2, then iteration 2's validation
         assert finite_rollouts == [False, True, True]
+
+    def test_a_diverging_supervised_step_skips_the_iteration(self, monkeypatch):
+        # n1 = 0, so no warm-up steps, and trajectory 1 is so large that its
+        # first supervised step overflows. At seed 2 iteration 1 draws it:
+        # its row has a NaN loss and no Adam step is taken. Iteration 2
+        # draws trajectory 0 and trains as usual.
+        import sino.training
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        ds.data[1] *= 1e100
+        ds_val = TrajectoryDataset(grid=g, cadence=ds.cadence, data=ds.data[:1])
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        raised, real_backward = [], sino.training.backward
+
+        def watched_backward(*args):
+            try:
+                return real_backward(*args)
+            except NonFinite as err:
+                raised.append(str(err))
+                raise
+
+        monkeypatch.setattr(sino.training, "backward", watched_backward)
+        state = train(ds, ds_val, cfg, TrainConfig(iterations=2, n1=0, seed=2))
+        assert raised == ["rollout diverged at supervised step 1"]
+        it, _, loss, val = state.history[0]
+        assert it == 1 and math.isnan(loss) and val is None
+        assert math.isfinite(state.history[1][2]) and math.isfinite(state.history[1][3])
+        assert state.opt.step == 1 and state.best_iteration == 2
+
+    def test_six_consecutive_non_finite_iterations_raise(self):
+        # every window diverges at its first supervised step
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        ds.data *= 1e100
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        with pytest.raises(NonFinite, match=r"6 consecutive non-finite iterations "
+                                            r"\(at iteration 6\)"):
+            train(ds, ds, cfg, TrainConfig(iterations=10, n1=0))
+
+    def test_without_a_finite_validation_the_last_params_are_best(self, monkeypatch):
+        import sino.training
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3,), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        monkeypatch.setattr(sino.training, "validation_rel_l2", lambda *args: math.inf)
+        state = train(ds, ds, cfg, TrainConfig(iterations=3, n1=0, val_every=1))
+        assert [row[3] for row in state.history] == [math.inf] * 3
+        assert state.best_val == math.inf and state.best_iteration == 3
+        assert state.best_params is state.params
+        assert not np.array_equal(state.params["out.w"], init_params(cfg, 0)["out.w"])
 
     def test_cadence_mismatch_rejected(self):
         g = grid2(8)
