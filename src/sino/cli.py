@@ -21,8 +21,8 @@ required one is a validation error. For example:
 A run keeps one checkpoint, ckpt_last.sino: its config echo and its whole
 training state. evaluate scores the checkpoint's best parameters under its
 echo; --config, --preset and --out only locate the run directory. It scores
-the test split (eval_test.csv). --superres N also generates the run's test
-ICs stored at N times the training resolution and scores them
+the test split (eval_test.csv). --superres N, N >= 2, also generates the
+run's test ICs stored at N times the training resolution and scores them
 (eval_superres_xN.csv); it prints that fine score beside the test-set score
 as native. --ood NAME scores one 2D pattern IC (eval_ood_NAME.csv).
 generate and evaluate train nothing, so they take neither --seed nor an
@@ -188,8 +188,9 @@ def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
                  ood: str | None = None) -> int:
-    if superres < 0:
-        raise ValueError(f"--superres must be >= 0, got {superres}")
+    if superres < 0 or superres == 1:
+        # N = 1 is the training grid: its score is eval_test.csv's
+        raise ValueError(f"--superres must be 0 or >= 2, got {superres}")
     out = Path(cfg.out_dir)
     run, state = _read_checkpoint(checkpoint or out / "ckpt_last.sino")
     if ood and run.pde.dim != 2:
@@ -331,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", help="checkpoint path (default out/ckpt_last.sino); "
                         "its best parameters are scored under its run's config")
     p_eval.add_argument("--superres", type=int, default=0,
-                        help="also score the test ICs at this multiple of the training resolution; "
-                        "the native score printed beside it is the test-set score")
+                        help="also score the test ICs at this multiple N >= 2 of the training "
+                        "resolution; the native score printed beside it is the test-set score")
     p_eval.add_argument("--ood", choices=("star", "smiley", "ai"),
                         help="evaluate an out-of-distribution pattern initial condition")
 

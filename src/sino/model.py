@@ -17,13 +17,26 @@ where d are the SLB features and v the C unfiltered Pi channels. The
 second line holds because the low-pass is one spectral mask applied to
 every channel alike, so it commutes with the pointwise map W_pi. So the
 FFT pair of the low-pass runs on c_in channels, not C, and no C-wide linear
-branch or concatenation is formed. The folded maps, like the Freq2Vec
-table, depend on the parameters alone and are built once per tape
-(_rhs_maps), not in every right-hand side evaluation. The maps carry the
-ablations: under no_freq2vec the table is the free table, C-ordered as the
-MLP's is, under no_filter the mask is all ones, and under no_linear out.w
-is all W_pi. The parameters are the paper's; only roundoff differs from the
-paper's order.
+branch or concatenation is formed.
+
+Where it is cheaper, the Pi-block folds with W_pi as well. For the S =
+c_in*K features d of one grid column, output channel c reads
+    W_pi[c] ((W0 d + b0) * (W1 d + b1)) = d^T Q_c d + L_c d + beta_c,
+with Q_c = W0^T diag(W_pi[c]) W1 (S x S), L = W_pi (diag(b1) W0 +
+diag(b0) W1) and beta = W_pi (b0 * b1), which joins the folded bias
+(_pi_form). Q_c is the Pi-block's bilinear symbol in feature space: its
+c_in*S*(S+2) multiply-adds per column replace the C*(2S+1+c_in) of the
+C-wide factors. _folds_pi takes the form when it needs fewer and the block
+has two factors: at every preset but E7-desk (C=8, S=12). The exact Burgers
+instances, whose C is d^2, and no_pi keep the factors. The choice follows
+from the shapes alone, and the two agree to roundoff.
+
+The folded maps, like the Freq2Vec table, depend on the parameters alone
+and are built once per tape (_rhs_maps), not in every right-hand side
+evaluation. The maps carry the ablations: under no_freq2vec the table is
+the free table, C-ordered as the MLP's is, under no_filter the mask is all
+ones, and under no_linear out.w is all W_pi. The parameters are the
+paper's; only roundoff differs from the paper's order.
 
 Spectra are real-FFT half spectra (np.fft.rfftn / np.fft.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
@@ -34,35 +47,42 @@ A step works on half spectra, as the reference solvers do. It transforms
 the state once, evaluates the four RK4 stages as half spectra (_stage)
 and transforms the combined increment back once. A stage multiplies its
 input spectrum by the Freq2Vec table (the SLB spectra z), makes one
-inverse transform of the c_in*K SLB channels for the Pi-block, mixes the
-Pi channels to c_in, adds the folded bias, and makes one forward
-transform of those c_in channels, which the 2/3 mask then filters. The
-folded linear branch is pointwise, so it maps z in spectral space with no
-transform. So an RK4 step makes 10 FFT calls on c_in + 4(c_in*K + c_in) +
-c_in channels (44 on E6-desk). A stage adds only Hermitian-consistent half
-spectra (the table is conjugate-symmetric wherever k and -k both lie in the
-half spectrum), so this is the same function up to roundoff.
+inverse transform of the c_in*K SLB channels for the Pi-block, evaluates
+the Pi-block mixed to c_in channels (its form, or W_pi times its C
+channels), adds the folded bias, and makes one forward transform of those
+c_in channels, which the 2/3 mask then filters. The folded linear branch
+is pointwise, so it maps z in spectral space with no transform. So an RK4
+step makes 10 FFT calls on c_in + 4(c_in*K + c_in) + c_in channels (44 on
+E6-desk), with the form or without. A stage adds only Hermitian-consistent
+half spectra (the table is conjugate-symmetric wherever k and -k both lie
+in the half spectrum), so this is the same function up to roundoff.
 
 A step is one tape node (_step), whose forward is plain numpy. Under
 gradients it keeps the state and the stage inputs, c_in-channel half
 spectra, and its pullback (_stage_vjp per stage, last stage first) is the
-discrete adjoint of RK4: it recomputes each stage's SLB spectra, features
-and C-wide Pi factors from the stage input and pulls the cotangent back
-through the transposed Pi product and mixes, the mask, the transforms and
-the conjugate SLB. That is per-step gradient checkpointing (Chen et al.,
-arXiv:1604.06174), and the adjoint of an RK scheme is itself an RK scheme
-(Sanz-Serna, SIAM Review 58, 2016). The Freq2Vec MLP is one node too
-(_mlp), whose pullback recomputes its activations. So a training window's
-tape holds the MLP node and the few _rhs_maps nodes after it, one node per
-step and per loss term; the stage intermediates live only while one
-stage's pullback runs. Without a gradient a step keeps nothing. rhs_eval,
-slb_apply and pi_block run the same stage code.
+discrete adjoint of RK4: it recomputes each stage's SLB spectra and
+features from the stage input, and without the form its C-wide Pi factors
+too, and pulls the cotangent back through the form (_quadratic_vjp, which
+adds into the form's cotangent and needs no factor) or the transposed Pi
+product and mixes, the mask, the transforms and the conjugate SLB. That is
+per-step gradient checkpointing (Chen et al., arXiv:1604.06174), and the
+adjoint of an RK scheme is itself an RK scheme (Sanz-Serna, SIAM Review 58,
+2016). The Freq2Vec MLP is one node too (_mlp), whose pullback recomputes
+its activations, and so is the form (_pi_form), whose pullback maps the
+form's cotangent that the steps sum back to pi.0.*, pi.1.* and W_pi. So a
+training window's tape holds the MLP node and the few _rhs_maps nodes
+after it, one node per step and per loss term; the stage intermediates
+live only while one stage's pullback runs. Without a gradient a step keeps
+nothing. rhs_eval and slb_apply run the same stage code; pi_block, the
+inspection API of the C Pi channels, runs the factors' code.
 
 The step's arrays wider than c_in channels, except the features d, their
 cotangent spectra and the transforms' own temporaries, are views of one
 module-level arena: one flat buffer per role, grown to the largest request
-and filled with out= (_buffer). A warm step therefore allocates no C-wide
-array, and glibc does not hand their pages back to the system and fault
+and filled with out= (_buffer). With the factors these are the C-wide Pi
+arrays; with the form, the c_in*(S+1) rows of its products and of their
+cotangent. A warm step therefore allocates no array as wide as C or as the
+form, and glibc does not hand their pages back to the system and fault
 them in again at every stage. Each view is overwritten by the next stage,
 so none is returned or kept on the tape, and two threads must not step at
 once. The buffers keep the size of the largest step the process has run.
@@ -288,16 +308,22 @@ class _RhsMaps:
     """The parameter-only parts of the right-hand side, built once per tape.
 
     table is the Freq2Vec table, C-ordered and shaped (1, K, 1, *half points)
-    to broadcast over the input channels and the batch; pi holds the Pi
-    factors (w, b) with b as a column; pi_out (c_in, C) is the output map's
-    Pi columns; linear (c_in, c_in*K) is the linear branch folded into the
-    output map, None under no_linear; bias (c_in, 1) is the folded output
-    bias; mask is the 2/3 low-pass, a constant array, all ones under no_filter.
+    to broadcast over the input channels and the batch. The Pi-block with
+    the output map's Pi columns is carried one of two ways (_folds_pi):
+    either form (c_in, S+1, S), its quadratic form over the S = c_in*K SLB
+    features (_pi_form), with pi empty and pi_out None; or the factors, pi
+    holding the Pi factors (w, b) with b as a column and pi_out (c_in, C)
+    the output map's Pi columns, with form None. linear (c_in, S) is the
+    linear branch folded into the output map, None under no_linear; bias
+    (c_in, 1) is the folded output bias, which takes the form's constant
+    term; mask is the 2/3 low-pass, a constant array, all ones under
+    no_filter.
     """
 
     table: Tensor
     pi: tuple[tuple[Tensor, Tensor], ...]
-    pi_out: Tensor
+    pi_out: Tensor | None
+    form: Tensor | None
     linear: Tensor | None
     bias: Tensor
     mask: np.ndarray
@@ -305,9 +331,12 @@ class _RhsMaps:
     @property
     def tensors(self) -> tuple[Tensor, ...]:
         """The maps a step reads, in the order its pullback returns their cotangents."""
+        if self.form is None:
+            pi = (*(t for pair in self.pi for t in pair), self.pi_out)
+        else:
+            pi = (self.form,)
         linear = () if self.linear is None else (self.linear,)
-        return (self.table, *(t for pair in self.pi for t in pair), self.pi_out, *linear,
-                self.bias)
+        return (self.table, *pi, *linear, self.bias)
 
 
 def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, Tensor], ...]:
@@ -317,6 +346,48 @@ def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, 
 
 def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
     return np.ones(grid.half_points) if cfg.no_filter else two_thirds_mask(grid)
+
+
+def _folds_pi(cfg: ModelConfig) -> bool:
+    """Whether the step runs the Pi-block as its quadratic form (_pi_form):
+    it needs two factors, and fewer multiply-adds per grid column than the
+    C-wide factors, c_in*S*(S+2) against C*(2S+1+c_in) for S = c_in*K."""
+    s = cfg.slb_channels
+    return cfg.n_pi_factors == 2 and cfg.c_in * s * (s + 2) < cfg.C * (2 * s + 1 + cfg.c_in)
+
+
+def _pi_form(pi, pi_out: Tensor) -> Tensor:
+    """The Pi-block folded with the output map's Pi columns, one tape node.
+
+    For factors pi = ((W0, b0), (W1, b1)), W_p (C, S) and b_p (C, 1), and
+    pi_out (c_in, C), every grid column d of S features has
+        pi_out (W0 d + b0)(W1 d + b1) = sum_i d_i (Q d)_i + L d + pi_out (b0 b1)
+    with Q_c = W0^T diag(pi_out[c]) W1 and L = pi_out (b1 W0 + b0 W1). The
+    node's value is form (c_in, S+1, S): Q_c in its first S rows and L_c in
+    its last. The constant term pi_out (b0 b1) is left to the caller.
+    """
+    (w0, b0), (w1, b1) = pi
+    s = w0.shape[1]
+    linear = b1.data * w0.data + b0.data * w1.data          # (C, S)
+    form = np.empty((pi_out.shape[0], s + 1, s))
+    form[:, :s] = (w0.data.T * pi_out.data[:, np.newaxis]) @ w1.data
+    form[:, s] = pi_out.data @ linear
+
+    def vjp(g):
+        p = pi_out.data
+        g_q, g_l = g[:, :s], g[:, s]
+        pg_l = p.T @ g_l                                    # (C, S)
+        w0_g = w0.data @ g_q                                # W0 g_Q_c, (c_in, C, S)
+        w1_g = w1.data @ g_q.transpose(0, 2, 1)             # W1 g_Q_c^T
+        p3 = p[:, :, np.newaxis]
+        g_w0 = (p3 * w1_g).sum(axis=0) + b1.data * pg_l
+        g_w1 = (p3 * w0_g).sum(axis=0) + b0.data * pg_l
+        g_b0 = (w1.data * pg_l).sum(axis=1, keepdims=True)
+        g_b1 = (w0.data * pg_l).sum(axis=1, keepdims=True)
+        g_p = (w0_g * w1.data).sum(axis=2) + g_l @ linear.T
+        return g_w0, g_b0, g_w1, g_b1, g_p
+
+    return eg._node(form, (w0, b0, w1, b1, pi_out), vjp)
 
 
 def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMaps:
@@ -329,10 +400,17 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
         pi_out = pt["out.w"][:, cfg.C :]
         linear = eg.matmul(out_linear, pt["linear.w"])
         bias = eg.add(eg.matmul(out_linear, eg.reshape(pt["linear.b"], (cfg.C, 1))), bias)
+    pi, form = _pi_factors(pt, cfg), None
+    if _folds_pi(cfg):
+        (_, b0), (_, b1) = pi
+        form = _pi_form(pi, pi_out)
+        bias = eg.add(bias, eg.matmul(pi_out, eg.mul(b0, b1)))
+        pi, pi_out = (), None
     return _RhsMaps(
         table=eg.reshape(table, (1, cfg.K, 1) + grid.half_points),
-        pi=_pi_factors(pt, cfg),
+        pi=pi,
         pi_out=pi_out,
+        form=form,
         linear=linear,
         bias=bias,
         mask=_mask(cfg, grid),
@@ -342,10 +420,10 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
 # -- the step: one tape node with a hand-written pullback ---------------------
 
 # The arena's roles: the SLB spectra "z", the Pi factors "f0" and "f1",
-# their product or its cotangent "v", the features' cotangent "g_d", and a
-# complex "scratch". The features d and the spectra gz of their cotangent
-# are np.fft's own outputs: the benchmark's span tracer cannot pass an out=
-# keyword through to np.fft.
+# their product or its cotangent "v" (with the form, its products and their
+# cotangent), the features' cotangent "g_d", and a complex "scratch". The
+# features d and the spectra gz of their cotangent are np.fft's own outputs:
+# the benchmark's span tracer cannot pass an out= keyword through to np.fft.
 _ARENA: dict[str, np.ndarray] = {}
 _COMPLEX_ROLES = ("z", "scratch")
 
@@ -392,6 +470,17 @@ def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
     return v
 
 
+def _quadratic(d: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """sum_i d_i (Q_c d)_i + L_c d per channel c of the form (c_in, S+1, S)
+    (_pi_form), for the features d (S, columns); the products are the
+    arena's v."""
+    c_in, s1, s = form.shape
+    t = np.matmul(form.reshape(c_in * s1, s), d, out=_buffer("v", (c_in * s1, d.shape[1])))
+    t = t.reshape(c_in, s1, -1)
+    t[:, :s] *= d
+    return t.sum(axis=1)
+
+
 def _lowpass_hat(v: np.ndarray, mask: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The half spectrum of v (..., *points), times mask."""
     vh = np.fft.rfftn(v, axes=grid.axes)
@@ -403,8 +492,11 @@ def _stage(xh: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> 
     """The right-hand side of half spectra xh (c_in, B, *half points), as half spectra."""
     z, d = _slb(xh, maps.table.data, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
-    # output map: mix the C Pi channels down to c_in, then filter those
-    nonlinear = maps.pi_out.data @ _pi_channels(d, maps.pi)
+    # output map: mix the Pi-block down to c_in channels, then filter those
+    if maps.form is None:
+        nonlinear = maps.pi_out.data @ _pi_channels(d, maps.pi)
+    else:
+        nonlinear = _quadratic(d, maps.form.data)
     nonlinear += maps.bias.data
     out = _lowpass_hat(nonlinear.reshape(xh.shape[:2] + grid.points), maps.mask, grid)
     if maps.linear is None:
@@ -459,19 +551,45 @@ def _pi_vjp(d: np.ndarray, pi, pi_out: np.ndarray, g: np.ndarray):
     return g_d, g_pi, g_pi_out
 
 
+def _quadratic_vjp(d: np.ndarray, form: np.ndarray, g: np.ndarray):
+    """Pull the cotangent g (c_in, columns) of _quadratic back to the
+    features d and to the form: g_d = sum_c (Q_c + Q_c^T)(d g_c) + L_c^T g_c,
+    g_Q_c = (d g_c) d^T and g_L_c = g_c d^T.
+
+    The products u_c = [d g_c; g_c] (c_in, S+1, columns) fill the arena's v;
+    both cotangents are one matmul of them, and g_d is the arena's g_d."""
+    c_in, s1, s = form.shape
+    u = _buffer("v", (c_in, s1, d.shape[1]))
+    np.multiply(d, g[:, np.newaxis], out=u[:, :s])
+    u[:, s] = g
+    g_form = u @ d.T
+    # (Q_c + Q_c^T | L_c^T) side by side over c, against u stacked over c
+    q = form[:, :s]
+    adjoint = np.concatenate([q + q.transpose(0, 2, 1), form[:, s:].transpose(0, 2, 1)], axis=2)
+    g_d = np.matmul(adjoint.transpose(1, 0, 2).reshape(s, c_in * s1), u.reshape(c_in * s1, -1),
+                    out=_buffer("g_d", d.shape))
+    return g_d, g_form
+
+
 def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
                grid: GridSpec, grads: list) -> np.ndarray:
     """Pull the cotangent g of the stage at xh back: add each map's cotangent
     into grads, in maps.tensors order, and return that of xh.
 
-    The SLB spectra, features and Pi factors are recomputed from xh."""
+    The SLB spectra, features and, without the form, the Pi factors are
+    recomputed from xh."""
     table = maps.table.data
     # the mask and the low-pass rfftn
     g_nl = _rfftn_vjp(g * maps.mask, grid)
     g_nl = g_nl.reshape(cfg.c_in, -1)
-    # the mix and the Pi product
+    # the mix and the Pi-block
     z, d = _slb(xh, table, cfg, grid)
-    g_d, g_pi, g_pi_out = _pi_vjp(d, maps.pi, maps.pi_out.data, g_nl)
+    if maps.form is None:
+        g_d, g_pi, g_pi_out = _pi_vjp(d, maps.pi, maps.pi_out.data, g_nl)
+        g_pi = (*g_pi, g_pi_out)
+    else:
+        g_d, g_form = _quadratic_vjp(d, maps.form.data, g_nl)
+        g_pi = (g_form,)
     # the SLB's irfftn
     gz = _irfftn_vjp(g_d.reshape(z.shape[:-grid.dim] + grid.points), grid)
     scratch = _buffer("scratch", gz.shape)
@@ -485,7 +603,7 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
     # the SLB's product with the table
     xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
     g_table = np.multiply(np.conjugate(xr), gz, out=scratch).sum(axis=(0, 2), keepdims=True)
-    contributions = (g_table, *g_pi, g_pi_out, *linear, g_nl.sum(axis=1, keepdims=True))
+    contributions = (g_table, *g_pi, *linear, g_nl.sum(axis=1, keepdims=True))
     for i, c in enumerate(contributions):
         grads[i] = c if grads[i] is None else grads[i] + c
     return np.multiply(np.conjugate(table), gz, out=scratch).sum(axis=1)
@@ -577,7 +695,8 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """Product of two affine projections of SLB features (one under no_pi),
-    then the low-pass (none under no_filter)."""
+    then the low-pass (none under no_filter): the C Pi channels, formed
+    from the factors whether or not the step folds them (_folds_pi)."""
     flat = np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points)
     pi = _pi_factors(_wrap_params(params, False), cfg)
     v = _pi_channels(flat, pi).reshape((cfg.C,) + grid.points)

@@ -394,10 +394,12 @@ class TestExitCodes:
         shutil.copytree(out, tmp_path / "out")
         for report in (tmp_path / "out").glob("eval_*.csv"):
             report.unlink()
-        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
-                         "--superres", "-2"]) == 2
-        assert "--superres" in capsys.readouterr().err
-        assert not list((tmp_path / "out").glob("eval_*.csv"))
+        # 1 is the training resolution, whose score is eval_test.csv's
+        for superres in ("-2", "1"):
+            assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
+                             "--superres", superres]) == 2
+            assert "--superres" in capsys.readouterr().err
+            assert not list((tmp_path / "out").glob("eval_*.csv"))
 
     def test_test_split_on_another_grid_is_refused(self, run, tmp_path, capsys):
         path, _, out = run

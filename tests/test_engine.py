@@ -134,19 +134,47 @@ def affine_product(d, factors, out_w) -> Tensor:
     return eg._node(out_w.data @ v, parents, vjp)
 
 
+def quadratic_form(d, form) -> Tensor:
+    """sum_i d_i (Q_c d)_i + L_c d per channel c, for the features d (S,
+    columns) and a folded Pi-block form (c_in, S+1, S) holding Q_c in its
+    first S rows and L_c in its last (model._pi_form), as one tape node.
+
+    The forward runs model._stage's numpy ops in their order; the pullback
+    differentiates each channel's form on its own."""
+    d, form = eg.as_tensor(d), eg.as_tensor(form)
+    c_in, s1, s = form.shape
+    t = (form.data.reshape(c_in * s1, s) @ d.data).reshape(c_in, s1, -1)
+    t[:, :s] *= d.data
+
+    def vjp(g):
+        g_d = np.zeros_like(d.data)
+        g_form = np.empty(form.shape)
+        for c in range(c_in):
+            q, l = form.data[c, :s], form.data[c, s]
+            g_d += g[c] * ((q + q.T) @ d.data) + np.outer(l, g[c])
+            g_form[c, :s] = (d.data * g[c]) @ d.data.T
+            g_form[c, s] = d.data @ g[c]
+        return g_d, g_form
+
+    return eg._node(t.sum(axis=1), (d, form), vjp)
+
+
 def op_by_op_step(u, maps, cfg, grid) -> Tensor:
     """model._step as a composition of tape ops, one node per op: the
     reference for the step node's loss, gradients and rollouts."""
     dt = cfg.dt_model
-    mask = None if maps.mask is None else Tensor(maps.mask)
+    mask = Tensor(maps.mask)
 
     def rhs_hat(xh):
         z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), maps.table)
         d = eg.reshape(irfftn(z, grid.axes, grid.points), (cfg.slb_channels, -1))
-        nonlinear = eg.add(affine_product(d, maps.pi, maps.pi_out), maps.bias)
+        if maps.form is None:
+            mixed = affine_product(d, maps.pi, maps.pi_out)
+        else:
+            mixed = quadratic_form(d, maps.form)
+        nonlinear = eg.add(mixed, maps.bias)
         out = rfftn(eg.reshape(nonlinear, xh.shape[:2] + grid.points), grid.axes)
-        if mask is not None:
-            out = eg.mul(out, mask)
+        out = eg.mul(out, mask)
         if maps.linear is None:
             return out
         linear = eg.matmul(maps.linear, eg.reshape(z, (cfg.slb_channels, -1)))
@@ -271,6 +299,35 @@ class TestAffineProduct:
             return sum_all(eg.mul(y, y))
 
         fd_check(build, [d, *(t for pair in factors for t in pair), out_w])
+
+
+class TestPiForm:
+    """model._pi_form, the Pi-block folded with its output columns into a
+    quadratic form over the features, one tape node, evaluated by the
+    reference node quadratic_form."""
+
+    @pytest.mark.parametrize("c_in", [1, 2])
+    def test_gradients_match_finite_differences(self, c_in):
+        rng = np.random.default_rng(30 + c_in)
+        s, C = 3 * c_in, 4
+        d = parameter(rng.standard_normal((s, 7)))
+        pi = [(parameter(rng.standard_normal((C, s))), parameter(rng.standard_normal((C, 1))))
+              for _ in range(2)]
+        pi_out = parameter(rng.standard_normal((c_in, C)))
+        weight = Tensor(rng.standard_normal((c_in, 7)))
+        (_, b0), (_, b1) = pi
+        assert np.all(np.abs(b0.data) > 0) and np.all(np.abs(b1.data) > 0)
+
+        def build():
+            # linear in the node's value, so that the weight is its cotangent
+            return sum_all(eg.mul(quadratic_form(d, sino_model._pi_form(pi, pi_out)), weight))
+
+        fd_check(build, [d, *(t for pair in pi for t in pair), pi_out])
+        # the form plus its constant term pi_out (b0 b1) is the Pi-block
+        form = sino_model._pi_form(pi, pi_out)
+        folded = quadratic_form(d, form).data + pi_out.data @ (b0.data * b1.data)
+        ref = affine_product(d, pi, pi_out).data
+        assert np.linalg.norm(folded - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestStepNode:

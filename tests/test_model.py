@@ -475,6 +475,64 @@ class TestStepAndRollout:
         assert peak <= 14 * state.data.nbytes
 
 
+class TestFoldedPiForm:
+    """The Pi-block as one quadratic form over the SLB features (model._pi_form)
+    where that is cheaper than its C-wide factors."""
+
+    def test_the_representation_follows_the_shapes(self):
+        # the form costs c_in*S*(S+2) multiply-adds per column and the factors
+        # C*(2S+1+c_in): E7-desk (S=12, C=8) and the exact instances (C=d^2)
+        # keep the factors, every other preset folds; no_pi has one factor
+        from dataclasses import replace
+
+        from sino import model as sino_model
+        from sino.config import presets
+        folds = {name: sino_model._folds_pi(case.model) for name, case in presets().items()}
+        assert folds == {name: name != "E7-desk" for name in folds}
+        assert not any(sino_model._folds_pi(replace(case.model, no_pi=True))
+                       for case in presets().values())
+        for dim in (2, 3):
+            g = GridSpec(points=(8,) * dim, length=(TWO_PI,) * dim)
+            assert not sino_model._folds_pi(exact_burgers_params(g, 0.01, 0.01)[0])
+        for name in ("E6-desk", "E7-desk"):
+            case = presets()[name]
+            pt = sino_model._wrap_params(init_params(case.model, 0), False)
+            maps = sino_model._rhs_maps(pt, case.model, case.train_grid)
+            assert (maps.form is not None) == folds[name]
+            assert (maps.pi_out is None) == (maps.pi == ()) == folds[name]
+
+    @pytest.mark.parametrize("flag", ["full", "no_filter", "no_freq2vec", "no_linear",
+                                      "euler_time"])
+    @pytest.mark.parametrize("preset", ["E1-desk", "E2-desk", "E6-desk", "E7-desk"])
+    def test_both_representations_agree(self, preset, flag, monkeypatch):
+        from dataclasses import replace
+
+        from sino import model as sino_model
+        from sino.config import presets
+        from sino.training import backward
+        case = presets()[preset]
+        cfg, g = case.model, case.train_grid
+        if flag != "full":
+            cfg = replace(cfg, **{flag: True})
+        rng = np.random.default_rng(39)
+        # nonzero Pi biases, so that the form's linear and constant terms count
+        params = {k: v + 0.1 * rng.standard_normal(v.shape)
+                  for k, v in init_params(cfg, 40).items()}
+        segment = 0.5 * rng.standard_normal((3, cfg.c_in) + g.points)
+        runs = []
+        for folds in (True, False):
+            monkeypatch.setattr(sino_model, "_folds_pi", lambda _, folds=folds: folds)
+            runs.append((*backward(params, cfg, g, segment),
+                         rollout(segment[:2], params, cfg, g, 2)))
+        (loss, grads, states), (ref_loss, ref_grads, ref_states) = runs
+        assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+        assert np.linalg.norm(states - ref_states) <= 1e-13 * np.linalg.norm(ref_states)
+        assert sorted(grads) == sorted(ref_grads) == sorted(params)
+        for name, grad in grads.items():
+            ref = ref_grads[name]
+            assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), name
+
+
 class TestHalfSpectrumMatchesFullFFT:
     """The half-spectrum model against a full-FFT reference written in numpy.
 
