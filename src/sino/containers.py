@@ -13,6 +13,10 @@ CheckpointContainer ("SINOCKPT", version 1), little-endian:
 Every file a run writes (these containers, its CSVs and its manifest) goes
 through one writer: a temp file, then an atomic rename, so a job killed
 while writing leaves the old file or none, never a truncated one.
+
+A field payload is held once: the writer hands the float64 array's own
+buffer to the file and to the CRC, and the reader reads the file straight
+into the array it returns.
 """
 
 from __future__ import annotations
@@ -32,13 +36,15 @@ CKPT_MAGIC = b"SINOCKPT"
 VERSION = 1
 
 
-def _atomic_write(path, blob: bytes) -> None:
-    """blob written to a temp file beside path, then renamed onto it; a
-    failed write or rename removes the temp file and raises."""
+def _atomic_write(path, *parts) -> None:
+    """The parts (bytes-like) written in order to a temp file beside path,
+    then renamed onto it; a failed write or rename removes the temp file
+    and raises."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -51,10 +57,11 @@ def write_lines(path, lines) -> None:
 
 
 def write_field_container(path, grid: GridSpec, cadence: float, snaps: np.ndarray) -> None:
-    """snaps has shape (snapshots >= 1, channels, *points); cadence is finite and positive."""
+    """snaps has shape (snapshots >= 1, channels >= 1, *points); cadence is finite and positive."""
     snaps = np.asarray(snaps, dtype=np.float64)
-    if snaps.ndim != grid.dim + 2 or snaps.shape[2:] != grid.points or not len(snaps):
-        raise ValueError(f"snapshot block must be (S >= 1, C, {grid.points}), got {snaps.shape}")
+    if snaps.ndim != grid.dim + 2 or snaps.shape[2:] != grid.points or 0 in snaps.shape[:2]:
+        raise ValueError(f"snapshot block must be (S >= 1, C >= 1, {grid.points}), "
+                         f"got {snaps.shape}")
     if not 0.0 < cadence < math.inf:  # what read_field_container refuses
         raise ValueError(f"cadence must be finite and positive, got {cadence}")
     header = bytearray()
@@ -66,8 +73,9 @@ def write_field_container(path, grid: GridSpec, cadence: float, snaps: np.ndarra
     header += struct.pack(f"<{grid.dim}d", *grid.length)
     header += struct.pack("<Q", snaps.shape[0])
     header += struct.pack("<d", cadence)
-    payload = np.ascontiguousarray(snaps).astype("<f8").tobytes()
-    _atomic_write(path, bytes(header) + payload + struct.pack("<I", zlib.crc32(payload)))
+    # the array's own buffer when it is C-ordered little-endian float64
+    payload = memoryview(np.ascontiguousarray(snaps, dtype="<f8")).cast("B")
+    _atomic_write(path, header, payload, struct.pack("<I", zlib.crc32(payload)))
 
 
 def _take(blob: bytes, pos: int, size: int, path) -> tuple[bytes, int]:
@@ -85,32 +93,44 @@ def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple[tuple, int]:
 
 def read_field_container(path) -> tuple[GridSpec, float, np.ndarray]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != FIELD_MAGIC:
-        raise ContainerError(f"{path}: bad magic")
-    (version, ndim), pos = _unpack("<IB", blob, 8, path)
-    if version != VERSION:
-        raise ContainerError(f"{path}: unsupported version {version}")
-    if ndim not in (2, 3):
-        raise ContainerError(f"{path}: ndim {ndim} is not 2 or 3")
-    (channels,), pos = _unpack("<I", blob, pos, path)
-    points, pos = _unpack(f"<{ndim}Q", blob, pos, path)
-    lengths, pos = _unpack(f"<{ndim}d", blob, pos, path)
-    (snapshots, cadence), pos = _unpack("<Qd", blob, pos, path)
-    if not 0.0 < cadence < math.inf or snapshots < 1:  # the CRC covers the payload only
-        raise ContainerError(f"{path}: need a finite positive cadence and a snapshot, "
-                             f"got cadence {cadence} and {snapshots} snapshots")
-    try:
-        grid = GridSpec(points=points, length=lengths)
-    except ValueError as err:
-        raise ContainerError(f"{path}: bad grid: {err}") from err
-    # Python integers: a huge declared count cannot wrap round to a small one
-    payload, pos = _take(blob, pos, 8 * snapshots * channels * grid.n_points, path)
-    (crc,), _ = _unpack("<I", blob, pos, path)
+        blob = fh.read(13)
+        if blob[:8] != FIELD_MAGIC:
+            raise ContainerError(f"{path}: bad magic")
+        (version, ndim), pos = _unpack("<IB", blob, 8, path)
+        if version != VERSION:
+            raise ContainerError(f"{path}: unsupported version {version}")
+        if ndim not in (2, 3):
+            raise ContainerError(f"{path}: ndim {ndim} is not 2 or 3")
+        blob += fh.read(4 + 16 * ndim + 16)
+        (channels,), pos = _unpack("<I", blob, pos, path)
+        if channels < 1:
+            raise ContainerError(f"{path}: a field needs a channel, got 0")
+        points, pos = _unpack(f"<{ndim}Q", blob, pos, path)
+        lengths, pos = _unpack(f"<{ndim}d", blob, pos, path)
+        (snapshots, cadence), pos = _unpack("<Qd", blob, pos, path)
+        if not 0.0 < cadence < math.inf or snapshots < 1:  # the CRC covers the payload only
+            raise ContainerError(f"{path}: need a finite positive cadence and a snapshot, "
+                                 f"got cadence {cadence} and {snapshots} snapshots")
+        try:
+            grid = GridSpec(points=points, length=lengths)
+        except ValueError as err:
+            raise ContainerError(f"{path}: bad grid: {err}") from err
+        # Python integers: a huge declared count cannot wrap round to a small
+        # one, and the size is checked before the payload's array is made
+        nbytes = 8 * snapshots * channels * grid.n_points
+        size, end = os.fstat(fh.fileno()).st_size, pos + nbytes + 4
+        if size < end:
+            raise ContainerError(f"{path}: truncated: {size} bytes, needs {end}")
+        if size > end:
+            raise ContainerError(f"{path}: {size - end} trailing bytes after the CRC")
+        data = np.empty((snapshots, channels) + grid.points, dtype="<f8")
+        payload = memoryview(data).cast("B")
+        if fh.readinto(payload) != nbytes:
+            raise ContainerError(f"{path}: truncated while reading the payload")
+        (crc,), _ = _unpack("<I", fh.read(4), 0, path)
     if crc != zlib.crc32(payload):
         raise ContainerError(f"{path}: payload CRC mismatch")
-    data = np.frombuffer(payload, dtype="<f8").reshape((snapshots, channels) + grid.points)
-    return grid, cadence, data.astype(np.float64)
+    return grid, cadence, data.astype(np.float64, copy=False)
 
 
 def write_checkpoint(path, config_echo: str, tensors: dict[str, np.ndarray]) -> None:
@@ -127,8 +147,8 @@ def write_checkpoint(path, config_echo: str, tensors: dict[str, np.ndarray]) -> 
         body += struct.pack("<B", data.ndim)
         body += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
         body += np.ascontiguousarray(data).astype("<f8").tobytes()
-    blob = CKPT_MAGIC + struct.pack("<I", VERSION) + bytes(body)
-    _atomic_write(path, blob + struct.pack("<I", zlib.crc32(bytes(body))))
+    _atomic_write(path, CKPT_MAGIC, struct.pack("<I", VERSION), body,
+                  struct.pack("<I", zlib.crc32(body)))
 
 
 def read_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:

@@ -8,7 +8,8 @@ symbol and a nonlinear term whose products are de-aliased by the 2/3 rule:
   * Burgers: -nu*k^2, and -sum_j u_j * d_j u_c per component.
 One scheme integrates all of them: integrating-factor RK4, which advances
 the linear part exactly and steps the nonlinear term explicitly (Kassam &
-Trefethen, SIAM J. Sci. Comput. 2005).
+Trefethen, SIAM J. Sci. Comput. 2005). Each saved snapshot is taken from the
+state's half spectrum: one inverse transform, on the output grid.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import NonFinite
 from .spectral import (
     GridSpec,
+    _resample_spectrum,
     forward_transform,
     freq_grid,
     grf_sample,
@@ -240,9 +242,11 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
     is stepped explicitly. Returns the snapshots [state(0), state(save_dt),
     ...] as one array (cfg.n_snapshots, channels, *points), written into
     snaps if given. Each snapshot is resampled to out_grid (by default grid)
-    as it is saved, so the integration holds one state on grid at a time. A
-    non-finite stage or result raises NonFinite carrying the step and time
-    of the failed step.
+    as it is saved, so the integration holds one state on grid at a time.
+    Snapshot 0 is spectral_resample of ic; every later save maps the state's
+    half spectrum to out_grid's and makes one inverse transform, on
+    out_grid, and none on grid. A non-finite stage or result raises
+    NonFinite carrying the step and time of the failed step.
     """
     ic = np.asarray(ic, dtype=np.float64)
     if ic.shape != (spec.channels,) + grid.points:
@@ -277,8 +281,8 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
                 raise NonFinite(f"solver blew up at t={t:.6g} (step {step + 1}): {err}",
                                 time=t, step=step + 1) from err
             if (step + 1) % cfg.save_every == 0:
-                snaps[(step + 1) // cfg.save_every] = spectral_resample(
-                    inverse_transform(uh, grid), grid, out_grid)
+                snaps[(step + 1) // cfg.save_every] = inverse_transform(
+                    _resample_spectrum(uh, grid, out_grid), out_grid)
     return snaps
 
 

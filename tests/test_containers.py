@@ -1,6 +1,8 @@
 import math
 import os
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from sino import cli
 from sino.config import presets
 from sino.containers import (
+    FIELD_MAGIC,
     read_checkpoint,
     read_field_container,
     write_checkpoint,
@@ -120,6 +123,73 @@ class TestFieldContainer:
         with pytest.raises(ContainerError):
             read_field_container(path)
 
+
+    def test_zero_channels_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="C >= 1"):
+            write_field_container(tmp_path / "f.sino", GRID, 0.5, np.zeros((3, 0) + GRID.points))
+        assert list(tmp_path.iterdir()) == []
+        # the header of a valid file, its channel count set to 0, and the CRC
+        # of the empty payload that header declares
+        path, _ = field_file(tmp_path)
+        header = bytearray(path.read_bytes()[:FIELD_HEADER])
+        struct.pack_into("<I", header, 13, 0)
+        path.write_bytes(bytes(header) + struct.pack("<I", zlib.crc32(b"")))
+        with pytest.raises(ContainerError, match="needs a channel"):
+            read_field_container(path)
+
+    @pytest.mark.parametrize("junk", [b"\x00", b"trailing bytes"])
+    def test_bytes_after_the_crc_are_refused(self, tmp_path, junk):
+        path, _ = field_file(tmp_path)
+        path.write_bytes(path.read_bytes() + junk)
+        with pytest.raises(ContainerError, match=f"{len(junk)} trailing bytes after the CRC"):
+            read_field_container(path)
+
+    @pytest.mark.parametrize("snaps", [
+        np.random.default_rng(3).standard_normal((2, 1) + GRID.points),
+        np.random.default_rng(4).standard_normal((2, 3) + GRID.points).astype(np.float32),
+        np.random.default_rng(5).standard_normal(GRID.points[::-1] + (2, 2)).T,
+    ], ids=["float64", "float32", "fortran-ordered"])
+    def test_file_bytes_follow_the_format(self, tmp_path, snaps):
+        path = tmp_path / "f.sino"
+        write_field_container(path, GRID, 0.5, snaps)
+        payload = np.ascontiguousarray(snaps, dtype=np.float64).astype("<f8").tobytes()
+        expected = (FIELD_MAGIC + struct.pack("<IBI", 1, 2, snaps.shape[1])
+                    + struct.pack("<2Q2d", *GRID.points, *GRID.length)
+                    + struct.pack("<Qd", len(snaps), 0.5)
+                    + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert path.read_bytes() == expected
+        _, _, back = read_field_container(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.tobytes() == np.asarray(snaps, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("offset", [FIELD_HEADER, -5], ids=["first", "last"])
+    def test_the_payload_ends_fail_the_crc(self, tmp_path, offset):
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x40
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="payload CRC mismatch"):
+            read_field_container(path)
+
+    def test_the_payload_is_held_once(self, tmp_path):
+        # the writer hands the array's buffer to the file and the CRC, the
+        # reader reads into the array it returns: no copy of the payload
+        grid = GridSpec(points=(64, 64), length=(1.0, 1.0))
+        snaps = np.random.default_rng(6).standard_normal((5, 2) + grid.points)
+        path = tmp_path / "f.sino"
+        for run in ("write", "read"):
+            tracemalloc.start()
+            try:
+                if run == "write":
+                    write_field_container(path, grid, 0.5, snaps)
+                else:
+                    _, _, back = read_field_container(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = 0.1 if run == "write" else 1.1
+            assert peak <= bound * snaps.nbytes, f"{run} peaked at {peak / snaps.nbytes:.2f}x"
+        assert np.array_equal(back, snaps)
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):

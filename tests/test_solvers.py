@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from sino.solvers import (
     SPLIT_SEEDS,
     PDESpec,
     SolverConfig,
+    _split,
     biot_savart,
     burgers_rhs,
     forcing_field,
@@ -26,6 +28,7 @@ from sino.spectral import (
     freq_grid,
     grf_sample,
     inverse_transform,
+    spectral_resample,
     two_thirds_mask,
 )
 
@@ -437,6 +440,88 @@ class TestGenerateDataset:
         cfg = SolverConfig(dt=1e-3, t_end=0.01, save_dt=2e-3)
         ds = generate_dataset(spec, cfg, g, g, 1, split="val")
         assert ds.n_snapshots == 6
+
+
+def ifrk4_saves(spec, cfg, grid, ic):
+    """integrate's steps written out, each saved state inverse-transformed
+    on grid: the snapshots an equal-grid integration must store, bit for bit."""
+    lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
+    dt = cfg.dt
+    e_half = np.exp(0.5 * dt * lin)
+    e_full = e_half * e_half
+    uh = forward_transform(ic, grid)
+    saves = [ic.copy()]
+    for step in range(cfg.n_steps):
+        k1 = nonlin(uh)
+        m2 = nonlin(e_half * (uh + 0.5 * dt * k1))
+        m3 = nonlin(e_half * uh + 0.5 * dt * m2)
+        m4 = nonlin(e_full * uh + dt * e_half * m3)
+        uh = e_full * uh + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (m2 + m3) + m4)
+        if (step + 1) % cfg.save_every == 0:
+            saves.append(inverse_transform(uh, grid))
+    return np.stack(saves)
+
+
+SAVE_CASES = {
+    "kse": (PDESpec(kind="kse"), GridSpec(points=(32, 32), length=(12 * math.pi,) * 2)),
+    "nse": (PDESpec(kind="nse", nu=1e-3, forcing="f2"), GridSpec(points=(32, 32), length=(1.0,) * 2)),
+    "burgers2d": (PDESpec(kind="burgers", nu=0.01), grid2(32)),
+    "burgers3d": (PDESpec(kind="burgers", nu=0.01, dim=3),
+                  GridSpec(points=(16, 16, 16), length=(TWO_PI,) * 3)),
+}
+SAVE_CFG = SolverConfig(dt=1e-3, t_end=4e-3, save_dt=2e-3)
+
+
+class TestSaves:
+    """A save maps the state's half spectrum to the output grid's and makes
+    one inverse transform there."""
+
+    @pytest.mark.parametrize("case", sorted(SAVE_CASES))
+    def test_equal_grid_saves_are_bit_identical(self, case):
+        spec, g = SAVE_CASES[case]
+        ic = sample_ic(spec, g, 0, 0)
+        expected = ifrk4_saves(spec, SAVE_CFG, g, ic).tobytes()
+        assert integrate(spec, SAVE_CFG, g, ic).tobytes() == expected
+        assert integrate(spec, SAVE_CFG, g, ic, g).tobytes() == expected
+
+    @pytest.mark.parametrize("case", sorted(SAVE_CASES))
+    @pytest.mark.parametrize("factor", [0.5, 1.5], ids=["coarser", "finer"])
+    def test_resampled_saves_match_the_round_trip(self, case, factor):
+        # the reference saves on grid, then resamples each field: an inverse
+        # and a forward transform on grid more per save
+        spec, g = SAVE_CASES[case]
+        out = GridSpec(points=tuple(int(n * factor) for n in g.points), length=g.length)
+        ic = sample_ic(spec, g, 0, 0)
+        snaps = integrate(spec, SAVE_CFG, g, ic, out)
+        ref = [spectral_resample(s, g, out) for s in integrate(spec, SAVE_CFG, g, ic)]
+        assert snaps[0].tobytes() == ref[0].tobytes()
+        for a, b in zip(snaps[1:], ref[1:], strict=True):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("points", [(16, 16), (32, 32), (48, 48)],
+                             ids=["coarser", "equal", "finer"])
+    def test_one_save_is_one_inverse_transform_on_out_grid(self, points, monkeypatch):
+        spec, g = SAVE_CASES["burgers2d"]
+        out = GridSpec(points=points, length=g.length)
+        ic = sample_ic(spec, g, 0, 0)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(a, *args, **kwargs):
+                result = fn(a, *args, **kwargs)
+                calls.append((name, result.shape))
+                return result
+            return wrapper
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+        counts = []
+        for save_dt in (2e-3, 1e-3):  # two steps: one save, then two
+            calls.clear()
+            integrate(spec, SolverConfig(dt=1e-3, t_end=2e-3, save_dt=save_dt), g, ic, out)
+            counts.append(Counter(calls))
+        assert counts[1] - counts[0] == Counter({("irfftn", (2,) + points): 1})
+        assert counts[0] - counts[1] == Counter()
 
 
 class TestEveryPresetFirstStep:

@@ -223,6 +223,34 @@ class TestSpectralResample:
         with pytest.raises(IncompatibleDomain):
             spectral_resample(random_field(g, 13), g, t)
 
+    @pytest.mark.parametrize("source, target", [
+        ((32, 32), (16, 16)), ((16, 16), (24, 32)), ((16, 16), (16, 16)),
+        ((16, 12, 8), (8, 8, 8)), ((8, 8, 8), (12, 16, 8)),
+    ], ids=["down", "up", "equal", "down3d", "up3d"])
+    def test_bit_identical_to_the_per_call_formula(self, source, target):
+        # the selections are cached per grid pair; the values they move and
+        # the scale they multiply by are those of one zero-padded copy made
+        # per call, with the selections rebuilt each time
+        g = GridSpec(points=source, length=(TWO_PI,) * len(source))
+        t = GridSpec(points=target, length=(TWO_PI,) * len(target))
+        f = random_field(g, 14, channels=2)
+        if t == g:
+            expected = f.copy()
+        else:
+            src = forward_transform(f, g)
+            expected = np.zeros((2,) + t.half_points, dtype=np.complex128)
+            sel_src, sel_dst = [np.arange(2)], [np.arange(2)]
+            for axis, (ns, nt) in enumerate(zip(g.points, t.points)):
+                half = min(ns, nt) // 2 - 1
+                last = axis == g.dim - 1
+                modes = np.arange(half + 1) if last else np.r_[0 : half + 1, -half:0]
+                sel_src.append(modes % ns)
+                sel_dst.append(modes % nt)
+            expected[np.ix_(*sel_dst)] = src[np.ix_(*sel_src)] * (t.n_points / g.n_points)
+            expected = inverse_transform(expected, t)
+        for _ in range(2):  # the second call reads the cached selections
+            assert spectral_resample(f, g, t).tobytes() == expected.tobytes()
+
 
 class TestGrfSample:
     def test_zero_mean(self):
