@@ -111,13 +111,20 @@ def load_split(data_dir, split: str) -> TrajectoryDataset:
     paths = sorted(data_dir.glob(f"{split}_*.sino"))
     if not paths:
         raise ContainerError(f"no {split} containers under {data_dir}")
-    read = [containers.read_field_container(p) for p in paths]
-    grid, cadence, first = read[0]
-    for p, (g, c, snaps) in zip(paths, read):
-        if g != grid or abs(c - cadence) > 1e-12 or snaps.shape != first.shape:
+    data = None
+    for i, p in enumerate(paths):
+        g, c, snaps = containers.read_field_container(p)
+        if data is None:
+            grid, cadence = g, c
+            data = np.empty((len(paths),) + snaps.shape, snaps.dtype)
+        elif g != grid or abs(c - cadence) > 1e-12 or snaps.shape != data.shape[1:]:
             raise ContainerError(f"{split} containers disagree on grid, cadence or shape: "
                                  f"{p.name} against {paths[0].name}")
-    return TrajectoryDataset(grid=grid, cadence=cadence, data=np.stack([r[2] for r in read]))
+        # the split is held once: each container goes to its slot and is dropped
+        # before the next is read
+        data[i] = snaps
+        del snaps
+    return TrajectoryDataset(grid=grid, cadence=cadence, data=data)
 
 
 def cmd_generate(cfg: ExperimentConfig) -> int:

@@ -7,9 +7,10 @@ topological order. An operation on constants alone records nothing.
 A node keeps its inputs and output. A caller may also build a node by
 hand, a Tensor with its parents and a pullback: model._step records a
 whole time step as one node that keeps only the stage inputs and
-recomputes the rest in its pullback, model._mlp the Freq2Vec MLP,
-model._pi_form the Pi-block folded into one quadratic form, and
-training._squared_error one step's loss term.
+recomputes the rest in its pullback, freq2vec.polynomial_table the
+Freq2Vec table as the polynomial its MLP computes, model._pi_form the
+Pi-block folded into one quadratic form, and training._squared_error one
+step's loss term.
 
 Complex convention: for a real-valued loss L and a complex intermediate z,
 the stored gradient is dL/dRe(z) + i*dL/dIm(z). Under this convention the

@@ -34,14 +34,21 @@ from the shapes alone, and the two agree to roundoff.
 The folded maps, like the Freq2Vec table, depend on the parameters alone
 and are built once per tape (_rhs_maps), not in every right-hand side
 evaluation. The maps carry the ablations: under no_freq2vec the table is
-the free table, C-ordered as the MLP's is, under no_filter the mask is all
-ones, and under no_linear out.w is all W_pi. The parameters are the
+the free table, C-ordered as the polynomial's is, under no_filter the mask
+is all ones, and under no_linear out.w is all W_pi. The parameters are the
 paper's; only roundoff differs from the paper's order.
 
 Spectra are real-FFT half spectra (np.fft.rfftn / np.fft.irfftn), laid
 out as in spectral: the last grid axis keeps its modes 0..N/2, the last
 one indexed -N/2. Freq2Vec evaluates its multipliers on that half
 spectrum, so every field stays real by construction.
+
+The Freq2Vec MLP is evaluated as the polynomial it computes, of degree 2^L
+in the normalized index q for L squaring layers (freq2vec): its weights
+fold into the coefficients once per tape, and no (modes x hidden)
+activation is formed. The table's real part is the even part of the real
+outputs' polynomials in q and its imaginary part the odd part of the
+others', an index -N/2 being its own negation.
 
 A step works on half spectra, as the reference solvers do. It transforms
 the state once, evaluates the four RK4 stages as half spectra (_stage)
@@ -67,14 +74,15 @@ adds into the form's cotangent and needs no factor) or the transposed Pi
 product and mixes, the mask, the transforms and the conjugate SLB. That is
 per-step gradient checkpointing (Chen et al., arXiv:1604.06174), and the
 adjoint of an RK scheme is itself an RK scheme (Sanz-Serna, SIAM Review 58,
-2016). The Freq2Vec MLP is one node too (_mlp), whose pullback recomputes
-its activations, and so is the form (_pi_form), whose pullback maps the
-form's cotangent that the steps sum back to pi.0.*, pi.1.* and W_pi. So a
-training window's tape holds the MLP node and the few _rhs_maps nodes
-after it, one node per step and per loss term; the stage intermediates
-live only while one stage's pullback runs. Without a gradient a step keeps
-nothing. rhs_eval and slb_apply run the same stage code; pi_block, the
-inspection API of the C Pi channels, runs the factors' code.
+2016). The Freq2Vec table is one node too (freq2vec.polynomial_table),
+whose pullback recomputes the coefficients, and so is the form
+(_pi_form), whose pullback maps the form's cotangent that the steps sum
+back to pi.0.*, pi.1.* and W_pi. So a training window's tape holds the table node and the
+few _rhs_maps nodes after it, one node per step and per loss term; the
+stage intermediates live only while one stage's pullback runs. Without a
+gradient a step keeps nothing. rhs_eval and slb_apply run the same stage
+code; pi_block, the inspection API of the C Pi channels, runs the factors'
+code.
 
 The step's arrays wider than c_in channels, except the features d, their
 cotangent spectra and the transforms' own temporaries, are views of one
@@ -107,6 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as eg
+from . import freq2vec
 from .engine import Tensor
 from .errors import IncompatibleDomain, NonFinite
 from .spectral import GridSpec, freq_grid, two_thirds_mask
@@ -145,6 +154,8 @@ class ModelConfig:
             raise ValueError("dt_model must be positive")
         if any(f < 2 for f in self.freq_norm):
             raise ValueError("freq_norm entries must be >= 2")
+        if any(h < 1 for h in self.mlp_hidden):
+            raise ValueError(f"mlp_hidden entries must be >= 1, got {list(self.mlp_hidden)}")
 
     @property
     def dim(self) -> int:
@@ -235,72 +246,33 @@ def _wrap_params(params: dict[str, np.ndarray], requires_grad: bool) -> dict[str
 def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor:
     """Multiplier table on the half spectrum, shape (K, *half points), complex.
 
-    psi is evaluated at every half-spectrum index k and at its wrapped
-    negation -k (the index -N/2 is its own negation), in one pass, and the
-    table is (psi(k) + conj psi(-k)) / 2. Where k and -k both lie in the
-    half spectrum (its edge columns), the table is conjugate-symmetric, and
-    odd multipliers vanish on each Nyquist index, as in
-    FreqGrid.derivative_multiplier.
+    The table is (psi(k) + conj psi(-k)) / 2 at every half-spectrum index
+    k, with -k wrapped (the index -N/2 is its own negation). Where k and -k
+    both lie in the half spectrum (its edge columns), it is conjugate-
+    symmetric, and odd multipliers vanish on each Nyquist index, as in
+    FreqGrid.derivative_multiplier. psi is the MLP, evaluated as the
+    polynomial it computes (freq2vec.polynomial_table); under no_freq2vec it
+    is the free table, gathered at k and -k.
     """
+    if not cfg.no_freq2vec:
+        layers = [(pt[f"freq2vec.w{i}"], pt[f"freq2vec.b{i}"])
+                  for i in range(len(cfg.mlp_hidden) + 1)]
+        return freq2vec.polynomial_table(layers, cfg.freq_norm, grid)
+    if grid.points != cfg.native_points:
+        raise IncompatibleDomain(
+            "the free multiplier table is bound to the native resolution "
+            f"{cfg.native_points}, got {grid.points}"
+        )
     n = math.prod(grid.half_points)
     index = freq_grid(grid).index.reshape(grid.dim, n)
     points = np.array(grid.points)[:, None]
     modes = np.concatenate([index, np.where(index == -(points // 2), index, -index)], axis=1)
-    if cfg.no_freq2vec:
-        if grid.points != cfg.native_points:
-            raise IncompatibleDomain(
-                "the free multiplier table is bound to the native resolution "
-                f"{cfg.native_points}, got {grid.points}"
-            )
-        # the table holds every mode of the full grid, in numpy fft order
-        flat = np.ravel_multi_index(tuple(modes % points), grid.points)
-        raw = eg.getitem(pt["freq2vec.table"], (slice(None), flat))
-        psi = eg.to_complex(raw[: cfg.K], raw[cfg.K :])
-    else:
-        psi = _mlp(np.ascontiguousarray(modes.T) / np.array(cfg.freq_norm), pt, cfg)
+    # the table holds every mode of the full grid, in numpy fft order
+    flat = np.ravel_multi_index(tuple(modes % points), grid.points)
+    raw = eg.getitem(pt["freq2vec.table"], (slice(None), flat))
+    psi = eg.to_complex(raw[: cfg.K], raw[cfg.K :])
     table = eg.mul(eg.add(psi[:, :n], eg.conj(psi[:, n:])), 0.5)
     return eg.reshape(table, (cfg.K,) + grid.half_points)
-
-
-def _mlp(h0: np.ndarray, pt: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """The Freq2Vec MLP of the normalized modes h0 (M, dim) as psi (K, M),
-    complex, one tape node.
-
-    Each layer is h @ w + b, squared after every hidden layer; the output's
-    first K columns are psi's real parts and the last K its imaginary parts.
-    The node keeps h0 and the weights, and its pullback recomputes the
-    activations, so the tape holds none of the (M, hidden) arrays.
-    """
-    layers = [(pt[f"freq2vec.w{i}"], pt[f"freq2vec.b{i}"])
-              for i in range(len(cfg.mlp_hidden) + 1)]
-
-    def activations():
-        """The input of every layer, the pre-square value of every hidden
-        layer, and the output."""
-        hs, pre = [h0], []
-        for w, b in layers[:-1]:
-            pre.append(hs[-1] @ w.data + b.data)
-            hs.append(pre[-1] * pre[-1])
-        w, b = layers[-1]
-        return hs, pre, hs[-1] @ w.data + b.data
-
-    _, _, h = activations()
-    psi = np.ascontiguousarray((h[:, : cfg.K] + 1j * h[:, cfg.K :]).T)
-
-    def vjp(g):
-        hs, pre, _ = activations()
-        g_h = np.empty((len(h0), 2 * cfg.K))
-        g_h[:, : cfg.K] = g.real.T
-        g_h[:, cfg.K :] = g.imag.T
-        grads = []
-        for i in reversed(range(len(layers))):
-            grads += [g_h.sum(axis=0), hs[i].T @ g_h]
-            if i:
-                g_h = pre[i - 1] * (g_h @ layers[i][0].data.T)
-                g_h += g_h
-        return tuple(reversed(grads))
-
-    return eg._node(psi, tuple(t for pair in layers for t in pair), vjp)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -489,6 +490,24 @@ class TestExitCodes:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "disagree" in err and "train_001.sino" in err
+
+    def test_a_split_is_held_once(self, tmp_path):
+        # each container is copied into the split's one array as it is read,
+        # so the peak is the split and one container
+        grid = GridSpec(points=(32, 32), length=(1.0, 1.0))
+        rng = np.random.default_rng(7)
+        blocks = [rng.standard_normal((20, 2) + grid.points) for _ in range(4)]
+        for i, block in enumerate(blocks):
+            write_field_container(tmp_path / f"test_{i:03d}.sino", grid, 0.5, block)
+        tracemalloc.start()
+        try:
+            split = cli.load_split(tmp_path, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(split.data, np.stack(blocks))
+        one = blocks[0].nbytes
+        assert peak <= split.data.nbytes + 1.1 * one, f"peaked at {peak / one:.2f} containers"
 
     def test_solver_blow_up_exits_3(self, tmp_path, capsys):
         # Burgers from a GRF at scale 1000 (default 5) at dt = 0.05 overflows at step 3

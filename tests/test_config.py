@@ -158,6 +158,15 @@ class TestFromDict:
         with pytest.raises(ValueError, match=named):
             from_dict(d)
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_mlp_hidden_entries_must_be_positive(self, width):
+        # a zero width would give a constant zero table, and a negative one
+        # a math domain error in init_params
+        d = self.base()
+        d["model"]["mlp_hidden"] = [64, width]
+        with pytest.raises(ValueError, match="model: mlp_hidden"):
+            from_dict(d)
+
     def test_bad_value_is_a_value_error(self):
         d = self.base()
         d["solver"]["dt"] = "fast"

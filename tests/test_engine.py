@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from sino import engine as eg
+from sino import freq2vec
 from sino import model as sino_model
 from sino import training
 from sino.config import presets
 from sino.engine import Tensor
 from sino.solvers import integrate, sample_ic
+from sino.spectral import freq_grid
 
 
 def parameter(data) -> Tensor:
@@ -192,16 +194,29 @@ def op_by_op_step(u, maps, cfg, grid) -> Tensor:
     return eg.add(u, irfftn(incr, grid.axes, grid.points))
 
 
-def op_by_op_mlp(h0, pt, cfg) -> Tensor:
-    """model._mlp as a composition of tape ops, one node per op: the
-    reference for the Freq2Vec node's table and gradients."""
+def op_by_op_mlp(h0, layers) -> Tensor:
+    """The Freq2Vec MLP with layers [(w, b)] of the normalized modes h0
+    (M, dim) as psi (K, M), composed of tape ops, one node per op."""
     h = Tensor(h0)
-    n_layers = len(cfg.mlp_hidden) + 1
-    for i in range(n_layers):
-        h = eg.add(eg.matmul(h, pt[f"freq2vec.w{i}"]), pt[f"freq2vec.b{i}"])
-        if i < n_layers - 1:
+    for i, (w, b) in enumerate(layers):
+        h = eg.add(eg.matmul(h, w), b)
+        if i < len(layers) - 1:
             h = eg.mul(h, h)
-    return transpose(eg.to_complex(h[:, : cfg.K], h[:, cfg.K :]), (1, 0))
+    K = layers[-1][0].shape[1] // 2
+    return transpose(eg.to_complex(h[:, :K], h[:, K:]), (1, 0))
+
+
+def op_by_op_freq2vec(layers, freq_norm, grid) -> Tensor:
+    """freq2vec.polynomial_table as the MLP evaluated at every half-spectrum
+    mode k and at its wrapped negation -k, then (psi(k) + conj psi(-k)) / 2,
+    composed of tape ops: the reference for the node's table and gradients."""
+    n = math.prod(grid.half_points)
+    index = freq_grid(grid).index.reshape(grid.dim, n)
+    points = np.array(grid.points)[:, None]
+    modes = np.concatenate([index, np.where(index == -(points // 2), index, -index)], axis=1)
+    psi = op_by_op_mlp(np.ascontiguousarray(modes.T) / np.array(freq_norm), layers)
+    table = eg.mul(eg.add(psi[:, :n], eg.conj(psi[:, n:])), 0.5)
+    return eg.reshape(table, (psi.shape[0],) + grid.half_points)
 
 
 def op_by_op_squared_error(state, target) -> Tensor:
@@ -214,6 +229,21 @@ def tape_bytes(roots) -> int:
     """The bytes of the values that the nodes under roots keep, leaves aside."""
     nodes = {id(n): n for r in roots for n in eg._toposort(r) if n._parents}
     return sum(n.data.nbytes for n in nodes.values())
+
+
+def held_arrays(roots) -> list:
+    """The values of the nodes under roots, leaves aside, and every array
+    that their pullbacks keep."""
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            return [x]
+        if isinstance(x, (list, tuple)):
+            return [a for item in x for a in arrays(item)]
+        return []
+
+    nodes = {id(n): n for r in roots for n in eg._toposort(r) if n._parents}
+    return [a for n in nodes.values()
+            for a in [n.data] + arrays([c.cell_contents for c in n._vjp.__closure__ or ()])]
 
 
 def fd_check(build, params, h=1e-6, tol=1e-6):
@@ -380,11 +410,13 @@ class TestStepNode:
 
 
 class TestFreq2VecAndLossNodes:
-    """model._mlp and training._squared_error, one tape node each, against
-    the same functions composed of tape ops."""
+    """freq2vec.polynomial_table and training._squared_error, one tape node
+    each, against the same functions composed of tape ops."""
 
     @pytest.mark.parametrize("preset, frames", [("E6-desk", 9), ("E7-desk", 4)], ids=["2d", "3d"])
     def test_loss_and_gradients_equal_the_op_by_op_nodes(self, preset, frames, monkeypatch):
+        # the node sums the table in another order than the MLP, so the
+        # table and the loss agree to roundoff, not bit for bit
         case = presets()[preset]
         cfg, g = case.model, case.train_grid
         rng = np.random.default_rng(18)
@@ -393,29 +425,39 @@ class TestFreq2VecAndLossNodes:
         segment = 0.5 * rng.standard_normal((frames, cfg.c_in) + g.points)
         table = sino_model.freq2vec_eval(params, cfg, g)
         loss, grads = training.backward(params, cfg, g, segment)
-        monkeypatch.setattr(sino_model, "_mlp", op_by_op_mlp)
+        monkeypatch.setattr(freq2vec, "polynomial_table", op_by_op_freq2vec)
         monkeypatch.setattr(training, "_squared_error", op_by_op_squared_error)
+        ref_table = sino_model.freq2vec_eval(params, cfg, g)
         ref_loss, ref_grads = training.backward(params, cfg, g, segment)
-        assert np.array_equal(sino_model.freq2vec_eval(params, cfg, g), table)
-        assert loss == ref_loss
+        assert np.linalg.norm(table - ref_table) <= 1e-14 * np.linalg.norm(ref_table)
+        assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
         for name, grad in grads.items():
             ref = ref_grads[name]
             assert np.linalg.norm(grad - ref) <= 1e-13 * np.linalg.norm(ref), name
 
     def test_the_maps_tape_keeps_no_activations(self, monkeypatch):
-        # the Freq2Vec node recomputes its (M, hidden) activations in its
-        # pullback, so the E6-desk maps' tape holds a tenth of their bytes
+        # the Freq2Vec node keeps the weights and recomputes the coefficients
+        # in its pullback: no value on the maps' tape but the table, and
+        # nothing that their pullbacks keep, has an axis over the modes,
+        # flat or on the half spectrum
         case = presets()["E6-desk"]
         cfg, g = case.model, case.train_grid
         params = sino_model.init_params(cfg, 20)
+        n = math.prod(g.half_points)
 
-        def maps_bytes():
+        def maps_arrays():
             maps = sino_model._rhs_maps(sino_model._wrap_params(params, True), cfg, g)
-            return tape_bytes(maps.tensors)
+            per_mode = [a.shape for a in held_arrays(maps.tensors)
+                        if ({n, 2 * n} & set(a.shape) or a.shape[-g.dim:] == g.half_points)
+                        and not np.shares_memory(a, maps.table.data)]
+            return tape_bytes(maps.tensors), per_mode
 
-        held = maps_bytes()
-        monkeypatch.setattr(sino_model, "_mlp", op_by_op_mlp)
-        assert held < 0.5e6 < 3e6 < maps_bytes()
+        held, per_mode = maps_arrays()
+        assert not per_mode
+        monkeypatch.setattr(freq2vec, "polynomial_table", op_by_op_freq2vec)
+        ref_held, ref_per_mode = maps_arrays()
+        assert (2 * n, cfg.mlp_hidden[-1]) in ref_per_mode
+        assert held < 0.5e6 < 3e6 < ref_held
 
 
 class TestComplexOps:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sino.freq2vec import polynomial_table
 from sino.model import (
     ABLATION_FLAGS,
     ModelConfig,
     _param_shapes,
+    _wrap_params,
     config_for_grid,
     exact_burgers_params,
     freq2vec_eval,
@@ -121,6 +123,101 @@ class TestFreq2Vec:
         from sino.errors import IncompatibleDomain
         with pytest.raises(IncompatibleDomain):
             freq2vec_eval(params, cfg, grid2(32))
+
+
+def mlp_table(params, cfg, grid):
+    """The Freq2Vec table as its MLP evaluates it: psi at every half-spectrum
+    mode k and at its wrapped negation -k, then (psi(k) + conj psi(-k)) / 2."""
+    index = freq_grid(grid).index.reshape(grid.dim, -1)
+    points = np.array(grid.points)[:, None]
+    negated = np.where(index == -(points // 2), index, -index)
+
+    def psi(modes):
+        h = modes.T / np.array(cfg.freq_norm)
+        depth = len(cfg.mlp_hidden)
+        for i in range(depth + 1):
+            h = h @ params[f"freq2vec.w{i}"] + params[f"freq2vec.b{i}"]
+            if i < depth:
+                h = h * h
+        return h[:, : cfg.K] + 1j * h[:, cfg.K :]
+
+    table = (psi(index) + np.conj(psi(negated))) * 0.5
+    return np.ascontiguousarray(table.T).reshape((cfg.K,) + grid.half_points)
+
+
+def perturbed_params(cfg, seed):
+    rng = np.random.default_rng(seed)
+    return {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in init_params(cfg, seed).items()}
+
+
+def grid_of(dim, n, length=TWO_PI):
+    return GridSpec(points=(n,) * dim, length=(length,) * dim)
+
+
+class TestFreq2VecPolynomial:
+    """The Freq2Vec node evaluates the MLP as the polynomial it computes."""
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (7, 5), (5, 4, 3)],
+                             ids=["deg1", "deg2", "deg4", "deg8"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fine", [1, 2], ids=["native", "x2"])
+    def test_table_equals_the_mlp(self, hidden, dim, fine):
+        cfg = config_for_grid(grid_of(dim, 8, 5.0), c_in=1, K=3, C=4, dt_model=0.1,
+                              mlp_hidden=hidden)
+        g = grid_of(dim, 8 * fine, 5.0)
+        params = perturbed_params(cfg, 2 + len(hidden))
+        ref = mlp_table(params, cfg, g)
+        assert np.linalg.norm(freq2vec_eval(params, cfg, g) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradient_matches_finite_differences(self, dim):
+        g = grid_of(dim, 8, 5.0)
+        cfg = config_for_grid(g, c_in=1, K=2, C=4, dt_model=0.1, mlp_hidden=(3, 2))
+        params = perturbed_params(cfg, 7)
+        rng = np.random.default_rng(8)
+        weight = rng.standard_normal((cfg.K,) + g.half_points) \
+            + 1j * rng.standard_normal((cfg.K,) + g.half_points)
+
+        def loss(p):
+            t = freq2vec_eval(p, cfg, g)
+            return np.sum(t.real * weight.real + t.imag * weight.imag)
+
+        pt = _wrap_params(params, True)
+        layers = [(pt[f"freq2vec.w{i}"], pt[f"freq2vec.b{i}"]) for i in range(3)]
+        # the loss is linear in the table, so weight is its cotangent
+        polynomial_table(layers, cfg.freq_norm, g).backward(weight)
+        h = 1e-6
+        for name, value in params.items():
+            if not name.startswith("freq2vec."):
+                continue
+            fd = np.empty(value.size)
+            for i in range(value.size):
+                step = np.zeros(value.size)
+                step[i] = h
+                up = dict(params, **{name: value + step.reshape(value.shape)})
+                down = dict(params, **{name: value - step.reshape(value.shape)})
+                fd[i] = (loss(up) - loss(down)) / (2 * h)
+            assert np.allclose(pt[name].grad.ravel(), fd, rtol=1e-6, atol=1e-8), name
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fine", [1, 2], ids=["native", "x2"])
+    def test_exact_burgers_tables_equal_the_mlp_bit_for_bit(self, dim, fine):
+        native = grid_of(dim, 16)
+        cfg, params = exact_burgers_params(native, 0.01, 0.01)
+        g = grid_of(dim, 16 * fine)
+        assert np.array_equal(freq2vec_eval(params, cfg, g), mlp_table(params, cfg, g))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_edge_columns_are_exactly_hermitian(self, dim):
+        # on the edge columns of the last axis, k and -k both lie in the half
+        # spectrum, and the table holds conj t(k) at -k
+        g = grid_of(dim, 12, 3.0)
+        cfg = config_for_grid(g, c_in=1, K=3, C=4, dt_model=0.1)
+        table = freq2vec_eval(perturbed_params(cfg, 9), cfg, g)
+        edges = table[..., [0, -1]]
+        negate = np.ix_(*[-np.arange(n) % n for n in g.points[:-1]])
+        mirrored = edges[(slice(None),) + negate]
+        assert np.array_equal(edges, np.conj(mirrored))
 
 
 class TestSlbApply:
