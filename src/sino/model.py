@@ -19,17 +19,20 @@ every channel alike, so it commutes with the pointwise map W_pi. So the
 FFT pair of the low-pass runs on c_in channels, not C, and no C-wide linear
 branch or concatenation is formed.
 
-Where it is cheaper, the Pi-block folds with W_pi as well. For the S =
-c_in*K features d of one grid column, output channel c reads
+The Pi-block folds with W_pi as well. For the S = c_in*K features d of
+one grid column, output channel c reads
     W_pi[c] ((W0 d + b0) * (W1 d + b1)) = d^T Q_c d + L_c d + beta_c,
 with Q_c = W0^T diag(W_pi[c]) W1 (S x S), L = W_pi (diag(b1) W0 +
 diag(b0) W1) and beta = W_pi (b0 * b1), which joins the folded bias
-(_pi_form). Q_c is the Pi-block's bilinear symbol in feature space: its
-c_in*S*(S+2) multiply-adds per column replace the C*(2S+1+c_in) of the
-C-wide factors. _folds_pi takes the form when it needs fewer and the block
-has two factors: at every preset but E7-desk (C=8, S=12). The exact Burgers
-instances, whose C is d^2, and no_pi keep the factors. The choice follows
-from the shapes alone, and the two agree to roundoff.
+(_pi_form). Under no_pi the second factor is the constant 1 (W1 = 0, b1 =
+1). Q_c is the Pi-block's bilinear symbol in feature space. The form is
+the block's only representation on the tape and its only pullback. A
+forward evaluates it where its c_in*S*(S+2) multiply-adds per column are
+fewer than the C*(2S+1+c_in) of the C-wide factors, and evaluates the
+factors elsewhere (_folds_pi): the form at every preset but E7-desk (C=8,
+S=12), the factors there, at the exact Burgers instances, whose C is d^2,
+and under no_pi. The choice follows from the shapes alone, and the two
+agree to roundoff.
 
 The folded maps, like the Freq2Vec table, depend on the parameters alone
 and are built once per tape (_rhs_maps), not in every right-hand side
@@ -56,9 +59,10 @@ and transforms the combined increment back once. A stage multiplies its
 input spectrum by the Freq2Vec table (the SLB spectra z), makes one
 inverse transform of the c_in*K SLB channels for the Pi-block, evaluates
 the Pi-block mixed to c_in channels (its form, or W_pi times its C
-channels), adds the folded bias, and makes one forward transform of those
-c_in channels, which the 2/3 mask then filters. The folded linear branch
-is pointwise, so it maps z in spectral space with no transform. So an RK4
+channels), adds the folded bias (without beta with the factors), and
+makes one forward transform of those c_in channels, which the 2/3 mask
+then filters. The folded linear branch is pointwise, so it maps z in
+spectral space with no transform. So an RK4
 step makes 10 FFT calls on c_in + 4(c_in*K + c_in) + c_in channels (44 on
 E6-desk), with the form or without. A stage adds only Hermitian-consistent
 half spectra (the table is conjugate-symmetric wherever k and -k both lie
@@ -68,32 +72,34 @@ A step is one tape node (_step), whose forward is plain numpy. Under
 gradients it keeps the state and the stage inputs, c_in-channel half
 spectra, and its pullback (_stage_vjp per stage, last stage first) is the
 discrete adjoint of RK4: it recomputes each stage's SLB spectra and
-features from the stage input, and without the form its C-wide Pi factors
-too, and pulls the cotangent back through the form (_quadratic_vjp, which
-adds into the form's cotangent and needs no factor) or the transposed Pi
-product and mixes, the mask, the transforms and the conjugate SLB. That is
+features from the stage input, and pulls the cotangent back through the
+form (_quadratic_vjp, which adds into the form's cotangent), the mask, the
+transforms and the conjugate SLB. It takes that path whichever evaluation
+the forward ran: the form and the factors compute one function, so its
+pullback is the exact gradient of either, up to roundoff. That is
 per-step gradient checkpointing (Chen et al., arXiv:1604.06174), and the
 adjoint of an RK scheme is itself an RK scheme (Sanz-Serna, SIAM Review 58,
 2016). The Freq2Vec table is one node too (freq2vec.polynomial_table),
 whose pullback recomputes the coefficients, and so is the form
 (_pi_form), whose pullback maps the form's cotangent that the steps sum
-back to pi.0.*, pi.1.* and W_pi. So a training window's tape holds the table node and the
-few _rhs_maps nodes after it, one node per step and per loss term; the
-stage intermediates live only while one stage's pullback runs. Without a
-gradient a step keeps nothing. rhs_eval and slb_apply run the same stage
-code; pi_block, the inspection API of the C Pi channels, runs the factors'
-code.
+back to pi.0.*, pi.1.* and W_pi. So a training window's tape holds the
+table node and the few _rhs_maps nodes after it, one node per step and per
+loss term; the stage intermediates live only while one stage's pullback
+runs. Without a gradient a step keeps nothing. rhs_eval and slb_apply run
+the same stage code; pi_block, the inspection API of the C Pi channels,
+runs the factors' code.
 
 The step's arrays wider than c_in channels, except the features d, their
 cotangent spectra and the transforms' own temporaries, are views of one
 module-level arena: one flat buffer per role, grown to the largest request
-and filled with out= (_buffer). With the factors these are the C-wide Pi
-arrays; with the form, the c_in*(S+1) rows of its products and of their
-cotangent. A warm step therefore allocates no array as wide as C or as the
-form, and glibc does not hand their pages back to the system and fault
-them in again at every stage. Each view is overwritten by the next stage,
-so none is returned or kept on the tape, and two threads must not step at
-once. The buffers keep the size of the largest step the process has run.
+and filled with out= (_buffer): the C-wide Pi factors of a forward that
+evaluates them, and the c_in*(S+1) rows of the form's products and, in the
+pullback, of their cotangent. A warm step therefore allocates no array as
+wide as C or as the form, and glibc does not hand their pages back to the
+system and fault them in again at every stage. Each view is overwritten by
+the next stage, so none is returned or kept on the tape, and two threads
+must not step at once. The buffers keep the size of the largest step the
+process has run.
 
 Inside the model the state carries a batch axis after the channels,
 (c_in, B, *points). The FFTs run over the trailing grid axes and the 1x1
@@ -150,8 +156,8 @@ class ModelConfig:
         object.__setattr__(self, "mlp_hidden", tuple(int(h) for h in self.mlp_hidden))
         if self.c_in < 1 or self.K < 1 or self.C < 1:
             raise ValueError("c_in, K and C must be positive")
-        if not self.dt_model > 0:
-            raise ValueError("dt_model must be positive")
+        if not 0 < self.dt_model < math.inf:
+            raise ValueError(f"dt_model must be finite and positive, got {self.dt_model}")
         if any(f < 2 for f in self.freq_norm):
             raise ValueError("freq_norm entries must be >= 2")
         if any(h < 1 for h in self.mlp_hidden):
@@ -280,40 +286,43 @@ class _RhsMaps:
     """The parameter-only parts of the right-hand side, built once per tape.
 
     table is the Freq2Vec table, C-ordered and shaped (1, K, 1, *half points)
-    to broadcast over the input channels and the batch. The Pi-block with
-    the output map's Pi columns is carried one of two ways (_folds_pi):
-    either form (c_in, S+1, S), its quadratic form over the S = c_in*K SLB
-    features (_pi_form), with pi empty and pi_out None; or the factors, pi
-    holding the Pi factors (w, b) with b as a column and pi_out (c_in, C)
-    the output map's Pi columns, with form None. linear (c_in, S) is the
+    to broadcast over the input channels and the batch. form (c_in, S+1, S)
+    is the Pi-block with the output map's Pi columns as its quadratic form
+    over the S = c_in*K SLB features (_pi_form). linear (c_in, S) is the
     linear branch folded into the output map, None under no_linear; bias
-    (c_in, 1) is the folded output bias, which takes the form's constant
-    term; mask is the 2/3 low-pass, a constant array, all ones under
-    no_filter.
+    (c_in, 1) is the folded output bias with the form's constant term; mask
+    is the 2/3 low-pass, a constant array, all ones under no_filter.
+
+    Where the C-wide factors are cheaper to evaluate (_folds_pi false),
+    factors is (pi, pi_out, bias): the Pi factors (w, b) with b as a column,
+    the output map's Pi columns (c_in, C) and the folded bias without the
+    form's constant term; otherwise None. A step's forward reads them in
+    place of form and bias. They are not its parents, so every gradient
+    flows through the form.
     """
 
     table: Tensor
-    pi: tuple[tuple[Tensor, Tensor], ...]
-    pi_out: Tensor | None
-    form: Tensor | None
+    form: Tensor
     linear: Tensor | None
     bias: Tensor
     mask: np.ndarray
+    factors: tuple | None
 
     @property
     def tensors(self) -> tuple[Tensor, ...]:
         """The maps a step reads, in the order its pullback returns their cotangents."""
-        if self.form is None:
-            pi = (*(t for pair in self.pi for t in pair), self.pi_out)
-        else:
-            pi = (self.form,)
         linear = () if self.linear is None else (self.linear,)
-        return (self.table, *pi, *linear, self.bias)
+        return (self.table, self.form, *linear, self.bias)
 
 
 def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, Tensor], ...]:
-    return tuple((pt[f"pi.{p}.w"], eg.reshape(pt[f"pi.{p}.b"], (cfg.C, 1)))
-                 for p in range(cfg.n_pi_factors))
+    """The two Pi factors (w, b), b as a column; under no_pi the second is
+    the constant 1 (w = 0, b = 1)."""
+    pi = [(pt[f"pi.{p}.w"], eg.reshape(pt[f"pi.{p}.b"], (cfg.C, 1)))
+          for p in range(cfg.n_pi_factors)]
+    if cfg.no_pi:
+        pi.append((Tensor(np.zeros((cfg.C, cfg.slb_channels))), Tensor(np.ones((cfg.C, 1)))))
+    return tuple(pi)
 
 
 def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
@@ -321,9 +330,10 @@ def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
 
 
 def _folds_pi(cfg: ModelConfig) -> bool:
-    """Whether the step runs the Pi-block as its quadratic form (_pi_form):
-    it needs two factors, and fewer multiply-adds per grid column than the
-    C-wide factors, c_in*S*(S+2) against C*(2S+1+c_in) for S = c_in*K."""
+    """Whether the step's forward evaluates the Pi-block as its quadratic
+    form (_pi_form) rather than as the C-wide factors: the block has two
+    factors, and the form needs fewer multiply-adds per grid column,
+    c_in*S*(S+2) against C*(2S+1+c_in) for S = c_in*K."""
     s = cfg.slb_channels
     return cfg.n_pi_factors == 2 and cfg.c_in * s * (s + 2) < cfg.C * (2 * s + 1 + cfg.c_in)
 
@@ -372,30 +382,26 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
         pi_out = pt["out.w"][:, cfg.C :]
         linear = eg.matmul(out_linear, pt["linear.w"])
         bias = eg.add(eg.matmul(out_linear, eg.reshape(pt["linear.b"], (cfg.C, 1))), bias)
-    pi, form = _pi_factors(pt, cfg), None
-    if _folds_pi(cfg):
-        (_, b0), (_, b1) = pi
-        form = _pi_form(pi, pi_out)
-        bias = eg.add(bias, eg.matmul(pi_out, eg.mul(b0, b1)))
-        pi, pi_out = (), None
+    pi = _pi_factors(pt, cfg)
+    (_, b0), (_, b1) = pi
     return _RhsMaps(
         table=eg.reshape(table, (1, cfg.K, 1) + grid.half_points),
-        pi=pi,
-        pi_out=pi_out,
-        form=form,
+        form=_pi_form(pi, pi_out),
         linear=linear,
-        bias=bias,
+        bias=eg.add(bias, eg.matmul(pi_out, eg.mul(b0, b1))),
         mask=_mask(cfg, grid),
+        factors=None if _folds_pi(cfg) else (pi, pi_out, bias),
     )
 
 
 # -- the step: one tape node with a hand-written pullback ---------------------
 
-# The arena's roles: the SLB spectra "z", the Pi factors "f0" and "f1",
-# their product or its cotangent "v" (with the form, its products and their
-# cotangent), the features' cotangent "g_d", and a complex "scratch". The
-# features d and the spectra gz of their cotangent are np.fft's own outputs:
-# the benchmark's span tracer cannot pass an out= keyword through to np.fft.
+# The arena's roles: the SLB spectra "z", the Pi factors "f0" (then their
+# product) and "f1" of a forward that evaluates them, the form's products or
+# their cotangent "v", the features' cotangent "g_d", and a complex
+# "scratch". The features d and the spectra gz of their cotangent are
+# np.fft's own outputs: the benchmark's span tracer cannot pass an out=
+# keyword through to np.fft.
 _ARENA: dict[str, np.ndarray] = {}
 _COMPLEX_ROLES = ("z", "scratch")
 
@@ -421,24 +427,15 @@ def _slb(xh: np.ndarray, table: np.ndarray, cfg: ModelConfig,
     return z, d.reshape(cfg.slb_channels, -1)
 
 
-def _factors(d: np.ndarray, pi) -> list[np.ndarray]:
-    """The Pi factors w_p d + b_p of the features d, each (C, columns) in the
-    arena; pi holds the (w_p, b_p) tensors."""
-    fs = []
-    for p, (w, b) in enumerate(pi):
-        f = np.matmul(w.data, d, out=_buffer(f"f{p}", (w.shape[0], d.shape[1])))
-        f += b.data
-        fs.append(f)
-    return fs
-
-
 def _pi_channels(d: np.ndarray, pi) -> np.ndarray:
-    """prod_p (w_p d + b_p): the C Pi channels of the features d, unfiltered,
-    in the arena."""
-    fs = _factors(d, pi)
-    v = fs[0]
-    for f in fs[1:]:
-        v *= f
+    """(w_0 d + b_0) * (w_1 d + b_1): the C Pi channels of the features d,
+    unfiltered, in the arena's f0; pi holds the two factors' (w, b) tensors."""
+    (w0, b0), (w1, b1) = pi
+    v = np.matmul(w0.data, d, out=_buffer("f0", (w0.shape[0], d.shape[1])))
+    v += b0.data
+    f1 = np.matmul(w1.data, d, out=_buffer("f1", v.shape))
+    f1 += b1.data
+    v *= f1
     return v
 
 
@@ -465,11 +462,12 @@ def _stage(xh: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> 
     z, d = _slb(xh, maps.table.data, cfg, grid)
     # the low-pass is one mask on every channel, so it commutes with the
     # output map: mix the Pi-block down to c_in channels, then filter those
-    if maps.form is None:
-        nonlinear = maps.pi_out.data @ _pi_channels(d, maps.pi)
+    if maps.factors is None:
+        nonlinear, bias = _quadratic(d, maps.form.data), maps.bias
     else:
-        nonlinear = _quadratic(d, maps.form.data)
-    nonlinear += maps.bias.data
+        pi, pi_out, bias = maps.factors
+        nonlinear = pi_out.data @ _pi_channels(d, pi)
+    nonlinear += bias.data
     out = _lowpass_hat(nonlinear.reshape(xh.shape[:2] + grid.points), maps.mask, grid)
     if maps.linear is None:
         return out
@@ -494,33 +492,6 @@ def _irfftn_vjp(g: np.ndarray, grid: GridSpec) -> np.ndarray:
     gh = np.fft.rfftn(g, axes=grid.axes)
     gh /= grid.n_points
     return eg._weight_interior(gh, grid.axes[-1], grid.points[-1], 2.0)
-
-
-def _pi_vjp(d: np.ndarray, pi, pi_out: np.ndarray, g: np.ndarray):
-    """Pull the cotangent g (c_in, columns) of pi_out @ prod_p (w_p d + b_p)
-    back to d, to each of the (w_p, b_p) tensors in pi and to pi_out,
-    recomputing the factors.
-
-    The C-wide arrays are the arena's f0, f1 and v: v holds the product,
-    then its cotangent gv and then the first factor's cotangent f1 gv, and
-    f0's buffer takes the second factor's, f0 gv. The cotangent of d is the
-    arena's g_d; d, last read by the weights' cotangents, takes the second
-    factor's term of it."""
-    fs = _factors(d, pi)
-    v = fs[0] if len(fs) == 1 else np.multiply(fs[0], fs[1], out=_buffer("v", fs[0].shape))
-    g_pi_out = g @ v.T
-    gv = np.matmul(pi_out.T, g, out=_buffer("v", fs[0].shape))
-    if len(fs) == 1:
-        g_fs = [gv]
-    else:
-        f0, f1 = fs
-        g_fs = [gv, np.multiply(f0, gv, out=f0)]  # g_f1 = f0 gv, in f0's buffer
-        gv *= f1                                  # g_f0 = f1 gv, in gv's
-    g_pi = [t for g_f in g_fs for t in (g_f @ d.T, g_f.sum(axis=1, keepdims=True))]
-    g_d = np.matmul(pi[0][0].data.T, g_fs[0], out=_buffer("g_d", d.shape))
-    for (w, _), g_f in zip(pi[1:], g_fs[1:]):
-        g_d += np.matmul(w.data.T, g_f, out=d)
-    return g_d, g_pi, g_pi_out
 
 
 def _quadratic_vjp(d: np.ndarray, form: np.ndarray, g: np.ndarray):
@@ -548,20 +519,15 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
     """Pull the cotangent g of the stage at xh back: add each map's cotangent
     into grads, in maps.tensors order, and return that of xh.
 
-    The SLB spectra, features and, without the form, the Pi factors are
-    recomputed from xh."""
+    The SLB spectra and features are recomputed from xh. The Pi-block is
+    pulled back through its form whichever evaluation the forward ran."""
     table = maps.table.data
     # the mask and the low-pass rfftn
     g_nl = _rfftn_vjp(g * maps.mask, grid)
     g_nl = g_nl.reshape(cfg.c_in, -1)
-    # the mix and the Pi-block
+    # the mixed Pi-block, as its form
     z, d = _slb(xh, table, cfg, grid)
-    if maps.form is None:
-        g_d, g_pi, g_pi_out = _pi_vjp(d, maps.pi, maps.pi_out.data, g_nl)
-        g_pi = (*g_pi, g_pi_out)
-    else:
-        g_d, g_form = _quadratic_vjp(d, maps.form.data, g_nl)
-        g_pi = (g_form,)
+    g_d, g_form = _quadratic_vjp(d, maps.form.data, g_nl)
     # the SLB's irfftn
     gz = _irfftn_vjp(g_d.reshape(z.shape[:-grid.dim] + grid.points), grid)
     scratch = _buffer("scratch", gz.shape)
@@ -575,7 +541,7 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
     # the SLB's product with the table
     xr = xh.reshape((cfg.c_in, 1) + xh.shape[1:])
     g_table = np.multiply(np.conjugate(xr), gz, out=scratch).sum(axis=(0, 2), keepdims=True)
-    contributions = (g_table, *g_pi, *linear, g_nl.sum(axis=1, keepdims=True))
+    contributions = (g_table, g_form, *linear, g_nl.sum(axis=1, keepdims=True))
     for i, c in enumerate(contributions):
         grads[i] = c if grads[i] is None else grads[i] + c
     return np.multiply(np.conjugate(table), gz, out=scratch).sum(axis=1)
@@ -666,9 +632,10 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
 
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
-    """Product of two affine projections of SLB features (one under no_pi),
-    then the low-pass (none under no_filter): the C Pi channels, formed
-    from the factors whether or not the step folds them (_folds_pi)."""
+    """Product of two affine projections of SLB features (the second the
+    constant 1 under no_pi), then the low-pass (none under no_filter): the C
+    Pi channels, formed from the factors whether or not the step folds them
+    (_folds_pi)."""
     flat = np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points)
     pi = _pi_factors(_wrap_params(params, False), cfg)
     v = _pi_channels(flat, pi).reshape((cfg.C,) + grid.points)

@@ -71,8 +71,11 @@ class SolverConfig:
     save_dt: float
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "save_dt"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.save_dt < self.dt - 1e-12 * self.dt:
             raise ValueError("save_dt must be >= dt")
         if self.t_end > 0 and self.t_end < self.save_dt - 1e-12 * self.save_dt:

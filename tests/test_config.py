@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 from dataclasses import replace
 
 import pytest
 import yaml
 
+from sino import cli
 from sino.config import ExperimentConfig, from_dict, load_yaml, presets
 from sino.model import ModelConfig
 from sino.solvers import PDESpec, SolverConfig
@@ -157,6 +159,25 @@ class TestFromDict:
         (d[section] if section else d)[key] = value
         with pytest.raises(ValueError, match=named):
             from_dict(d)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "t_end", math.inf), ("solver", "t_end", -1.0), ("solver", "t_end", math.nan),
+        ("solver", "dt", math.inf), ("solver", "dt", math.nan), ("solver", "save_dt", math.inf),
+        ("solver", "save_dt", -0.005), ("model", "dt_model", math.inf),
+        (None, "test_t_end", math.inf),
+    ])
+    def test_times_must_be_finite(self, section, key, value, tmp_path, capsys):
+        # an infinite t_end overflowed when the config was built, an infinite
+        # dt divided by zero and a negative t_end made a negative dimension
+        # when the data was made, and an infinite dt_model passed the cadence
+        # check: each must exit 2 naming its field, before any data is made
+        d = self.base()
+        (d[section] if section else d)[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert (f"{section}: {key}" if section else key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_mlp_hidden_entries_must_be_positive(self, width):

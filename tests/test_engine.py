@@ -170,11 +170,12 @@ def op_by_op_step(u, maps, cfg, grid) -> Tensor:
     def rhs_hat(xh):
         z = eg.mul(eg.reshape(xh, (cfg.c_in, 1) + xh.shape[1:]), maps.table)
         d = eg.reshape(irfftn(z, grid.axes, grid.points), (cfg.slb_channels, -1))
-        if maps.form is None:
-            mixed = affine_product(d, maps.pi, maps.pi_out)
+        if maps.factors is None:
+            mixed, bias = quadratic_form(d, maps.form), maps.bias
         else:
-            mixed = quadratic_form(d, maps.form)
-        nonlinear = eg.add(mixed, maps.bias)
+            pi, pi_out, bias = maps.factors
+            mixed = affine_product(d, pi, pi_out)
+        nonlinear = eg.add(mixed, bias)
         out = rfftn(eg.reshape(nonlinear, xh.shape[:2] + grid.points), grid.axes)
         out = eg.mul(out, mask)
         if maps.linear is None:

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in it, and every private helper of
-the package is used somewhere in it."""
+"""Every name a module imports is used in it, every private helper of the
+package is used somewhere in it, and every public name of the package is
+read by the package or the benchmark, not by the tests alone."""
 
 import ast
 from pathlib import Path
@@ -40,8 +41,8 @@ def test_the_scan_sees_an_unused_import():
 SRC = {p.name: p for p in sorted((ROOT / "src" / "sino").glob("*.py"))}
 
 
-def module_private_names(tree: ast.Module) -> dict[str, int]:
-    """The module-level _names (def, class or assignment) and their lines."""
+def module_names(tree: ast.Module) -> dict[str, int]:
+    """The module-level names (def, class or assignment) and their lines."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -52,22 +53,28 @@ def module_private_names(tree: ast.Module) -> dict[str, int]:
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
                         names[n.id] = node.lineno
-    return {k: line for k, line in names.items() if k.startswith("_") and not k.startswith("__")}
+    return names
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a name or as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
 
 
 def orphaned_helpers(sources: dict[str, str]) -> list[str]:
     """The module-level _names that no module of sources reads, as a name
     or as an attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = set().union(*map(names_read, trees.values()))
     return [f"{name} line {line}: {helper}" for name, tree in trees.items()
-            for helper, line in module_private_names(tree).items() if helper not in used]
+            for helper, line in module_names(tree).items()
+            if helper.startswith("_") and not helper.startswith("__") and helper not in used]
 
 
 def test_no_orphaned_private_helpers():
@@ -82,3 +89,42 @@ def test_the_scan_sees_an_orphaned_helper():
     }
     assert orphaned_helpers(sources) == ["a.py line 3: _orphan", "a.py line 5: _X",
                                          "a.py line 7: _C"]
+
+
+PERFBENCH = {p.name: p for p in sorted((ROOT / "perfbench").glob("*.py"))}
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The module-level public names of sources that neither sources nor
+    readers read: as a name, an attribute, an imported name or a string
+    constant, since the benchmark's tracer patches functions by name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in (*trees.values(), *map(ast.parse, readers.values())):
+        used |= names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return [f"{name} line {line}: {public}" for name, tree in trees.items()
+            for public, line in module_names(tree).items()
+            if not public.startswith("_") and public not in used]
+
+
+def test_no_public_name_only_tests_read():
+    # an API that only tests read is code kept for the tests alone
+    assert unread_public_names({name: p.read_text() for name, p in SRC.items()},
+                               {name: p.read_text() for name, p in PERFBENCH.items()}) == []
+
+
+def test_the_scan_sees_a_public_name_only_tests_read():
+    sources = {
+        "a.py": "def used():\n    pass\ndef unread():\n    pass\ndef patched():\n    pass\n"
+                "X = 1\nY: int = 2\nclass C:\n    def method(self):\n        pass\n"
+                "def _private():\n    pass\n",
+        "b.py": "from .a import Y\nfrom . import a\n\na.used()\n",
+    }
+    readers = {"bench.py": "patch(a, 'patched')\n"}
+    assert unread_public_names(sources, readers) == ["a.py line 3: unread", "a.py line 7: X",
+                                                     "a.py line 9: C"]

@@ -573,13 +573,15 @@ class TestStepAndRollout:
 
 
 class TestFoldedPiForm:
-    """The Pi-block as one quadratic form over the SLB features (model._pi_form)
-    where that is cheaper than its C-wide factors."""
+    """The Pi-block as one quadratic form over the SLB features (model._pi_form):
+    its only representation on the tape, and the forward's evaluation where
+    that is cheaper than its C-wide factors."""
 
     def test_the_representation_follows_the_shapes(self):
         # the form costs c_in*S*(S+2) multiply-adds per column and the factors
         # C*(2S+1+c_in): E7-desk (S=12, C=8) and the exact instances (C=d^2)
-        # keep the factors, every other preset folds; no_pi has one factor
+        # evaluate the factors, every other preset folds; no_pi evaluates the
+        # factors, its second the constant 1
         from dataclasses import replace
 
         from sino import model as sino_model
@@ -595,8 +597,31 @@ class TestFoldedPiForm:
             case = presets()[name]
             pt = sino_model._wrap_params(init_params(case.model, 0), False)
             maps = sino_model._rhs_maps(pt, case.model, case.train_grid)
-            assert (maps.form is not None) == folds[name]
-            assert (maps.pi_out is None) == (maps.pi == ()) == folds[name]
+            assert (maps.factors is None) == folds[name]
+
+    @pytest.mark.parametrize("flag", ["full", *ABLATION_FLAGS])
+    @pytest.mark.parametrize("preset", ["E6-desk", "E7-desk"])
+    def test_the_form_is_the_only_pi_block_on_the_tape(self, preset, flag):
+        # the step's parents are the table, the form, the folded linear
+        # branch and the bias, whichever evaluation its forward runs; the
+        # factors ride along, off the tape, only where they are cheaper
+        from dataclasses import replace
+
+        from sino import model as sino_model
+        from sino.config import presets
+        case = presets()[preset]
+        cfg = case.model if flag == "full" else replace(case.model, **{flag: True})
+        pt = _wrap_params(init_params(cfg, 0), True)
+        maps = sino_model._rhs_maps(pt, cfg, case.train_grid)
+        expected = (maps.table, maps.form, *(() if cfg.no_linear else (maps.linear,)), maps.bias)
+        assert len(maps.tensors) == len(expected)
+        assert all(t is e for t, e in zip(maps.tensors, expected))
+        assert maps.form.shape == (cfg.c_in, cfg.slb_channels + 1, cfg.slb_channels)
+        assert (maps.factors is None) == sino_model._folds_pi(cfg)
+        if maps.factors is not None:
+            pi, pi_out, bias = maps.factors
+            assert len(pi) == 2 and pi_out.shape == (cfg.c_in, cfg.C)
+            assert not any(t is bias for t in maps.tensors)
 
     @pytest.mark.parametrize("flag", ["full", "no_filter", "no_freq2vec", "no_linear",
                                       "euler_time"])
