@@ -46,8 +46,9 @@ key-sorted JSON form with out_dir blanked is the config hash, so the hash
 names the experiment, not its directory. Every value must fit its field's
 type hint: an int is accepted for a float field, a bool only for a bool
 field, and a list for a tuple field whose elements fit its element type.
-The model must fit the experiment: pde.dim is the number of axes of
-domain_length, model.c_in is the PDE's channel count, the native grid
+gen_points and train_points must each make a grid (GridSpec) on
+domain_length. The model must fit the experiment: pde.dim is the number of
+axes of domain_length, model.c_in is the PDE's channel count, the native grid
 2 * model.freq_norm is train_points, and the snapshot cadence solver.save_dt
 is model.dt_model. A test_t_end must be a horizon SolverConfig accepts.
 All of this is checked when the config is built, before any data is made.
@@ -103,6 +104,12 @@ class ExperimentConfig:
         if self.pde.dim != len(self.domain_length):
             raise ValueError(f"pde.dim {self.pde.dim} must equal the {len(self.domain_length)} "
                              f"axes of domain_length")
+        for name, points in (("gen_points", self.gen_points), ("train_points", self.train_points)):
+            try:
+                GridSpec(points=points, length=self.domain_length)
+            except ValueError as err:
+                raise ValueError(f"{name} {points} on domain_length {self.domain_length} "
+                                 f"is no grid: {err}") from None
         if self.model.c_in != self.pde.channels:
             raise ValueError(f"model.c_in {self.model.c_in} must equal the "
                              f"{self.pde.channels} channels of the PDE")

@@ -62,11 +62,6 @@ class EvalReport:
     failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
-    def per_traj_rel_l2(self) -> list[float]:
-        """The full-horizon rel l2 of each trajectory: rel_l2_cum's last column."""
-        return self.rel_l2_cum[:, -1].tolist()
-
-    @property
     def n_traj(self) -> int:
         return len(self.rel_l2_cum)
 

@@ -25,14 +25,16 @@ one grid column, output channel c reads
 with Q_c = W0^T diag(W_pi[c]) W1 (S x S), L = W_pi (diag(b1) W0 +
 diag(b0) W1) and beta = W_pi (b0 * b1), which joins the folded bias
 (_pi_form). Under no_pi the second factor is the constant 1 (W1 = 0, b1 =
-1). Q_c is the Pi-block's bilinear symbol in feature space. The form is
-the block's only representation on the tape and its only pullback. A
-forward evaluates it where its c_in*S*(S+2) multiply-adds per column are
-fewer than the C*(2S+1+c_in) of the C-wide factors, and evaluates the
-factors elsewhere (_folds_pi): the form at every preset but E7-desk (C=8,
-S=12), the factors there, at the exact Burgers instances, whose C is d^2,
-and under no_pi. The choice follows from the shapes alone, and the two
-agree to roundoff.
+1), so Q is zero, L = W_pi W0 and beta = W_pi b0. Q_c is the Pi-block's
+bilinear symbol in feature space. The form is the block's only
+representation on the tape and its only pullback. A forward evaluates it
+where its c_in*S*(S+2) multiply-adds per column are fewer than the
+C*(2S+1+c_in) of the C-wide factors, and evaluates the factors elsewhere
+(_folds_pi): the form at every preset but E7-desk (C=8, S=12), with or
+without an ablation flag (under no_pi the factors multiply the zero W1 as
+the form multiplies its zero Q), the factors there and at the exact
+Burgers instances, whose C is d^2. The choice follows from the shapes
+alone, and the two agree to roundoff.
 
 The folded maps, like the Freq2Vec table, depend on the parameters alone
 and are built once per tape (_rhs_maps), not in every right-hand side
@@ -54,19 +56,20 @@ outputs' polynomials in q and its imaginary part the odd part of the
 others', an index -N/2 being its own negation.
 
 A step works on half spectra, as the reference solvers do. It transforms
-the state once, evaluates the four RK4 stages as half spectra (_stage)
-and transforms the combined increment back once. A stage multiplies its
-input spectrum by the Freq2Vec table (the SLB spectra z), makes one
-inverse transform of the c_in*K SLB channels for the Pi-block, evaluates
-the Pi-block mixed to c_in channels (its form, or W_pi times its C
-channels), adds the folded bias (without beta with the factors), and
+the state once, evaluates the four RK4 stages as half spectra (_stage) and
+transforms the increment sum_i b_i k_i back once: the scheme is its
+tableau (a, b), and euler_time only chooses the one-stage tableau. A stage
+multiplies its input spectrum by the Freq2Vec table (the SLB spectra z),
+makes one inverse transform of the c_in*K SLB channels for the Pi-block,
+evaluates the Pi-block mixed to c_in channels (its form, or W_pi times its
+C channels), adds the folded bias (without beta with the factors), and
 makes one forward transform of those c_in channels, which the 2/3 mask
 then filters. The folded linear branch is pointwise, so it maps z in
-spectral space with no transform. So an RK4
-step makes 10 FFT calls on c_in + 4(c_in*K + c_in) + c_in channels (44 on
-E6-desk), with the form or without. A stage adds only Hermitian-consistent
-half spectra (the table is conjugate-symmetric wherever k and -k both lie
-in the half spectrum), so this is the same function up to roundoff.
+spectral space with no transform. So an RK4 step makes 10 FFT calls on
+c_in + 4(c_in*K + c_in) + c_in channels (44 on E6-desk), with the form or
+without. A stage adds only Hermitian-consistent half spectra (the table is
+conjugate-symmetric wherever k and -k both lie in the half spectrum), so
+this is the same function up to roundoff.
 
 A step is one tape node (_step), whose forward is plain numpy. Under
 gradients it keeps the state and the stage inputs, c_in-channel half
@@ -76,18 +79,18 @@ features from the stage input, and pulls the cotangent back through the
 form (_quadratic_vjp, which adds into the form's cotangent), the mask, the
 transforms and the conjugate SLB. It takes that path whichever evaluation
 the forward ran: the form and the factors compute one function, so its
-pullback is the exact gradient of either, up to roundoff. That is
-per-step gradient checkpointing (Chen et al., arXiv:1604.06174), and the
-adjoint of an RK scheme is itself an RK scheme (Sanz-Serna, SIAM Review 58,
-2016). The Freq2Vec table is one node too (freq2vec.polynomial_table),
-whose pullback recomputes the coefficients, and so is the form
-(_pi_form), whose pullback maps the form's cotangent that the steps sum
-back to pi.0.*, pi.1.* and W_pi. So a training window's tape holds the
-table node and the few _rhs_maps nodes after it, one node per step and per
-loss term; the stage intermediates live only while one stage's pullback
-runs. Without a gradient a step keeps nothing. rhs_eval and slb_apply run
-the same stage code; pi_block, the inspection API of the C Pi channels,
-runs the factors' code.
+pullback is the exact gradient of either, up to roundoff. That is per-step
+gradient checkpointing (Chen et al., arXiv:1604.06174), and the adjoint of
+an RK scheme is the RK scheme with the same weights b (Sanz-Serna, SIAM
+Review 58, 2016), so one tableau drives both. The Freq2Vec table is one
+node too (freq2vec.polynomial_table), whose pullback recomputes the
+coefficients, and so is the form (_pi_form), whose pullback maps the
+form's cotangent that the steps sum back to pi.0.*, pi.1.* and W_pi. So a
+training window's tape holds the table node and the few _rhs_maps nodes
+after it, one node per step and per loss term; the stage intermediates
+live only while one stage's pullback runs. Without a gradient a step keeps
+nothing. rhs_eval and slb_apply run the same stage code; pi_block, the
+inspection API of the C Pi channels, runs the factors' code.
 
 The step's arrays wider than c_in channels, except the features d, their
 cotangent spectra and the transforms' own temporaries, are views of one
@@ -331,11 +334,13 @@ def _mask(cfg: ModelConfig, grid: GridSpec) -> np.ndarray:
 
 def _folds_pi(cfg: ModelConfig) -> bool:
     """Whether the step's forward evaluates the Pi-block as its quadratic
-    form (_pi_form) rather than as the C-wide factors: the block has two
-    factors, and the form needs fewer multiply-adds per grid column,
-    c_in*S*(S+2) against C*(2S+1+c_in) for S = c_in*K."""
+    form (_pi_form) rather than as the C-wide factors: the form needs fewer
+    multiply-adds per grid column, c_in*S*(S+2) against C*(2S+1+c_in) for
+    S = c_in*K. Both counts hold under no_pi too, where the factors
+    multiply the constant second factor and the form's Q is zero, so the
+    choice reads the shapes alone."""
     s = cfg.slb_channels
-    return cfg.n_pi_factors == 2 and cfg.c_in * s * (s + 2) < cfg.C * (2 * s + 1 + cfg.c_in)
+    return cfg.c_in * s * (s + 2) < cfg.C * (2 * s + 1 + cfg.c_in)
 
 
 def _pi_form(pi, pi_out: Tensor) -> Tensor:
@@ -550,12 +555,14 @@ def _stage_vjp(xh: np.ndarray, g: np.ndarray, maps: _RhsMaps, cfg: ModelConfig,
 def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor:
     """One dt_model of states u (c_in, B, *points), as one tape node.
 
-    The state is transformed once, the stages (four for RK4, one under
-    euler_time) run on half spectra and the increment is transformed back
-    once. With a parent that requires a gradient the node keeps the stage
-    inputs, c_in-channel half spectra, and its pullback walks the stages
-    backwards, each recomputed from its input: the discrete adjoint of the
-    scheme. Otherwise it keeps nothing.
+    The state is transformed once, the stages run on half spectra and the
+    increment is transformed back once. The scheme is the tableau (a, b):
+    RK4's, or forward Euler's under euler_time, the only place the flag is
+    read. Stage i+1 reads uh + a[i] k_i and the increment is sum_i b[i] k_i,
+    in stage order. With a parent that requires a gradient the node keeps
+    the stage inputs, c_in-channel half spectra, and its pullback walks the
+    stages backwards through the same a and b, each recomputed from its
+    input: the discrete adjoint of the scheme. Otherwise it keeps nothing.
     """
     dt = cfg.dt_model
     # stage i+1 reads uh + a[i] * k_i; the increment weighs k_i by b[i]
@@ -570,11 +577,9 @@ def _step(u: Tensor, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec) -> Tensor
         ks.append(_stage(x, maps, cfg, grid))
         if keep:
             xs.append(x)
-    if cfg.euler_time:
-        incr = ks[0] * dt
-    else:
-        k1, k2, k3, k4 = ks
-        incr = ((k1 + k4) + (k2 + k3) * 2.0) * (dt / 6.0)
+    incr = ks[0] * b[0]
+    for k, b_i in zip(ks[1:], b[1:]):
+        incr += k * b_i
     out = u.data + np.fft.irfftn(incr, s=grid.points, axes=grid.axes)
     if not keep:
         return Tensor(out)
@@ -633,14 +638,12 @@ def slb_apply(u: np.ndarray, table: np.ndarray, cfg: ModelConfig, grid: GridSpec
 def pi_block(d: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
              grid: GridSpec) -> np.ndarray:
     """Product of two affine projections of SLB features (the second the
-    constant 1 under no_pi), then the low-pass (none under no_filter): the C
-    Pi channels, formed from the factors whether or not the step folds them
-    (_folds_pi)."""
+    constant 1 under no_pi), then the step's low-pass mask (_mask, all ones
+    under no_filter): the C Pi channels, formed from the factors whether or
+    not the step folds them (_folds_pi)."""
     flat = np.asarray(d, dtype=np.float64).reshape(cfg.slb_channels, grid.n_points)
     pi = _pi_factors(_wrap_params(params, False), cfg)
     v = _pi_channels(flat, pi).reshape((cfg.C,) + grid.points)
-    if cfg.no_filter:
-        return v.copy()  # v is an arena view
     return np.fft.irfftn(_lowpass_hat(v, _mask(cfg, grid), grid), s=grid.points, axes=grid.axes)
 
 

@@ -54,6 +54,8 @@ class PDESpec:
             raise ValueError("only Burgers supports dim=3")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if not -np.inf < self.nu < np.inf:
+            raise ValueError(f"nu must be finite, got {self.nu}")
         if self.kind in ("nse", "burgers") and not self.nu > 0:
             raise ValueError(f"{self.kind} requires nu > 0")
 
@@ -215,18 +217,9 @@ def kse_rhs(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _rhs("kse", 0.0, grid, u)
 
 
-def nse_rhs(
-    omega: np.ndarray,
-    grid: GridSpec,
-    spec: PDESpec,
-    forcing: np.ndarray | None = None,
-) -> np.ndarray:
-    """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law.
-
-    forcing, shape (1, *points), replaces the spec's forcing field if given."""
-    if forcing is None:
-        forcing = forcing_field(grid, spec.forcing)
-    return _rhs("nse", spec.nu, grid, omega, forcing)
+def nse_rhs(omega: np.ndarray, grid: GridSpec, spec: PDESpec) -> np.ndarray:
+    """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law."""
+    return _rhs("nse", spec.nu, grid, omega, forcing_field(grid, spec.forcing))
 
 
 def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:

@@ -44,8 +44,8 @@ class GridSpec:
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"per-axis point count must be even and >= 4, got {n}")
         for l in self.length:
-            if not (l > 0):
-                raise ValueError(f"domain length must be positive, got {l}")
+            if not 0 < l < math.inf:
+                raise ValueError(f"domain length must be finite and positive, got {l}")
 
     @property
     def dim(self) -> int:

@@ -257,11 +257,16 @@ class TrainState:
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> TrainState:
-        """The state to_tensors stored; ContainerError if a key is missing."""
+        """The state to_tensors stored; ContainerError if a key is missing or
+        misshapen: the counters are scalars and the history is (n, 4)."""
         for key in ("meta.step", "meta.best_val", "meta.best_iteration", "meta.history"):
             if key not in tensors:
                 raise ContainerError(f"not a training state: no {key}; "
                                      "a run's checkpoint is its ckpt_last.sino")
+            shape, history = tensors[key].shape, key == "meta.history"
+            if (len(shape) != 2 or shape[1] != 4) if history else shape != ():
+                raise ContainerError(f"not a training state: {key} has shape {shape}, "
+                                     f"not {'(n, 4)' if history else '()'}")
         history = [(int(it), float(lr), float(loss), None if math.isnan(val) else float(val))
                    for it, lr, loss, val in tensors["meta.history"]]
         opt = OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),

@@ -470,6 +470,26 @@ class TestExitCodes:
         assert named in err and "echoed model" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("meta.history", np.array(1.0)),
+        ("meta.step", np.zeros((2, 2))),
+        ("meta.best_val", np.zeros(3)),
+        ("meta.history", np.zeros((2, 3))),
+    ], ids=["0d-history", "2x2-step", "3-best_val", "nx3-history"])
+    def test_a_malformed_training_state_exits_4(self, run, tmp_path, capsys, key, value):
+        # a CRC-valid checkpoint whose counters are not scalars or whose
+        # history rows are not (iteration, lr, loss, val)
+        path, _, out = run
+        echo, tensors = read_checkpoint(out / "ckpt_last.sino")
+        tensors[key] = value
+        ckpt = tmp_path / "bad.sino"
+        write_checkpoint(ckpt, echo, tensors)
+        shutil.copytree(out / "data", tmp_path / "out" / "data")
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(ckpt)]) == 4
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2
 

@@ -179,6 +179,23 @@ class TestFromDict:
         assert (f"{section}: {key}" if section else key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        (None, "domain_length", [math.inf, 6.28], "domain_length"),
+        (None, "gen_points", [15, 16], "gen_points"),
+        ("pde", "nu", math.inf, "pde: nu"),
+    ], ids=["infinite-length", "odd-gen-points", "infinite-nu"])
+    def test_grids_and_viscosity_are_checked_before_any_data(self, section, key, value, named,
+                                                              tmp_path, capsys):
+        # an infinite length generated a dataset, an infinite nu blew the
+        # solver up, and an odd point count failed after out_dir was made
+        d = self.base()
+        (d[section] if section else d)[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("width", [0, -3])
     def test_mlp_hidden_entries_must_be_positive(self, width):
         # a zero width would give a constant zero table, and a negative one

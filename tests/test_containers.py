@@ -123,6 +123,15 @@ class TestFieldContainer:
         with pytest.raises(ContainerError):
             read_field_container(path)
 
+    def test_an_infinite_length_is_no_grid(self, tmp_path):
+        # lengths[0] follows the two point counts; the payload CRC does not cover it
+        path, _ = field_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 33, math.inf)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="bad grid: domain length must be finite"):
+            read_field_container(path)
+
 
     def test_zero_channels_are_refused(self, tmp_path):
         with pytest.raises(ValueError, match="C >= 1"):

@@ -191,7 +191,10 @@ def op_by_op_step(u, maps, cfg, grid) -> Tensor:
         k2 = rhs_hat(eg.add(uh, eg.mul(k1, 0.5 * dt)))
         k3 = rhs_hat(eg.add(uh, eg.mul(k2, 0.5 * dt)))
         k4 = rhs_hat(eg.add(uh, eg.mul(k3, dt)))
-        incr = eg.mul(eg.add(eg.add(k1, k4), eg.mul(eg.add(k2, k3), 2.0)), dt / 6.0)
+        # sum_i b_i k_i, in the step's order
+        incr = eg.mul(k1, dt / 6.0)
+        for k, b in ((k2, dt / 3.0), (k3, dt / 3.0), (k4, dt / 6.0)):
+            incr = eg.add(incr, eg.mul(k, b))
     return eg.add(u, irfftn(incr, grid.axes, grid.points))
 
 

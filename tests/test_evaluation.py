@@ -112,7 +112,7 @@ class TestEvaluateRollout:
         a = evaluate_rollout(params, cfg, ds)
         b = evaluate_rollout(params, cfg, ds)
         assert np.array_equal(a.pcc_curves, b.pcc_curves)
-        assert a.per_traj_rel_l2 == b.per_traj_rel_l2
+        assert np.array_equal(a.rel_l2_cum[:, -1], b.rel_l2_cum[:, -1])
 
     def test_identical_trajectories_zero_variance_across(self):
         g = grid2()
@@ -122,7 +122,7 @@ class TestEvaluateRollout:
         dup = TrajectoryDataset(grid=g, cadence=dt,
                                 data=np.repeat(one.data, 3, axis=0))
         report = evaluate_rollout(params, cfg, dup)
-        assert np.std(report.per_traj_rel_l2) < 1e-15
+        assert np.std(report.rel_l2_cum[:, -1]) < 1e-15
 
     def test_failure_recorded_not_raised(self):
         g = grid2(16)
@@ -136,7 +136,7 @@ class TestEvaluateRollout:
         ds = TrajectoryDataset(grid=g, cadence=dt, data=data)
         report = evaluate_rollout(params, cfg, ds)
         assert report.failures
-        assert math.isnan(report.per_traj_rel_l2[0])
+        assert math.isnan(report.rel_l2_cum[0, -1])
 
 
     def test_scores_match_a_per_snapshot_loop(self):
@@ -160,7 +160,7 @@ class TestEvaluateRollout:
                 e_cum += float(np.sum((pred[s] - truth[s]) ** 2))
                 y_cum += float(np.sum(truth[s] ** 2))
                 assert report.rel_l2_cum[t, s] == math.sqrt(e_cum / y_cum)
-            assert report.per_traj_rel_l2[t] == math.sqrt(e_cum / y_cum)
+            assert report.rel_l2_cum[t, -1] == math.sqrt(e_cum / y_cum)
             err_pool += e_cum
             truth_pool += y_cum
         assert report.aggregate_rel_l2 == math.sqrt(err_pool / truth_pool)
@@ -190,10 +190,10 @@ class TestEvaluateRollout:
         kept = TrajectoryDataset(grid=g, cadence=dt, data=data[[0, 2]])
         report = evaluate_rollout(params, cfg, ds)
         assert report.failures == [(1, "rollout diverged by snapshot 3 (t=0.3)")]
-        assert math.isnan(report.per_traj_rel_l2[1])
+        assert math.isnan(report.rel_l2_cum[1, -1])
         alone = evaluate_rollout(params, cfg, kept)
         assert not alone.failures
-        assert [report.per_traj_rel_l2[t] for t in (0, 2)] == alone.per_traj_rel_l2
+        assert np.array_equal(report.rel_l2_cum[[0, 2], -1], alone.rel_l2_cum[:, -1])
         assert np.array_equal(report.pcc_curves[[0, 2]], alone.pcc_curves)
         assert np.array_equal(report.rel_l2_cum[[0, 2]], alone.rel_l2_cum)
 

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, every private helper of the
-package is used somewhere in it, and every public name of the package is
-read by the package or the benchmark, not by the tests alone."""
+package is used somewhere in it, and every public name of the package, and
+every public method and property of its public classes, is read by the
+package or the benchmark, not by the tests alone."""
 
 import ast
 from pathlib import Path
@@ -94,22 +95,41 @@ def test_the_scan_sees_an_orphaned_helper():
 PERFBENCH = {p.name: p for p in sorted((ROOT / "perfbench").glob("*.py"))}
 
 
-def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """The module-level public names of sources that neither sources nor
-    readers read: as a name, an attribute, an imported name or a string
-    constant, since the benchmark's tracer patches functions by name."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def names_read_or_patched(trees) -> set[str]:
+    """The names trees read: as a name, an attribute, an imported name or a
+    string constant, since the benchmark's tracer patches functions by name."""
     used = set()
-    for tree in (*trees.values(), *map(ast.parse, readers.values())):
+    for tree in trees:
         used |= names_read(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.alias):
                 used.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
+    return used
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The module-level public names of sources that neither sources nor
+    readers read (names_read_or_patched)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = names_read_or_patched([*trees.values(), *map(ast.parse, readers.values())])
     return [f"{name} line {line}: {public}" for name, tree in trees.items()
             for public, line in module_names(tree).items()
             if not public.startswith("_") and public not in used]
+
+
+def unread_public_members(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The public methods and properties of the module-level public classes
+    of sources that neither sources nor readers read (names_read_or_patched)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = names_read_or_patched([*trees.values(), *map(ast.parse, readers.values())])
+    return [f"{name} line {member.lineno}: {cls.name}.{member.name}"
+            for name, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for member in cls.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not member.name.startswith("_") and member.name not in used]
 
 
 def test_no_public_name_only_tests_read():
@@ -128,3 +148,22 @@ def test_the_scan_sees_a_public_name_only_tests_read():
     readers = {"bench.py": "patch(a, 'patched')\n"}
     assert unread_public_names(sources, readers) == ["a.py line 3: unread", "a.py line 7: X",
                                                      "a.py line 9: C"]
+
+
+def test_no_public_member_only_tests_read():
+    assert unread_public_members({name: p.read_text() for name, p in SRC.items()},
+                                 {name: p.read_text() for name, p in PERFBENCH.items()}) == []
+
+
+def test_the_scan_sees_a_public_member_only_tests_read():
+    sources = {
+        "a.py": "class C:\n    def used(self):\n        pass\n    @property\n"
+                "    def unread(self):\n        pass\n    def patched(self):\n        pass\n"
+                "    def _private(self):\n        pass\n    @classmethod\n"
+                "    def build(cls):\n        pass\n"
+                "class _Hidden:\n    def unread(self):\n        pass\n",
+        "b.py": "from .a import C\n\nC().used()\n",
+    }
+    readers = {"bench.py": "patch(C, 'patched')\n"}
+    assert unread_public_members(sources, readers) == ["a.py line 5: C.unread",
+                                                       "a.py line 12: C.build"]

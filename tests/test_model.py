@@ -580,16 +580,17 @@ class TestFoldedPiForm:
     def test_the_representation_follows_the_shapes(self):
         # the form costs c_in*S*(S+2) multiply-adds per column and the factors
         # C*(2S+1+c_in): E7-desk (S=12, C=8) and the exact instances (C=d^2)
-        # evaluate the factors, every other preset folds; no_pi evaluates the
-        # factors, its second the constant 1
+        # evaluate the factors, every other preset folds, and no ablation flag
+        # changes that: under no_pi the factors multiply the zero second W
         from dataclasses import replace
 
         from sino import model as sino_model
         from sino.config import presets
         folds = {name: sino_model._folds_pi(case.model) for name, case in presets().items()}
         assert folds == {name: name != "E7-desk" for name in folds}
-        assert not any(sino_model._folds_pi(replace(case.model, no_pi=True))
-                       for case in presets().values())
+        for name, case in presets().items():
+            for flag in ABLATION_FLAGS:
+                assert sino_model._folds_pi(replace(case.model, **{flag: True})) == folds[name]
         for dim in (2, 3):
             g = GridSpec(points=(8,) * dim, length=(TWO_PI,) * dim)
             assert not sino_model._folds_pi(exact_burgers_params(g, 0.01, 0.01)[0])
@@ -623,8 +624,7 @@ class TestFoldedPiForm:
             assert len(pi) == 2 and pi_out.shape == (cfg.c_in, cfg.C)
             assert not any(t is bias for t in maps.tensors)
 
-    @pytest.mark.parametrize("flag", ["full", "no_filter", "no_freq2vec", "no_linear",
-                                      "euler_time"])
+    @pytest.mark.parametrize("flag", ["full", *ABLATION_FLAGS])
     @pytest.mark.parametrize("preset", ["E1-desk", "E2-desk", "E6-desk", "E7-desk"])
     def test_both_representations_agree(self, preset, flag, monkeypatch):
         from dataclasses import replace
