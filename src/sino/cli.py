@@ -19,12 +19,17 @@ required one is a validation error. For example:
     out_dir: runs/burgers-16
 
 A run keeps one checkpoint, ckpt_last.sino: its config echo and its whole
-training state. evaluate scores the checkpoint's best parameters under its
-echo; --config, --preset and --out only locate the run directory. It scores
-the test split (eval_test.csv). --superres N, N >= 2, also generates the
-run's test ICs stored at N times the training resolution and scores them
-(eval_superres_xN.csv); it prints that fine score beside the test-set score
-as native. --ood NAME scores one 2D pattern IC (eval_ood_NAME.csv).
+training state. train --resume and evaluate read it through
+training.TrainState.from_tensors, which refuses (exit 4) any tensor set
+but the one a run of the echoed model writes, naming every tensor that is
+missing, extra or misshapen, and refuses counts that are not integers >= 0
+and a NaN best validation error. evaluate scores the checkpoint's best
+parameters under its echo; --config, --preset and --out only locate the
+run directory. It scores the test split (eval_test.csv). --superres N,
+N >= 2, also generates the run's test ICs stored at N times the training
+resolution and scores them (eval_superres_xN.csv); it prints that fine
+score beside the test-set score as native. --ood NAME scores one 2D
+pattern IC (eval_ood_NAME.csv).
 generate and evaluate train nothing, so they take neither --seed nor an
 ablation flag; ablate trains every variant itself, so it takes no flag.
 
@@ -57,7 +62,7 @@ import numpy as np
 from . import containers, evaluation, training
 from .config import ExperimentConfig, from_dict, load_yaml, presets
 from .errors import ContainerError, NonFinite, SinoError
-from .model import ABLATION_FLAGS, _param_shapes
+from .model import ABLATION_FLAGS
 from .solvers import TrajectoryDataset, generate_dataset
 from .spectral import GridSpec
 from .training import TrainState, train
@@ -147,14 +152,10 @@ def _read_checkpoint(path) -> tuple[ExperimentConfig, TrainState]:
     except ValueError as err:
         raise ValueError(f"{path}: the checkpoint's config echo is from another config "
                          f"schema than this version's: {err}") from err
-    state, shapes = TrainState.from_tensors(tensors), _param_shapes(cfg.model)
-    for prefix in ("param.", "best.", "adam_m.", "adam_v."):
-        got = {k[len(prefix):]: v.shape for k, v in tensors.items() if k.startswith(prefix)}
-        wrong = sorted({prefix + k for k, _ in shapes.items() ^ got.items()})
-        if wrong:
-            raise ContainerError(f"{path}: the checkpoint's tensors {', '.join(wrong)} are "
-                                 "missing, extra or misshapen for its echoed model")
-    return cfg, state
+    try:
+        return cfg, TrainState.from_tensors(tensors, cfg.model)
+    except ContainerError as err:
+        raise ContainerError(f"{path}: {err}") from None
 
 
 def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainState]:

@@ -50,8 +50,13 @@ gen_points and train_points must each make a grid (GridSpec) on
 domain_length. The model must fit the experiment: pde.dim is the number of
 axes of domain_length, model.c_in is the PDE's channel count, the native grid
 2 * model.freq_norm is train_points, and the snapshot cadence solver.save_dt
-is model.dt_model. A test_t_end must be a horizon SolverConfig accepts.
-All of this is checked when the config is built, before any data is made.
+is model.dt_model. A test_t_end must be a horizon SolverConfig accepts. The
+GRF settings that sample_ic draws with (solvers.grf_settings: the PDE kind's
+GRF_DEFAULTS updated by the non-null grf values) must make a field: alpha
+finite and > pde.dim/2, tau finite and > 0, and scale null or finite and
+> 0. A curriculum window, train.n1 + train.n2 + 1 snapshots, must fit in
+the solver.n_snapshots of a trajectory. All of this is checked when the
+config is built, before any data is made.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .model import ModelConfig, config_for_grid
-from .solvers import GRF_DEFAULTS, PDESpec, SolverConfig
+from .solvers import GRF_DEFAULTS, PDESpec, SolverConfig, grf_settings
 from .spectral import GridSpec
 from .training import TrainConfig
 
@@ -101,6 +106,13 @@ class ExperimentConfig:
         for key, value in self.grf.items():
             if value is not None and not _fits(value, float):
                 raise ValueError(f"grf.{key} must be a number or null, got {value!r}")
+        grf = grf_settings(self.pde.kind, self.grf)
+        if not self.pde.dim / 2 < grf["alpha"] < math.inf:
+            raise ValueError(f"grf.alpha must be finite and > dim/2 = {self.pde.dim / 2}, "
+                             f"got {grf['alpha']}")
+        for key in ("tau", "scale"):  # every kind has a tau; a null scale derives from it
+            if grf[key] is not None and not 0 < grf[key] < math.inf:
+                raise ValueError(f"grf.{key} must be finite and > 0, got {grf[key]}")
         if self.pde.dim != len(self.domain_length):
             raise ValueError(f"pde.dim {self.pde.dim} must equal the {len(self.domain_length)} "
                              f"axes of domain_length")
@@ -123,6 +135,11 @@ class ExperimentConfig:
             self.test_solver()
         except ValueError as err:
             raise ValueError(f"test_t_end {self.test_t_end}: {err}") from None
+        need = self.train.n1 + self.train.n2 + 1
+        if need > self.solver.n_snapshots:
+            raise ValueError(f"train.n1 + train.n2 + 1 = {need} exceeds the "
+                             f"{self.solver.n_snapshots} snapshots of solver.t_end "
+                             f"{self.solver.t_end} at save_dt {self.solver.save_dt}")
 
     @property
     def gen_grid(self) -> GridSpec:

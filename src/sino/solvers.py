@@ -162,31 +162,25 @@ def biot_savart(omega_hat: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.n
     return ux, uy
 
 
-def _unit(axis: int, dim: int) -> tuple[int, ...]:
-    orders = [0] * dim
-    orders[axis] = 1
-    return tuple(orders)
-
-
-def _split(kind: str, nu: float, grid: GridSpec, forcing: np.ndarray | None = None):
+def _split(spec: PDESpec, grid: GridSpec):
     """The PDE as d(u_hat)/dt = lin * u_hat + nonlin(u_hat) on the half spectrum.
 
     lin is the real diagonal symbol of the linear part; nonlin maps a state
     spectrum to the spectrum of the de-aliased nonlinear term, plus, for the
-    vorticity equation, the spectrum of forcing, a (1, *points) field. The
+    vorticity equation, the spectrum of spec's forcing on grid. The
     multipliers are built here, once per call.
     """
     fg = freq_grid(grid)
     mask = two_thirds_mask(grid)
-    grads = [fg.derivative_multiplier(_unit(axis, grid.dim)) for axis in range(grid.dim)]
-    if kind == "kse":
+    grads = [fg.derivative_multiplier(unit) for unit in np.eye(grid.dim, dtype=int)]
+    if spec.kind == "kse":
         def nonlin(uh):  # -0.5*|grad u|^2
             grad_sq = sum(inverse_transform(uh * d, grid) ** 2 for d in grads)
             return forward_transform(-0.5 * grad_sq, grid) * mask
 
         return fg.k_sq - fg.k_sq**2, nonlin
-    if kind == "nse":
-        f_hat = forward_transform(forcing, grid)
+    if spec.kind == "nse":
+        f_hat = forward_transform(forcing_field(grid, spec.forcing), grid)
         # the Biot-Savart law applied to a unit spectrum: its multipliers
         velocity = biot_savart(np.ones((1,) + grid.half_points), grid)
 
@@ -195,38 +189,37 @@ def _split(kind: str, nu: float, grid: GridSpec, forcing: np.ndarray | None = No
                        for v, d in zip(velocity, grads))
             return f_hat - forward_transform(conv, grid) * mask
 
-        return -nu * fg.k_sq, nonlin
+        return -spec.nu * fg.k_sq, nonlin
 
     def nonlin(uh):  # per component: -sum_j u_j * d_j u_c
         u = inverse_transform(uh, grid)
         conv = sum(u[j : j + 1] * inverse_transform(uh * d, grid) for j, d in enumerate(grads))
         return -forward_transform(conv, grid) * mask
 
-    return -nu * fg.k_sq, nonlin
+    return -spec.nu * fg.k_sq, nonlin
 
 
-def _rhs(kind: str, nu: float, grid: GridSpec, u: np.ndarray,
-         forcing: np.ndarray | None = None) -> np.ndarray:
-    lin, nonlin = _split(kind, nu, grid, forcing)
+def _rhs(spec: PDESpec, grid: GridSpec, u: np.ndarray) -> np.ndarray:
+    lin, nonlin = _split(spec, grid)
     uh = forward_transform(u, grid)
     return inverse_transform(lin * uh + nonlin(uh), grid)
 
 
 def kse_rhs(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """-lap(u) - lap^2(u) - 0.5*|grad u|^2 with the quadratic term de-aliased."""
-    return _rhs("kse", 0.0, grid, u)
+    return _rhs(PDESpec(kind="kse"), grid, u)
 
 
 def nse_rhs(omega: np.ndarray, grid: GridSpec, spec: PDESpec) -> np.ndarray:
     """nu*lap(w) - (u . grad) w + f, with velocities from the Biot-Savart law."""
-    return _rhs("nse", spec.nu, grid, omega, forcing_field(grid, spec.forcing))
+    return _rhs(spec, grid, omega)
 
 
 def burgers_rhs(u: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     """Per component: nu*lap(u_c) - sum_j u_j * d_j u_c, products de-aliased."""
     if u.shape[0] != grid.dim:
         raise ValueError(f"Burgers state needs {grid.dim} channels, got {u.shape[0]}")
-    return _rhs("burgers", nu, grid, u)
+    return _rhs(PDESpec(kind="burgers", nu=nu, dim=grid.dim), grid, u)
 
 
 def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
@@ -255,7 +248,7 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
         snaps = np.empty(shape)
     elif snaps.shape != shape:
         raise ValueError(f"snaps must have shape {shape}, got {snaps.shape}")
-    lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
+    lin, nonlin = _split(spec, grid)
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half
@@ -296,12 +289,15 @@ def ic_seed(split_seed: int, traj: int, channel: int) -> int:
     return split_seed * 1_000_003 + traj * 1_009 + channel
 
 
+def grf_settings(kind: str, grf: dict | None = None) -> dict:
+    """The GRF settings of a PDE kind: its GRF_DEFAULTS, then grf's non-null values."""
+    return {**GRF_DEFAULTS[kind], **{k: v for k, v in (grf or {}).items() if v is not None}}
+
+
 def sample_ic(spec: PDESpec, grid: GridSpec, split_seed: int, traj: int,
               grf: dict | None = None) -> np.ndarray:
     """Initial condition with one independent GRF draw per channel."""
-    params = dict(GRF_DEFAULTS[spec.kind])
-    if grf:
-        params.update({k: v for k, v in grf.items() if v is not None or k == "scale"})
+    params = grf_settings(spec.kind, grf)
     return np.concatenate(
         [
             grf_sample(grid, ic_seed(split_seed, traj, c), **params)

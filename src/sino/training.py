@@ -233,6 +233,11 @@ def _strip(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
     return {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
 
 
+# the parameter-shaped bundles of a checkpoint, and its scalar counters
+BUNDLES = ("param.", "adam_m.", "adam_v.", "best.")
+COUNTERS = ("meta.step", "meta.best_val", "meta.best_iteration")
+
+
 @dataclass
 class TrainState:
     params: dict[str, np.ndarray]
@@ -244,29 +249,44 @@ class TrainState:
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         """The whole state as checkpoint tensors; an absent validation is NaN."""
-        bundles = {"param.": self.params, "adam_m.": self.opt.m, "adam_v.": self.opt.v,
-                   "best.": self.best_params}
-        tensors = {prefix + k: v for prefix, bundle in bundles.items() for k, v in bundle.items()}
-        tensors["meta.step"] = np.array(float(self.opt.step))
-        tensors["meta.best_val"] = np.array(float(self.best_val))
-        tensors["meta.best_iteration"] = np.array(float(self.best_iteration))
+        bundles = (self.params, self.opt.m, self.opt.v, self.best_params)
+        tensors = {prefix + k: v for prefix, bundle in zip(BUNDLES, bundles)
+                   for k, v in bundle.items()}
+        for key, value in zip(COUNTERS, (self.opt.step, self.best_val, self.best_iteration)):
+            tensors[key] = np.array(float(value))
         rows = [(it, lr, loss, math.nan if val is None else val)
                 for it, lr, loss, val in self.history]
         tensors["meta.history"] = np.array(rows, dtype=np.float64).reshape(-1, 4)
         return tensors
 
     @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> TrainState:
-        """The state to_tensors stored; ContainerError if a key is missing or
-        misshapen: the counters are scalars and the history is (n, 4)."""
-        for key in ("meta.step", "meta.best_val", "meta.best_iteration", "meta.history"):
-            if key not in tensors:
-                raise ContainerError(f"not a training state: no {key}; "
-                                     "a run's checkpoint is its ckpt_last.sino")
-            shape, history = tensors[key].shape, key == "meta.history"
-            if (len(shape) != 2 or shape[1] != 4) if history else shape != ():
-                raise ContainerError(f"not a training state: {key} has shape {shape}, "
-                                     f"not {'(n, 4)' if history else '()'}")
+    def from_tensors(cls, tensors: dict[str, np.ndarray], model_cfg: ModelConfig) -> TrainState:
+        """The state to_tensors stored for a run of model_cfg.
+
+        The tensor set must be to_tensors' layout exactly: each of the
+        BUNDLES in the shapes of model_cfg's parameters, the COUNTERS scalars
+        and meta.history (n, 4). The step, the best iteration and the
+        history's iteration column must be integers >= 0, and best_val must
+        not be NaN (it is inf before any validation). Raises ContainerError
+        naming every tensor that is missing, extra or misshapen, or else, if
+        a count or best_val is out of its range, naming all four.
+        """
+        layout = {prefix + k: shape for prefix in BUNDLES
+                  for k, shape in sino_model._param_shapes(model_cfg).items()}
+        layout |= {**dict.fromkeys(COUNTERS, ()), "meta.history": (4,)}
+        # the history's first axis is its iteration count, so only its width is fixed
+        got = {k: v.shape[1:] if k == "meta.history" else v.shape for k, v in tensors.items()}
+        wrong = sorted({k for k, _ in layout.items() ^ got.items()})
+        if wrong:
+            raise ContainerError(f"not a training state: the tensors {', '.join(wrong)} are "
+                                 "missing, extra or misshapen for its echoed model")
+        counts = np.append(tensors["meta.history"][:, 0],
+                           [tensors["meta.step"], tensors["meta.best_iteration"]])
+        if not np.all((0 <= counts) & (counts < np.inf) & (np.floor(counts) == counts)) \
+                or np.isnan(tensors["meta.best_val"]):
+            raise ContainerError("not a training state: meta.step, meta.best_iteration and the "
+                                 "iterations of meta.history must be integers >= 0, and "
+                                 "meta.best_val must not be NaN")
         history = [(int(it), float(lr), float(loss), None if math.isnan(val) else float(val))
                    for it, lr, loss, val in tensors["meta.history"]]
         opt = OptimizerState(m=_strip(tensors, "adam_m."), v=_strip(tensors, "adam_v."),

@@ -75,7 +75,7 @@ class TestRoundTrip:
         echo, last = read_checkpoint(out / "ckpt_last.sino")
         assert echo == cfg.canonical_json()
         assert int(last["meta.step"]) == 4
-        state = training.TrainState.from_tensors(last)
+        state = training.TrainState.from_tensors(last, cfg.model)
         assert state.best_iteration in (2, 4)
         assert sorted(state.best_params) == sorted(state.params)
         rows = read_csv(out / "history.csv")
@@ -475,20 +475,32 @@ class TestExitCodes:
         ("meta.step", np.zeros((2, 2))),
         ("meta.best_val", np.zeros(3)),
         ("meta.history", np.zeros((2, 3))),
-    ], ids=["0d-history", "2x2-step", "3-best_val", "nx3-history"])
+        ("meta.step", np.array(np.nan)),
+        ("meta.step", np.array(-5.0)),
+        ("meta.step", np.array(2.5)),
+        ("meta.best_iteration", np.array(np.inf)),
+        ("meta.best_val", np.array(np.nan)),
+        ("meta.history", np.array([[np.nan, 0.01, 0.5, np.nan]])),
+        ("junk.x", np.zeros(3)),
+    ], ids=["0d-history", "2x2-step", "3-best_val", "nx3-history", "nan-step", "negative-step",
+            "fractional-step", "inf-best_iteration", "nan-best_val", "nan-iteration",
+            "unknown-tensor"])
     def test_a_malformed_training_state_exits_4(self, run, tmp_path, capsys, key, value):
-        # a CRC-valid checkpoint whose counters are not scalars or whose
-        # history rows are not (iteration, lr, loss, val)
+        # a CRC-valid checkpoint whose counters are not scalars, whose history
+        # rows are not (iteration, lr, loss, val), whose counts are no integers
+        # >= 0, whose best_val is NaN, or that holds a tensor of no training state
         path, _, out = run
         echo, tensors = read_checkpoint(out / "ckpt_last.sino")
         tensors[key] = value
         ckpt = tmp_path / "bad.sino"
         write_checkpoint(ckpt, echo, tensors)
         shutil.copytree(out / "data", tmp_path / "out" / "data")
-        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
-                         "--checkpoint", str(ckpt)]) == 4
-        err = capsys.readouterr().err
-        assert key in err and "Traceback" not in err
+        for command, option in (("evaluate", "--checkpoint"), ("train", "--resume")):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / "out"),
+                             option, str(ckpt)]) == 4
+            err = capsys.readouterr().err
+            assert key in err and "Traceback" not in err
+            assert len(err.splitlines()) == 1
 
     def test_document_not_a_mapping(self, tmp_path):
         assert self.generate(tmp_path, "- 1\n- 2\n") == 2

@@ -196,6 +196,51 @@ class TestFromDict:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def small(self):
+        """Burgers from 16^2 to 8^2 over three snapshots, with a two-step curriculum."""
+        d = self.base()
+        d.update(gen_points=[16, 16], train_points=[8, 8])
+        d["model"]["freq_norm"] = [4, 4]
+        d["solver"]["t_end"] = 0.01
+        d["train"].update(n1=1, n2=1)
+        return d
+
+    def refused_before_any_data(self, d, tmp_path, capsys, command="generate"):
+        """Whether the command refuses d with exit 2 before out_dir exists; its stderr."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        return code == 2 and not (tmp_path / "out").exists(), capsys.readouterr().err
+
+    @pytest.mark.parametrize("grf, named", [
+        ({"tau": 0.0}, "grf.tau"),
+        ({"alpha": 2.5, "tau": -1.0}, "grf.tau"),
+        ({"scale": -2.0}, "grf.scale"),
+        ({"alpha": 1.0}, "grf.alpha"),
+        ({"alpha": math.inf}, "grf.alpha"),
+        ({"scale": math.nan}, "grf.scale"),
+    ], ids=["zero-tau", "negative-tau", "negative-scale", "alpha-at-dim/2", "infinite-alpha",
+            "nan-scale"])
+    def test_grf_settings_that_make_no_initial_condition(self, grf, named, tmp_path, capsys):
+        # a zero tau made all-zero data, a negative tau a complex scale and a
+        # negative scale sign-flipped data; alpha <= dim/2 failed in grf_sample
+        # and an infinite alpha or a NaN scale as a numerical failure, both
+        # after out_dir/data was made
+        d = self.small()
+        d["grf"] = grf
+        refused, err = self.refused_before_any_data(d, tmp_path, capsys)
+        assert refused and named in err
+
+    @pytest.mark.parametrize("command", ["generate", "ablate"])
+    def test_a_curriculum_longer_than_the_trajectories(self, command, tmp_path, capsys):
+        # 5 snapshots, and a window of 4 + 8 + 1: ablate generated all three
+        # splits and then refused to train
+        d = self.small()
+        d["solver"]["t_end"] = 0.02
+        d["train"].update(n1=4, n2=8)
+        refused, err = self.refused_before_any_data(d, tmp_path, capsys, command)
+        assert refused and "train.n1 + train.n2 + 1 = 13" in err and "solver.t_end" in err
+
     @pytest.mark.parametrize("width", [0, -3])
     def test_mlp_hidden_entries_must_be_positive(self, width):
         # a zero width would give a constant zero table, and a negative one

@@ -445,7 +445,7 @@ class TestGenerateDataset:
 def ifrk4_saves(spec, cfg, grid, ic):
     """integrate's steps written out, each saved state inverse-transformed
     on grid: the snapshots an equal-grid integration must store, bit for bit."""
-    lin, nonlin = _split(spec.kind, spec.nu, grid, forcing_field(grid, spec.forcing))
+    lin, nonlin = _split(spec, grid)
     dt = cfg.dt
     e_half = np.exp(0.5 * dt * lin)
     e_full = e_half * e_half

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sino.config import presets
-from sino.errors import InsufficientLength, NonFinite
+from sino.errors import ContainerError, InsufficientLength, NonFinite
 from sino.evaluation import evaluate_rollout
 from sino.model import ABLATION_FLAGS, config_for_grid, exact_burgers_params, init_params
 from sino.solvers import (
@@ -26,7 +26,9 @@ from sino.spectral import (
     inverse_transform,
 )
 from sino.training import (
+    OptimizerState,
     TrainConfig,
+    TrainState,
     adam_init,
     adam_step,
     backward,
@@ -336,6 +338,45 @@ class TestCurriculum:
             assert np.array_equal(starts[b], ds.data[traj, start])
             assert np.array_equal(batch[b, 0], states[b])
             assert np.array_equal(batch[b, 1:], ds.data[traj, first:first + tc.n2])
+
+
+class TestTrainState:
+    @staticmethod
+    def state(cfg):
+        """A state of the model cfg with distinct values in every field."""
+        rng = np.random.default_rng(3)
+        noisy = lambda bundle: {k: v + rng.standard_normal(v.shape) for k, v in bundle.items()}
+        params = init_params(cfg, 0)
+        opt = OptimizerState(m=noisy(params), v=noisy(params), step=6)
+        history = [(1, 4e-4, 0.5, None), (2, 1e-3, math.nan, None), (3, 2e-3, 0.25, 0.125),
+                   (4, 5e-3, 0.2, math.inf)]
+        return TrainState(params=noisy(params), opt=opt, best_params=noisy(params),
+                          best_val=0.125, best_iteration=3, history=history)
+
+    @staticmethod
+    def same(a, b):
+        bundles = lambda s: (s.params, s.opt.m, s.opt.v, s.best_params)
+        for x, y in zip(bundles(a), bundles(b)):
+            assert list(x) == list(y)
+            assert all(np.array_equal(x[k], y[k]) for k in x)
+        nan_free = lambda s: [tuple("nan" if v != v else v for v in row) for row in s.history]
+        assert nan_free(a) == nan_free(b)
+        assert (a.opt.step, a.best_val, a.best_iteration) == (b.opt.step, b.best_val,
+                                                              b.best_iteration)
+
+    @pytest.mark.parametrize("flag", [None, *ABLATION_FLAGS])
+    def test_the_tensors_read_back_to_the_state(self, flag):
+        cfg = config_for_grid(grid2(8), c_in=2, K=2, C=3, dt_model=0.01, mlp_hidden=(4,),
+                              **({flag: True} if flag else {}))
+        state = self.state(cfg)
+        self.same(TrainState.from_tensors(state.to_tensors(), cfg), state)
+
+    def test_another_models_tensors_are_named(self):
+        # a full model's state read as a no_linear run's: the linear map is extra
+        cfg = config_for_grid(grid2(8), c_in=2, K=2, C=3, dt_model=0.01, mlp_hidden=(4,))
+        tensors = self.state(cfg).to_tensors()
+        with pytest.raises(ContainerError, match="param.linear.b, param.linear.w"):
+            TrainState.from_tensors(tensors, replace(cfg, no_linear=True))
 
 
 class TestAdam:
