@@ -13,6 +13,16 @@ Conventions (normative for everything built on top):
     spectrum holds a real field's whole content and the inverse transform
     returns a real field by construction;
   * the forward transform is unnormalized, the inverse divides by prod(N).
+
+forward_transform and inverse_transform return fresh arrays. rfftn_into and
+irfftn_into write the same transforms into arrays the caller made once:
+they make numpy's own rfftn and irfftn passes in numpy's order, each pass
+into the caller's array and in place after the first, so their results
+equal rfftn's and irfftn's bit for bit, and an in-place pass copies
+nothing. They pass out by position, as every np.fft call in the package
+must: perfbench's tracer wraps each np.fft function, and its byte counter
+takes the call's result as a parameter named out, so an out= keyword
+raises TypeError in a traced run.
 """
 
 from __future__ import annotations
@@ -140,6 +150,28 @@ def inverse_transform(s: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum (C, *half_points) -> real field (C, *points)."""
     s = _check_shape(s, grid.half_points, "spectrum")
     return np.fft.irfftn(s, s=grid.points, axes=grid.axes)
+
+
+def rfftn_into(f: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """forward_transform of f (C, *points) written into out, a complex128
+    (C, *half_points) array: rfft on the last axis, then fft in place on
+    the others, last to first. Raises NonFinite as forward_transform does."""
+    if not np.isfinite(f).all():
+        raise NonFinite("field contains non-finite values")
+    np.fft.rfft(f, grid.points[-1], -1, None, out)
+    for axis in range(-2, -grid.dim - 1, -1):
+        np.fft.fft(out, grid.points[axis], axis, None, out)
+    return out
+
+
+def irfftn_into(s: np.ndarray, grid: GridSpec, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """inverse_transform of s (C, *half_points) written into out (C, *points):
+    ifft on every axis but the last, first to last, into work (a complex128
+    array shaped as s, which may be s itself), then irfft into out."""
+    for axis in range(-grid.dim, -1):
+        np.fft.ifft(s, grid.points[axis], axis, None, work)
+        s = work
+    return np.fft.irfft(s, grid.points[-1], -1, None, out)
 
 
 @lru_cache(maxsize=64)

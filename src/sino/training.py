@@ -61,8 +61,8 @@ class TrainConfig:
             raise ValueError("need n1 >= 0 and n2 >= 1")
         if self.batch < 1 or self.val_every < 1:
             raise ValueError("batch and val_every must be >= 1")
-        if not self.max_lr > 0:
-            raise ValueError(f"max_lr must be positive, got {self.max_lr}")
+        if not 0 < self.max_lr < math.inf:
+            raise ValueError(f"max_lr must be finite and positive, got {self.max_lr}")
 
 
 @dataclass
@@ -313,17 +313,26 @@ def _warm_up(starts: np.ndarray, ns: np.ndarray, params, model_cfg: ModelConfig,
     """The start states (B, c_in, *points), each advanced by its own warm-up
     ns[b] steps without gradients.
 
-    The batch rolls to each distinct n in ascending order, and a sample
-    leaves it once its own n is reached, so the batch takes ns.sum() sample-
-    steps. A batch's trajectories step independently, so each state equals
-    that of its own rollout bit for bit. Raises NonFinite if any of the
-    states it returns is non-finite.
+    The model's maps are built once. The batch steps to each distinct n in
+    ascending order, and a sample leaves it once its own n is reached, so the
+    batch takes ns.sum() sample-steps. A batch's trajectories step
+    independently, so each state equals that of its own rollout bit for bit.
+    Raises NonFinite if any of the states it returns is non-finite.
     """
     states, reached = starts.copy(), 0
-    for n in np.unique(ns[ns > 0]):
-        rows = np.flatnonzero(ns >= n)
-        states[rows] = sino_model.rollout(states[rows], params, model_cfg, grid, n - reached)[:, -1]
-        reached = n
+    targets = np.unique(ns[ns > 0])
+    if targets.size:
+        maps = sino_model._rhs_maps(sino_model._wrap_params(params, False), model_cfg, grid)
+    # a diverging warm-up overflows, as in rollout; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in targets:
+            rows = np.flatnonzero(ns >= n)
+            # the model steps a batch (c_in, B, *points)
+            state = Tensor(np.ascontiguousarray(np.swapaxes(states[rows], 0, 1)))
+            for _ in range(n - reached):
+                state = sino_model._step(state, maps, model_cfg, grid)
+            states[rows] = np.swapaxes(state.data, 0, 1)
+            reached = n
     if not np.isfinite(states).all():
         raise NonFinite("a warm-up rollout diverged")
     return states

@@ -179,6 +179,19 @@ class TestFromDict:
         assert (f"{section}: {key}" if section else key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -0.01])
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_max_lr_must_be_finite_and_positive(self, command, value, tmp_path, capsys):
+        # an infinite max_lr trained to NaN learning rates and NaN parameters
+        # and exited 0: each must exit 2 naming the field, before any output
+        d = self.base()
+        d["train"]["max_lr"] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(d))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "train: max_lr must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value, named", [
         (None, "domain_length", [math.inf, 6.28], "domain_length"),
         (None, "gen_points", [15, 16], "gen_points"),

@@ -167,3 +167,27 @@ def test_the_scan_sees_a_public_member_only_tests_read():
     readers = {"bench.py": "patch(C, 'patched')\n"}
     assert unread_public_members(sources, readers) == ["a.py line 5: C.unread",
                                                        "a.py line 12: C.build"]
+
+
+def fft_out_keywords(source: str) -> list[str]:
+    """The np.fft calls (numpy.fft too) that pass out as a keyword."""
+    return [f"line {node.lineno}: {node.func.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "fft"
+            and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id in ("np", "numpy")
+            and any(k.arg == "out" for k in node.keywords)]
+
+
+@pytest.mark.parametrize("path", list(SRC.values()), ids=list(SRC))
+def test_no_fft_call_passes_out_by_keyword(path):
+    # perfbench's tracer wraps every np.fft function, and its byte counter
+    # takes the call's result as a parameter named out: an out= keyword
+    # raises TypeError in every traced run that reaches the call
+    assert fft_out_keywords(path.read_text()) == []
+
+
+def test_the_scan_sees_an_fft_out_keyword():
+    source = ("np.fft.rfft(f, 8, -1, None, out)\nnp.fft.irfft(s, out=o)\n"
+              "numpy.fft.fft(a, axis=0, out=b)\nnp.multiply(a, b, out=c)\n")
+    assert fft_out_keywords(source) == ["line 2: irfft", "line 3: fft"]

@@ -524,6 +524,38 @@ class TestSaves:
         assert counts[0] - counts[1] == Counter()
 
 
+class TestNonlinearTermBuffers:
+    """nonlin(uh, out) writes the term into out through buffers made once per
+    _split, and a warm call allocates nothing the size of a state."""
+
+    @pytest.mark.parametrize("case", sorted(SAVE_CASES))
+    def test_out_equals_a_fresh_term(self, case):
+        spec, g = SAVE_CASES[case]
+        _, nonlin = _split(spec, g)
+        out = np.empty((spec.channels,) + g.half_points, dtype=np.complex128)
+        for traj in (0, 1):  # the second call overwrites the first's buffers
+            uh = forward_transform(sample_ic(spec, g, 0, traj), g)
+            kept = uh.copy()
+            fresh = nonlin(uh)
+            assert nonlin(uh, out) is out
+            assert out.tobytes() == fresh.tobytes() and np.array_equal(uh, kept)
+
+    def test_a_warm_e7_desk_term_allocates_no_state(self):
+        # numpy's cast and broadcast buffers make 0.16 of one state
+        # spectrum; a term built of fresh transforms and products peaks at 4.9
+        c = presets()["E7-desk"]
+        _, nonlin = _split(c.pde, c.gen_grid)
+        uh = forward_transform(sample_ic(c.pde, c.gen_grid, 0, 0, c.grf), c.gen_grid)
+        out = nonlin(uh)
+        tracemalloc.start()
+        try:
+            nonlin(uh, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * uh.nbytes
+
+
 class TestEveryPresetFirstStep:
     """One solver step from every preset's default GRF initial condition,
     on a reduced grid of the preset's own domain. The GRF loads every mode,

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sino.errors import IncompatibleDomain
+from sino.errors import IncompatibleDomain, NonFinite
 from sino.spectral import (
     GridSpec,
     forward_transform,
     freq_grid,
     grf_sample,
     inverse_transform,
+    irfftn_into,
+    rfftn_into,
     spectral_resample,
     two_thirds_mask,
 )
@@ -121,6 +123,44 @@ class TestInverseTransform:
         for shape in ((1, 8, 8), (1, 8, 4), (1, 5, 8), (8, 5)):
             with pytest.raises(ValueError, match="spectrum must have shape"):
                 inverse_transform(np.zeros(shape, complex), g)
+
+
+TRANSFORM_GRIDS = {
+    "2d": GridSpec(points=(16, 12), length=(TWO_PI, 3.0)),
+    "3d": GridSpec(points=(8, 6, 10), length=(TWO_PI, 1.0, 2.0)),
+}
+
+
+class TestTransformsIntoBuffers:
+    """rfftn_into and irfftn_into make numpy's rfftn and irfftn passes into
+    the caller's arrays, so they equal rfftn and irfftn bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(TRANSFORM_GRIDS))
+    def test_forward_equals_rfftn(self, case):
+        g = TRANSFORM_GRIDS[case]
+        f = random_field(g, seed=1, channels=3)
+        out = np.empty((3,) + g.half_points, dtype=np.complex128)
+        assert rfftn_into(f, g, out) is out
+        assert out.tobytes() == np.fft.rfftn(f, axes=g.axes).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(TRANSFORM_GRIDS))
+    def test_inverse_equals_irfftn(self, case):
+        g = TRANSFORM_GRIDS[case]
+        s = forward_transform(random_field(g, seed=2, channels=3), g) * (1.0 + 0.5j)
+        expected = np.fft.irfftn(s, s=g.points, axes=g.axes).tobytes()
+        kept = s.copy()
+        work, out = np.empty_like(s), np.empty((3,) + g.points)
+        assert irfftn_into(s, g, work, out) is out
+        assert out.tobytes() == expected and np.array_equal(s, kept)
+        # s may be the work array itself: the passes then run in place
+        assert irfftn_into(s, g, s, np.empty_like(out)).tobytes() == expected
+
+    def test_a_non_finite_field_is_refused(self):
+        g = TRANSFORM_GRIDS["2d"]
+        f = random_field(g)
+        f[0, 3, 4] = np.inf
+        with pytest.raises(NonFinite):
+            rfftn_into(f, g, np.empty((1,) + g.half_points, dtype=np.complex128))
 
 
 class TestSpectralDerivative:

@@ -576,9 +576,9 @@ class TestTrainLoop:
     def test_a_batch_of_one_equals_the_loop_bit_for_bit(self):
         self.assert_train_equals_one_sample_at_a_time(4, 1, [[2], [0]])
 
-    def test_each_warm_up_steps_only_its_own_n(self, monkeypatch):
-        # the batch takes ns.sum() sample-steps, not B * max(ns), and each
-        # state still equals its own rollout bit for bit
+    def warm_up_counting(self, monkeypatch, ns):
+        """_warm_up of five start states by ns, with each sample's own
+        rollout, the model steps' batch widths and the number of map builds."""
         import sino.model
         from sino.training import _warm_up
         g = grid2(8)
@@ -586,20 +586,41 @@ class TestTrainLoop:
         cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
         params = init_params(cfg, 2)
         starts = ds.data[[0, 1, 0, 1, 0], [0, 3, 5, 2, 7]]
+        alone = [sino.model.rollout(starts[b:b + 1], params, cfg, g, int(n))[0, -1]
+                 for b, n in enumerate(ns)]
+        widths, builds = [], []
+        real_step, real_maps = sino.model._step, sino.model._rhs_maps
+
+        def counting_step(u, *args):
+            widths.append(u.data.shape[1])  # the batch axis follows the channels
+            return real_step(u, *args)
+
+        def counting_maps(*args):
+            builds.append(1)
+            return real_maps(*args)
+
+        monkeypatch.setattr(sino.model, "_step", counting_step)
+        monkeypatch.setattr(sino.model, "_rhs_maps", counting_maps)
+        return _warm_up(starts, ns, params, cfg, g), alone, widths, len(builds)
+
+    def test_each_warm_up_steps_only_its_own_n(self, monkeypatch):
+        # the batch takes ns.sum() sample-steps, not B * max(ns), and each
+        # state still equals its own rollout bit for bit
         ns = np.array([4, 0, 2, 4, 1])
-        sample_steps = []
-        real_rollout = sino.model.rollout
+        states, alone, widths, _ = self.warm_up_counting(monkeypatch, ns)
+        assert sum(widths) == ns.sum()
+        for b in range(len(ns)):
+            assert np.array_equal(states[b], alone[b])
 
-        def counting_rollout(u0, params, cfg, grid, n_steps):
-            sample_steps.append(len(u0) * n_steps)
-            return real_rollout(u0, params, cfg, grid, n_steps)
-
-        monkeypatch.setattr(sino.model, "rollout", counting_rollout)
-        states = _warm_up(starts, ns, params, cfg, g)
-        assert sum(sample_steps) == ns.sum()
-        for b, n in enumerate(ns):
-            alone = real_rollout(starts[b:b + 1], params, cfg, g, int(n))[0, -1]
-            assert np.array_equal(states[b], alone)
+    @pytest.mark.parametrize("ns", [[4, 0, 2, 4, 1], [3, 3, 3, 3, 3], [0, 0, 0, 0, 0]],
+                             ids=["three-lengths", "one-length", "no-steps"])
+    def test_the_warm_up_builds_the_maps_once(self, monkeypatch, ns):
+        # once per call whatever the number of distinct n, and not at all
+        # when no sample takes a step
+        ns = np.array(ns)
+        states, alone, _, builds = self.warm_up_counting(monkeypatch, ns)
+        assert builds == int(ns.any())
+        assert all(np.array_equal(states[b], alone[b]) for b in range(len(ns)))
 
     def test_a_diverging_warm_up_skips_the_iteration(self, monkeypatch):
         # trajectory 1 is so large that one model step overflows. At seed 12
@@ -614,8 +635,18 @@ class TestTrainLoop:
         ds_val = TrajectoryDataset(grid=g, cadence=ds.cadence, data=ds.data[:1])
         cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
         tc = TrainConfig(iterations=2, n1=4, batch=2, seed=12)
-        finite_rollouts, backwards = [], []
-        real_rollout, real_backward = sino.model.rollout, sino.training.backward
+        finite_warm_ups, finite_rollouts, backwards = [], [], []
+        real_warm_up, real_rollout = sino.training._warm_up, sino.model.rollout
+        real_backward = sino.training.backward
+
+        def watched_warm_up(*args):
+            try:
+                states = real_warm_up(*args)
+            except NonFinite:
+                finite_warm_ups.append(False)
+                raise
+            finite_warm_ups.append(True)
+            return states
 
         def watched_rollout(*args, **kwargs):
             out = real_rollout(*args, **kwargs)
@@ -626,6 +657,7 @@ class TestTrainLoop:
             backwards.append(1)
             return real_backward(*args)
 
+        monkeypatch.setattr(sino.training, "_warm_up", watched_warm_up)
         monkeypatch.setattr(sino.model, "rollout", watched_rollout)
         monkeypatch.setattr(sino.training, "backward", counting_backward)
         state = train(ds, ds_val, cfg, tc)
@@ -635,7 +667,8 @@ class TestTrainLoop:
         assert state.opt.step == 1
         assert len(backwards) == 1  # one batched backward, in iteration 2
         # the warm-ups of iterations 1 and 2, then iteration 2's validation
-        assert finite_rollouts == [False, True, True]
+        assert finite_warm_ups == [False, True]
+        assert finite_rollouts == [True]
 
     def test_a_diverging_supervised_step_skips_the_iteration(self, monkeypatch):
         # n1 = 0, so no warm-up steps, and trajectory 1 is so large that its
