@@ -685,15 +685,24 @@ def rollout(u0: np.ndarray, params: dict[str, np.ndarray], cfg: ModelConfig,
                          f"{grid.points}), got {u0.shape}")
     snaps = np.empty((u0.shape[0], n_steps + 1) + u0.shape[1:])
     snaps[:, 0] = u0
+    _advance(u0, _rhs_maps(_wrap_params(params, False), cfg, grid), cfg, grid, n_steps, snaps)
+    return snaps
+
+
+def _advance(u0: np.ndarray, maps: _RhsMaps, cfg: ModelConfig, grid: GridSpec,
+             n_steps: int, snaps: np.ndarray | None = None) -> np.ndarray:
+    """Step a batch of states u0 (B, c_in, *points) n_steps steps with
+    prebuilt maps, without gradients, and return the last states in u0's
+    layout. Step s is also written into snaps[:, s] if snaps is given."""
     # the model's batch axis follows the channels: (c_in, B, *points)
     state = Tensor(np.ascontiguousarray(np.swapaxes(u0, 0, 1)))
-    maps = _rhs_maps(_wrap_params(params, False), cfg, grid)
     # a diverging trajectory overflows, and its NaN and inf stay in its columns
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             state = _step(state, maps, cfg, grid)
-            snaps[:, step] = np.swapaxes(state.data, 0, 1)
-    return snaps
+            if snaps is not None:
+                snaps[:, step] = np.swapaxes(state.data, 0, 1)
+    return np.swapaxes(state.data, 0, 1)
 
 
 # -- constructive instance (exact 2D/3D Burgers) ------------------------------

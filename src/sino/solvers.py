@@ -11,8 +11,10 @@ the linear part exactly and steps the nonlinear term explicitly (Kassam &
 Trefethen, SIAM J. Sci. Comput. 2005). Each saved snapshot is taken from the
 state's half spectrum: one inverse transform, on the output grid.
 
-A step allocates nothing. _split makes each nonlinear term's buffers once
-per call: one complex work spectrum, which a term multiplies into and then
+A step makes no state-sized array of its own; numpy still allocates its
+iterator's bounded buffers (up to 8 192 elements) for a multiply that
+broadcasts a small operand or casts float64 into complex128. _split makes
+each nonlinear term's buffers once per call: one complex work spectrum, which a term multiplies into and then
 inverse-transforms in place, and the real fields the products need.
 integrate makes the four RK4 stage spectra and the stage input once per
 trajectory and updates the state in place. The transforms are

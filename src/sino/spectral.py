@@ -22,7 +22,9 @@ equal rfftn's and irfftn's bit for bit, and an in-place pass copies
 nothing. They pass out by position, as every np.fft call in the package
 must: perfbench's tracer wraps each np.fft function, and its byte counter
 takes the call's result as a parameter named out, so an out= keyword
-raises TypeError in a traced run.
+raises TypeError in a traced run. The np.fft functions take out from
+numpy 2.0 on, so the package requires numpy >= 2.0; under numpy 1.x each
+of these calls raises TypeError.
 """
 
 from __future__ import annotations

@@ -323,16 +323,10 @@ def _warm_up(starts: np.ndarray, ns: np.ndarray, params, model_cfg: ModelConfig,
     targets = np.unique(ns[ns > 0])
     if targets.size:
         maps = sino_model._rhs_maps(sino_model._wrap_params(params, False), model_cfg, grid)
-    # a diverging warm-up overflows, as in rollout; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in targets:
-            rows = np.flatnonzero(ns >= n)
-            # the model steps a batch (c_in, B, *points)
-            state = Tensor(np.ascontiguousarray(np.swapaxes(states[rows], 0, 1)))
-            for _ in range(n - reached):
-                state = sino_model._step(state, maps, model_cfg, grid)
-            states[rows] = np.swapaxes(state.data, 0, 1)
-            reached = n
+    for n in targets:
+        rows = np.flatnonzero(ns >= n)
+        states[rows] = sino_model._advance(states[rows], maps, model_cfg, grid, n - reached)
+        reached = n
     if not np.isfinite(states).all():
         raise NonFinite("a warm-up rollout diverged")
     return states
