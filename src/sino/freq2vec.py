@@ -9,18 +9,22 @@ outputs 0..K-1 plus i times outputs K..2K-1, and -k the wrapped negation:
 the index -N/2 of an axis is its own negation. So the table's real part is
 the even part (P(q) + P(q_neg)) / 2 of the real outputs' polynomials and its
 imaginary part the odd part (P(q) - P(q_neg)) / 2 of the others', q_neg
-being q at -k. A monomial q^e is even or odd by the parity of its exponents
-on the axes whose index is not Nyquist: on a Nyquist index q_neg = q.
+being q at -k.
 
 polynomial_table folds the weights into the coefficients (_coefficients):
 an affine layer maps the coefficient rows, and a square multiplies each
-unit's polynomial by itself (_square_map). It then sums them one grid axis
-at a time against the powers of that axis's q (_to_modes, _powers), in two
-parity channels, with every index summed by the same elementwise
-operations. So no (modes x hidden) activation is formed, and where k and -k
-both lie in the half spectrum (its edge columns) the table is conjugate-
-symmetric bit for bit. The pullback recomputes the coefficients, not the
-activations, and contracts the cotangent back one axis at a time.
+unit's polynomial by itself (_square_map). It contracts them against a basis
+(_basis), the monomials q^e at every mode of the half spectrum split into an
+even and an odd part under k -> -k: the table's real part is the
+coefficients of outputs 0..K-1 times the even part, its imaginary part the
+others' times the odd part. A monomial is odd where its exponents on the
+axes whose index is not Nyquist add up to an odd number; on a Nyquist index
+q_neg = q. Every mode's monomials are the same products, summed in the same
+order, so where k and -k both lie in the half spectrum (its edge columns)
+the table is conjugate-symmetric bit for bit. No (modes x hidden)
+activation is formed and nothing of the basis's size is kept: the pullback
+builds the basis again, contracts the cotangent against it and
+backpropagates through the recomputed coefficients.
 
 The coefficients are the learned multipliers themselves: psi is read off
 them at any resolution.
@@ -61,24 +65,24 @@ def _square_map(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return index, one_hot
 
 
-@lru_cache(maxsize=64)
-def _powers(points: tuple[int, ...], freq_norm: tuple[int, ...], degree: int):
-    """Per axis of the half spectrum, the powers q^e (degree+1, n) of its
-    normalized indices q = k / freq_norm, as the part that keeps a term's
-    parity (_to_modes) and the part that flips it: the odd powers flip it,
-    except on the Nyquist index, its own negation."""
-    tables = []
-    for axis, (n, f) in enumerate(zip(points, freq_norm)):
-        k = np.r_[0 : n // 2, -(n // 2) : 0]
-        if axis == len(points) - 1:
-            k = k[: n // 2 + 1]
-        q = k / f
-        powers = np.cumprod(np.stack([np.ones_like(q)] + [q] * degree), axis=0)
-        keep = powers.copy()
-        keep[1::2] = 0.0
-        keep[:, n // 2] = powers[:, n // 2]
-        tables.append((keep, powers - keep))
-    return tuple(tables)
+def _basis(grid: GridSpec, freq_norm, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n monomials of _monomials(dim, degree) at the normalized index q
+    of every mode of grid's half spectrum, flat, as their even part and their
+    odd part under k -> -k: two (n, modes) arrays."""
+    exponents = _monomials(grid.dim, degree)
+    basis, odd = np.ones((len(exponents), 1)), np.zeros((len(exponents), 1), bool)
+    # the last axis first, so each product's inner loop runs over the axes
+    # already taken: every index is built by the same products
+    for axis in reversed(range(grid.dim)):
+        n, e = grid.points[axis], exponents[:, axis]
+        k = np.r_[0 : n // 2, -(n // 2) : 0][: grid.half_points[axis]]
+        powers = np.cumprod(np.stack([np.ones(len(k))] + [k / freq_norm[axis]] * degree), axis=0)
+        # an odd power flips a monomial's parity, except on the Nyquist index
+        flips = (np.arange(degree + 1)[:, np.newaxis] % 2 == 1) & (np.arange(len(k)) != n // 2)
+        basis = (powers[e, :, np.newaxis] * basis[:, np.newaxis]).reshape(len(e), -1)
+        odd = (flips[e, :, np.newaxis] ^ odd[:, np.newaxis]).reshape(len(e), -1)
+    even = np.where(odd, 0.0, basis)
+    return even, np.subtract(basis, even, out=basis)
 
 
 def _coefficients(layers, dim: int):
@@ -101,70 +105,30 @@ def _coefficients(layers, dim: int):
     return inputs, pre, out
 
 
-def _to_modes(z: np.ndarray, keep: np.ndarray, flip: np.ndarray, rest: int,
-              n_out: int = 2) -> np.ndarray:
-    """Sum the exponent axis 1 of z (2, degree+1, *rest exponents, *indices,
-    rows) against the powers (degree+1, n) of one grid axis (_powers), onto
-    that axis's n indices, placed before the indices already summed:
-    (n_out, *rest exponents, n, *indices, rows).
-
-    z's two parity channels hold the terms whose exponents over the axes
-    summed so far, on indices that are not Nyquist, add up to an even (0) or
-    an odd (1) number; a flipping power moves a term to the other channel.
-    The loop runs over the few exponents, each step an elementwise product
-    over the contiguous trailing axes."""
-    new = (slice(None),) * (1 + rest) + (np.newaxis,)
-    column = (slice(None),) + (np.newaxis,) * (z.ndim - 2 - rest)
-    swapped = z[::-1]
-    out = np.multiply(z[:n_out, 0][new], keep[0][column])
-    term = np.empty_like(out)
-    for e in range(1, len(keep)):
-        out += np.multiply(z[:n_out, e][new], keep[e][column], out=term)
-        if e % 2:  # only an odd power flips
-            out += np.multiply(swapped[:n_out, e][new], flip[e][column], out=term)
-    return out
-
-
 def polynomial_table(layers: list[tuple[Tensor, Tensor]], freq_norm: tuple[int, ...],
                      grid: GridSpec) -> Tensor:
     """The Freq2Vec table (K, *half points), complex, of the MLP with layers
     [(w, b)], w (inputs, outputs), on grid's half spectrum, one tape node."""
     weights = [(w.data, b.data) for w, b in layers]
-    dim, rows = grid.dim, weights[-1][0].shape[1]
-    K, degree = rows // 2, 2 ** (len(layers) - 1)
-    axes = _powers(grid.points, tuple(freq_norm), degree)
-    box = np.ravel_multi_index(_monomials(dim, degree).T, (degree + 1,) * dim)
-    _, _, coef = _coefficients(weights, dim)
-    # the output rows are innermost; each starts in the parity channel that
-    # leaves its part, even for the real rows and odd for the imaginary
-    # ones, in channel 0
-    z = np.zeros((2,) + (degree + 1,) * dim + (rows,))
-    flat = z.reshape(2, -1, rows)
-    flat[0, box, :K] = coef[:K].T
-    flat[1, box, K:] = coef[K:].T
-    for axis, (keep, flip) in enumerate(axes):
-        z = _to_modes(z, keep, flip, dim - 1 - axis, 1 if axis == dim - 1 else 2)
-    values = z[0].T  # (2K, *half points)
+    K, degree = weights[-1][0].shape[1] // 2, 2 ** (len(layers) - 1)
+    _, _, coef = _coefficients(weights, grid.dim)
+    even, odd = _basis(grid, freq_norm, degree)
+    # einsum without optimize sums every mode in the same order
     table = np.empty((K,) + grid.half_points, np.complex128)
-    table.real, table.imag = values[:K], values[K:]
+    flat = table.reshape(K, -1)
+    flat.real = np.einsum("km,mn->kn", coef[:K], even)
+    flat.imag = np.einsum("km,mn->kn", coef[K:], odd)
 
     def vjp(g):
-        inputs, pre, _ = _coefficients(weights, dim)
-        values = np.empty((rows,) + grid.half_points)
-        values[:K], values[K:] = g.real, g.imag
-        gz = values.T[np.newaxis]
-        for axis in reversed(range(dim)):
-            rest = dim - 1 - axis
-            gk, gf = (np.swapaxes(np.tensordot(t, gz, (1, 1 + rest)), 0, 1) for t in axes[axis])
-            gz = gk + gf[::-1] if len(gz) == 2 else np.concatenate([gk, gf])
-        gz = gz.reshape(2, -1, rows)
-        g_out = np.concatenate([gz[0, box, :K], gz[1, box, K:]], axis=1).T
+        inputs, pre, _ = _coefficients(weights, grid.dim)
+        even, odd = _basis(grid, freq_norm, degree)
+        g_out = np.concatenate([g.real.reshape(K, -1) @ even.T, g.imag.reshape(K, -1) @ odd.T])
         grads = []
         for i in reversed(range(len(layers))):
             grads += [g_out[:, 0], inputs[i] @ g_out.T]
             if i:
                 g_s = weights[i][0] @ g_out
-                index = _square_map(dim, 2 ** (i - 1))[0]
+                index = _square_map(grid.dim, 2 ** (i - 1))[0]
                 g_out = 2.0 * (g_s[:, index] @ pre[i - 1][:, :, np.newaxis])[..., 0]
         return tuple(reversed(grads))
 

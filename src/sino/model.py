@@ -404,9 +404,10 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
 # The arena's roles: the SLB spectra "z", the Pi factors "f0" (then their
 # product) and "f1" of a forward that evaluates them, the form's products or
 # their cotangent "v", the features' cotangent "g_d", and a complex
-# "scratch". The features d and the spectra gz of their cotangent are
-# np.fft's own outputs: the benchmark's span tracer cannot pass an out=
-# keyword through to np.fft.
+# "scratch". The features d and the spectra gz of their cotangent are not in
+# the arena yet: they are np.fft's own outputs (ROADMAP direction 7). np.fft
+# can write them into it, given out by position as spectral.irfftn_into does;
+# the benchmark's tracer refuses only an out= keyword.
 _ARENA: dict[str, np.ndarray] = {}
 _COMPLEX_ROLES = ("z", "scratch")
 

@@ -140,8 +140,9 @@ def _check_shape(f: np.ndarray, points: tuple[int, ...], name: str) -> np.ndarra
 def forward_transform(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real field (C, *points) -> unnormalized half spectrum (C, *half_points).
 
-    Raises NonFinite on a NaN or Inf value: a solver right-hand side that
-    overflows from a finite state fails here, as the blow-up it is."""
+    Raises NonFinite on a NaN or Inf value. rfftn_into makes the same check,
+    and the solver's nonlinear terms transform through it: a right-hand side
+    that overflows from a finite state fails there, as the blow-up it is."""
     f = _check_shape(f, grid.points, "field")
     if not np.isfinite(f).all():
         raise NonFinite("field contains non-finite values")

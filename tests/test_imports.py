@@ -1,9 +1,12 @@
 """Every name a module imports is used in it, every private helper of the
 package is used somewhere in it, and every public name of the package, and
 every public method and property of its public classes, is read by the
-package or the benchmark, not by the tests alone."""
+package or the benchmark, not by the tests alone. Run as a script, it prints
+the code lines (code_lines) of every module of the package and their sum."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,35 @@ def test_the_scan_sees_an_fft_out_keyword():
     source = ("np.fft.rfft(f, 8, -1, None, out)\nnp.fft.irfft(s, out=o)\n"
               "numpy.fft.fft(a, axis=0, out=b)\nnp.multiply(a, b, out=c)\n")
     assert fft_out_keywords(source) == ["line 2: irfft", "line 3: fft"]
+
+
+def code_lines(source: str) -> int:
+    """The lines of source that hold code: not blank, not only a comment and
+    not part of a module, class or function docstring."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
+def test_the_counter_sees_only_code_lines():
+    source = ('"""A module\ndocstring."""\n\nimport os  # a comment\n# a comment\n'
+              'def f(a,\n      b):\n    """A docstring."""\n    return """not\na docstring"""\n'
+              'class C:\n    """A\n    docstring."""\n\n    x = (1,\n\n         2)\n')
+    # import, def f over two lines, return over two, class, and x over the
+    # two of its three lines that are not blank
+    assert code_lines(source) == 8
+
+
+if __name__ == "__main__":
+    counts = {name: code_lines(p.read_text()) for name, p in SRC.items()}
+    for name, n in counts.items():
+        print(f"{name:16} {n:5}")
+    print(f"{'total':16} {sum(counts.values()):5}")

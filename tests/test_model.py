@@ -210,14 +210,40 @@ class TestFreq2VecPolynomial:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_edge_columns_are_exactly_hermitian(self, dim):
         # on the edge columns of the last axis, k and -k both lie in the half
-        # spectrum, and the table holds conj t(k) at -k
-        g = grid_of(dim, 12, 3.0)
-        cfg = config_for_grid(g, c_in=1, K=3, C=4, dt_model=0.1)
-        table = freq2vec_eval(perturbed_params(cfg, 9), cfg, g)
-        edges = table[..., [0, -1]]
-        negate = np.ix_(*[-np.arange(n) % n for n in g.points[:-1]])
-        mirrored = edges[(slice(None),) + negate]
-        assert np.array_equal(edges, np.conj(mirrored))
+        # spectrum, and the table holds conj t(k) at -k: at every size, since
+        # it rests on a summation order that does not depend on the index
+        for n in {2: (8, 12, 16, 32, 54), 3: (8, 12, 16)}[dim]:
+            cfg = config_for_grid(grid_of(dim, n, 3.0), c_in=1, K=3, C=4, dt_model=0.1)
+            for fine in (1, 2):
+                g = grid_of(dim, n * fine, 3.0)
+                table = freq2vec_eval(perturbed_params(cfg, 9), cfg, g)
+                edges = table[..., [0, -1]]
+                negate = np.ix_(*[-np.arange(m) % m for m in g.points[:-1]])
+                mirrored = edges[(slice(None),) + negate]
+                assert np.array_equal(edges, np.conj(mirrored)), (n, fine)
+
+    def test_keeps_nothing_of_the_basis_size(self):
+        # the monomials at every mode are built in each call and again in the
+        # pullback: what a call leaves held is less than one such array
+        import tracemalloc
+
+        from sino.config import presets
+        case = presets()["E7-desk"]
+        cfg, g = case.model, case.train_grid
+        pt = _wrap_params(init_params(cfg, 3), True)
+        layers = [(pt[f"freq2vec.w{i}"], pt[f"freq2vec.b{i}"])
+                  for i in range(len(cfg.mlp_hidden) + 1)]
+        basis_bytes = math.comb(2 ** len(cfg.mlp_hidden) + g.dim, g.dim) \
+            * math.prod(g.half_points) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = polynomial_table(layers, cfg.freq_norm, g)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.data.shape == (cfg.K,) + g.half_points
+        assert held < basis_bytes
 
 
 class TestSlbApply:
