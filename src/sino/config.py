@@ -2,7 +2,10 @@
 
 Cases E1-E7 mirror the benchmark table (generation grid/step, operator-
 learning grid/step, trajectory counts); each also has a reduced "-desk"
-variant sized for a desktop CPU.
+variant sized for a desktop CPU. presets() holds them as one case table, a
+row per preset, and one loop builds each row's ExperimentConfig; the NSE
+cases E2-E5 write their viscosity, forcing and generation step once, for
+both sizes.
 
 Every preset generates its data with the one reference integrator,
 integrating-factor RK4 (solvers.integrate), which advances the stiff linear
@@ -230,63 +233,39 @@ def load_yaml(path) -> ExperimentConfig:
     return from_dict(doc)
 
 
-def _build(case, pde, length, gen_points, gen_dt, train_points, pol_dt, t_end,
-           n_traj, iterations, K, C, test_t_end=None) -> ExperimentConfig:
-    model = config_for_grid(GridSpec(points=train_points, length=length),
-                            c_in=pde.channels, K=K, C=C, dt_model=pol_dt)
-    return ExperimentConfig(
-        case=case,
-        pde=pde,
-        domain_length=length,
-        gen_points=gen_points,
-        train_points=train_points,
-        solver=SolverConfig(dt=gen_dt, t_end=t_end, save_dt=pol_dt),
-        model=model,
-        train=TrainConfig(iterations=iterations),
-        n_train=n_traj,
-        test_t_end=test_t_end,
-        out_dir=f"runs/{case.lower()}",
-    )
-
-
-def _nse_cases(desk: bool) -> dict[str, ExperimentConfig]:
-    cases = {}
-    # name, viscosity, forcing, generation step (the same on both grids)
-    params = [("E2", 1e-4, "f1", 5e-3), ("E3", 1e-5, "f1", 5e-3),
-              ("E4", 1e-4, "f2", 5e-3), ("E5", 1e-5, "f2", 2.5e-3)]
-    for name, nu, forcing, gen_dt in params:
-        pde = PDESpec(kind="nse", nu=nu, forcing=forcing)
-        if desk:
-            cases[f"{name}-desk"] = _build(
-                f"{name}-desk", pde, (1.0, 1.0), (64, 64), gen_dt, (32, 32), 5e-3,
-                t_end=10.0, n_traj=5, iterations=2000, K=4, C=16, test_t_end=15.0,
-            )
-        else:
-            cases[name] = _build(
-                name, pde, (1.0, 1.0), (256, 256), gen_dt, (64, 64), 5e-3,
-                t_end=10.0, n_traj=5, iterations=20000, K=8, C=64, test_t_end=15.0,
-            )
-    return cases
-
-
 def presets() -> dict[str, ExperimentConfig]:
+    """The case table, one ExperimentConfig per row; a row's point counts
+    hold on every axis of its domain."""
     kse = PDESpec(kind="kse")
-    burgers2 = PDESpec(kind="burgers", nu=0.01, dim=2)
-    burgers3 = PDESpec(kind="burgers", nu=0.01, dim=3)
-    out = {
-        "E1": _build("E1", kse, (12 * math.pi, 12 * math.pi), (108, 108), 2.5e-4,
-                     (54, 54), 1e-3, t_end=5.0, n_traj=2, iterations=20000, K=8, C=64),
-        "E6": _build("E6", burgers2, (TWO_PI, TWO_PI), (512, 512), 2.5e-3,
-                     (128, 128), 5e-3, t_end=2.0, n_traj=5, iterations=20000, K=8, C=64),
-        "E7": _build("E7", burgers3, (TWO_PI,) * 3, (128,) * 3, 5e-3,
-                     (64,) * 3, 5e-2, t_end=5.0, n_traj=5, iterations=5000, K=8, C=64),
-        "E1-desk": _build("E1-desk", kse, (12 * math.pi, 12 * math.pi), (64, 64), 1e-3,
-                          (32, 32), 1e-3, t_end=2.0, n_traj=2, iterations=2000, K=4, C=16),
-        "E6-desk": _build("E6-desk", burgers2, (TWO_PI, TWO_PI), (64, 64), 5e-3,
-                          (32, 32), 5e-3, t_end=1.0, n_traj=2, iterations=2000, K=4, C=16),
-        "E7-desk": _build("E7-desk", burgers3, (TWO_PI,) * 3, (32,) * 3, 1.25e-2,
-                          (16,) * 3, 5e-2, t_end=1.0, n_traj=2, iterations=300, K=4, C=8),
-    }
-    out.update(_nse_cases(desk=False))
-    out.update(_nse_cases(desk=True))
+    burgers = {dim: PDESpec(kind="burgers", nu=0.01, dim=dim) for dim in (2, 3)}
+    kse_domain, two_pi = (12 * math.pi,) * 2, (TWO_PI,) * 2
+    # name, viscosity, forcing, generation step (the same on both grids)
+    nse = [("E2", 1e-4, "f1", 5e-3), ("E3", 1e-5, "f1", 5e-3),
+           ("E4", 1e-4, "f2", 5e-3), ("E5", 1e-5, "f2", 2.5e-3)]
+    # case, PDE, domain, generation points and step, training points and
+    # dt_model, horizon, trajectories, iterations, K, C, test horizon
+    rows = [
+        ("E1", kse, kse_domain, 108, 2.5e-4, 54, 1e-3, 5.0, 2, 20000, 8, 64, None),
+        ("E6", burgers[2], two_pi, 512, 2.5e-3, 128, 5e-3, 2.0, 5, 20000, 8, 64, None),
+        ("E7", burgers[3], (TWO_PI,) * 3, 128, 5e-3, 64, 5e-2, 5.0, 5, 5000, 8, 64, None),
+        ("E1-desk", kse, kse_domain, 64, 1e-3, 32, 1e-3, 2.0, 2, 2000, 4, 16, None),
+        ("E6-desk", burgers[2], two_pi, 64, 5e-3, 32, 5e-3, 1.0, 2, 2000, 4, 16, None),
+        ("E7-desk", burgers[3], (TWO_PI,) * 3, 32, 1.25e-2, 16, 5e-2, 1.0, 2, 300, 4, 8, None),
+        *[(name + suffix, PDESpec(kind="nse", nu=nu, forcing=forcing), (1.0, 1.0), gen_n, gen_dt,
+           train_n, 5e-3, 10.0, 5, iterations, K, C, 15.0)
+          for suffix, gen_n, train_n, iterations, K, C in (("", 256, 64, 20000, 8, 64),
+                                                           ("-desk", 64, 32, 2000, 4, 16))
+          for name, nu, forcing, gen_dt in nse],
+    ]
+    out = {}
+    for (case, pde, length, gen_n, gen_dt, train_n, dt_model, t_end, n_traj, iterations,
+         K, C, test_t_end) in rows:
+        train_points = (train_n,) * len(length)
+        out[case] = ExperimentConfig(
+            case=case, pde=pde, domain_length=length, gen_points=(gen_n,) * len(length),
+            train_points=train_points, out_dir=f"runs/{case.lower()}",
+            solver=SolverConfig(dt=gen_dt, t_end=t_end, save_dt=dt_model),
+            model=config_for_grid(GridSpec(points=train_points, length=length),
+                                  c_in=pde.channels, K=K, C=C, dt_model=dt_model),
+            train=TrainConfig(iterations=iterations), n_train=n_traj, test_t_end=test_t_end)
     return out

@@ -91,6 +91,13 @@ def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple[tuple, int]:
     return struct.unpack(fmt, raw), end
 
 
+def _utf8(raw: bytes, what: str, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ContainerError(f"{path}: {what} is not valid UTF-8: {err}") from None
+
+
 def read_field_container(path) -> tuple[GridSpec, float, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read(13)
@@ -171,12 +178,13 @@ def read_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     for _ in range(n_tensors):
         (name_len,), pos = _unpack("<I", body, pos, path)
         name, pos = _take(body, pos, name_len, path)
+        name = _utf8(name, "a tensor name", path)
+        if name in tensors:
+            raise ContainerError(f"{path}: tensor {name!r} appears twice")
         (rank,), pos = _unpack("<B", body, pos, path)
         shape, pos = _unpack(f"<{rank}Q", body, pos, path)
         data, pos = _take(body, pos, 8 * math.prod(shape), path)
-        tensors[name.decode("utf-8")] = (
-            np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-        )
+        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(body):
         raise ContainerError(f"{path}: trailing bytes in checkpoint body")
-    return config_echo.decode("utf-8"), tensors
+    return _utf8(config_echo, "the config echo", path), tensors

@@ -14,21 +14,26 @@ state's half spectrum: one inverse transform, on the output grid.
 A step makes no state-sized array of its own; numpy still allocates its
 iterator's bounded buffers (up to 8 192 elements) for a multiply that
 broadcasts a small operand or casts float64 into complex128. _split makes
-each nonlinear term's buffers once per call: one complex work spectrum, which a term multiplies into and then
-inverse-transforms in place, and the real fields the products need.
-integrate makes the four RK4 stage spectra and the stage input once per
-trajectory and updates the state in place. The transforms are
-spectral.rfftn_into and irfftn_into, numpy's own rfftn and irfftn passes in
-numpy's order written into those buffers. KSE and NSE (one channel, 2D)
-make one inverse of all their fields (the two gradients; the two
-velocities and the two gradients). Burgers makes one per field, u and then
-each d_j u, C channels each: one inverse of all (1+d)*C fields at 32^3 is
-3.3 MB, more than a 2 MB L2, and it measured slower on a 2-CPU host (one
-E7-desk generation of 0.05 time units 112-180 ms, against 107-108). Every
-expression keeps the operand order and association of the fresh-array
-form, the terms' sums start from 0 as sum() does, and each pass is the
-same ufunc or FFT on the same values, so the snapshots are bit-identical
-to those of a step that allocates every stage and transform afresh.
+each nonlinear term's buffers once per call: one complex work spectrum,
+which a term multiplies into and then inverse-transforms in place, and the
+real fields the products need. integrate makes the four RK4 stage spectra
+and the stage input once per trajectory and updates the state in place.
+The transforms write into those buffers: numpy's own rfftn, given its out
+by position, and spectral.irfftn_into, numpy's irfftn passes in numpy's
+order. KSE and NSE (one channel, 2D) make one inverse of all their fields
+(the two gradients; the two velocities and the two gradients). Burgers
+makes one per field, u and then each d_j u, C channels each: one inverse of
+all (1+d)*C fields at 32^3 is 3.3 MB, more than a 2 MB L2, and it measured
+slower on a 2-CPU host (one E7-desk generation of 0.05 time units 112-180
+ms, against 107-108). Every expression keeps the operand order and
+association of the fresh-array form, the terms' sums start from 0 as sum()
+does, and each pass is the same ufunc or FFT on the same values, so the
+snapshots are bit-identical to those of a step that allocates every stage
+and transform afresh.
+
+A blow-up is detected once per step, on the state: no operation of a step
+(a product with a mask or factor, a sum, an FFT) turns a NaN or Inf finite,
+so a non-finite value from any stage reaches the state in the same step.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .spectral import (
     grf_sample,
     inverse_transform,
     irfftn_into,
-    rfftn_into,
     spectral_resample,
     two_thirds_mask,
 )
@@ -187,10 +191,10 @@ def _split(spec: PDESpec, grid: GridSpec):
     """The PDE as d(u_hat)/dt = lin * u_hat + nonlin(u_hat) on the half spectrum.
 
     lin is the real diagonal symbol of the linear part; nonlin(uh, out)
-    writes into out (a fresh array if out is None) the spectrum of the
-    de-aliased nonlinear term, plus, for the vorticity equation, the
-    spectrum of spec's forcing on grid. The multipliers and nonlin's buffers
-    are made here, once per call; each nonlin call overwrites the buffers.
+    writes into out, and returns, the spectrum of the de-aliased nonlinear
+    term, plus, for the vorticity equation, the spectrum of spec's forcing
+    on grid. The multipliers and nonlin's buffers are made here, once per
+    call; each nonlin call overwrites the buffers.
     """
     fg = freq_grid(grid)
     mask = two_thirds_mask(grid)
@@ -205,13 +209,12 @@ def _split(spec: PDESpec, grid: GridSpec):
     if spec.kind == "kse":  # 2D
         work, g = spectrum(2), field(2)
 
-        def nonlin(uh, out=None):  # -0.5*|grad u|^2
+        def nonlin(uh, out):  # -0.5*|grad u|^2
             irfftn_into(np.multiply(uh, grads, out=work), grid, work, g)
             grad_sq = np.add(*np.square(g, out=g), out=g[0])
             np.multiply(-0.5, grad_sq, out=grad_sq)
-            out = rfftn_into(g[:1], grid, spectrum(1) if out is None else out)
-            out *= mask
-            return out
+            np.fft.rfftn(g[:1], grid.points, grid.axes, None, out)
+            return np.multiply(out, mask, out=out)
 
         return fg.k_sq - fg.k_sq**2, nonlin
     if spec.kind == "nse":  # 2D
@@ -221,12 +224,11 @@ def _split(spec: PDESpec, grid: GridSpec):
         mults = np.concatenate([*biot_savart(np.ones((1,) + grid.half_points), grid), grads])
         work, r = spectrum(4), field(4)
 
-        def nonlin(wh, out=None):  # -(u . grad) w + f
+        def nonlin(wh, out):  # -(u . grad) w + f
             irfftn_into(np.multiply(mults, wh, out=work), grid, work, r)
             np.multiply(r[:2], r[2:], out=r[:2])  # u * d_x w, v * d_y w
             conv = np.add(0.0, r[0], out=r[2:3])  # summed from 0, as sum() adds
-            out = rfftn_into(np.add(conv, r[1], out=conv), grid,
-                             spectrum(1) if out is None else out)
+            np.fft.rfftn(np.add(conv, r[1], out=conv), grid.points, grid.axes, None, out)
             out *= mask
             return np.subtract(f_hat, out, out=out)
 
@@ -234,16 +236,15 @@ def _split(spec: PDESpec, grid: GridSpec):
 
     work, u, du, conv = spectrum(grid.dim), field(grid.dim), field(grid.dim), field(grid.dim)
 
-    def nonlin(uh, out=None):  # per component: -sum_j u_j * d_j u_c
+    def nonlin(uh, out):  # per component: -sum_j u_j * d_j u_c
         irfftn_into(uh, grid, work, u)
         conv.fill(0.0)  # summed from 0, as sum() adds
         for j, d in enumerate(grads):
             irfftn_into(np.multiply(uh, d, out=work), grid, work, du)
             np.add(conv, np.multiply(u[j : j + 1], du, out=du), out=conv)
-        out = rfftn_into(conv, grid, spectrum(grid.dim) if out is None else out)
+        np.fft.rfftn(conv, grid.points, grid.axes, None, out)
         np.negative(out, out=out)
-        out *= mask
-        return out
+        return np.multiply(out, mask, out=out)
 
     return -spec.nu * fg.k_sq, nonlin
 
@@ -251,7 +252,7 @@ def _split(spec: PDESpec, grid: GridSpec):
 def _rhs(spec: PDESpec, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     lin, nonlin = _split(spec, grid)
     uh = forward_transform(u, grid)
-    return inverse_transform(lin * uh + nonlin(uh), grid)
+    return inverse_transform(lin * uh + nonlin(uh, np.empty_like(uh)), grid)
 
 
 def kse_rhs(u: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -284,8 +285,8 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
     Snapshot 0 is spectral_resample of ic; every later save maps the state's
     half spectrum to out_grid's and makes one inverse transform, on
     out_grid, and none on grid. The stage spectra are made once, and each
-    step overwrites them and updates the state in place. A non-finite stage
-    or result raises NonFinite carrying the step and time of the failed step.
+    step overwrites them and updates the state in place. A step whose state
+    is non-finite raises NonFinite carrying that step and its time.
     """
     ic = np.asarray(ic, dtype=np.float64)
     if ic.shape != (spec.channels,) + grid.points:
@@ -306,31 +307,28 @@ def integrate(spec: PDESpec, cfg: SolverConfig, grid: GridSpec, ic: np.ndarray,
     uh = forward_transform(ic, grid)
     k1, m2, m3, m4, x = (np.empty_like(uh) for _ in range(5))
     snaps[0] = spectral_resample(ic, grid, out_grid)
-    # a blow-up overflows; the transforms' and each step's checks report it
+    # a blow-up overflows, and the step's check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.n_steps):
-            try:
-                nonlin(uh, k1)
-                # m2 = nonlin(e_half * (uh + h * k1))
-                np.add(uh, np.multiply(h, k1, out=x), out=x)
-                nonlin(np.multiply(e_half, x, out=x), m2)
-                # m3 = nonlin(e_half * uh + h * m2), h * m2 staged in m3
-                np.multiply(e_half, uh, out=x)
-                nonlin(np.add(x, np.multiply(h, m2, out=m3), out=x), m3)
-                # m4 = nonlin(e_full * uh + dt_e_half * m3), the product staged in m4
-                np.multiply(e_full, uh, out=x)
-                nonlin(np.add(x, np.multiply(dt_e_half, m3, out=m4), out=x), m4)
-                # uh = e_full * uh + (dt / 6) * (e_full * k1 + two_e_half * (m2 + m3) + m4)
-                np.multiply(two_e_half, np.add(m2, m3, out=m2), out=m2)
-                np.add(np.multiply(e_full, k1, out=k1), m2, out=k1)
-                np.multiply(dt / 6.0, np.add(k1, m4, out=k1), out=k1)
-                np.add(np.multiply(e_full, uh, out=uh), k1, out=uh)
-                if not np.isfinite(uh).all():
-                    raise NonFinite("the step's result is non-finite")
-            except NonFinite as err:
+            nonlin(uh, k1)
+            # m2 = nonlin(e_half * (uh + h * k1))
+            np.add(uh, np.multiply(h, k1, out=x), out=x)
+            nonlin(np.multiply(e_half, x, out=x), m2)
+            # m3 = nonlin(e_half * uh + h * m2), h * m2 staged in m3
+            np.multiply(e_half, uh, out=x)
+            nonlin(np.add(x, np.multiply(h, m2, out=m3), out=x), m3)
+            # m4 = nonlin(e_full * uh + dt_e_half * m3), the product staged in m4
+            np.multiply(e_full, uh, out=x)
+            nonlin(np.add(x, np.multiply(dt_e_half, m3, out=m4), out=x), m4)
+            # uh = e_full * uh + (dt / 6) * (e_full * k1 + two_e_half * (m2 + m3) + m4)
+            np.multiply(two_e_half, np.add(m2, m3, out=m2), out=m2)
+            np.add(np.multiply(e_full, k1, out=k1), m2, out=k1)
+            np.multiply(dt / 6.0, np.add(k1, m4, out=k1), out=k1)
+            np.add(np.multiply(e_full, uh, out=uh), k1, out=uh)
+            if not np.isfinite(uh).all():
                 t = (step + 1) * dt
-                raise NonFinite(f"solver blew up at t={t:.6g} (step {step + 1}): {err}",
-                                time=t, step=step + 1) from err
+                raise NonFinite(f"solver blew up at t={t:.6g} (step {step + 1})",
+                                time=t, step=step + 1)
             if (step + 1) % cfg.save_every == 0:
                 snaps[(step + 1) // cfg.save_every] = inverse_transform(
                     _resample_spectrum(uh, grid, out_grid), out_grid)

@@ -14,17 +14,18 @@ Conventions (normative for everything built on top):
     returns a real field by construction;
   * the forward transform is unnormalized, the inverse divides by prod(N).
 
-forward_transform and inverse_transform return fresh arrays. rfftn_into and
-irfftn_into write the same transforms into arrays the caller made once:
-they make numpy's own rfftn and irfftn passes in numpy's order, each pass
-into the caller's array and in place after the first, so their results
-equal rfftn's and irfftn's bit for bit, and an in-place pass copies
-nothing. They pass out by position, as every np.fft call in the package
-must: perfbench's tracer wraps each np.fft function, and its byte counter
-takes the call's result as a parameter named out, so an out= keyword
-raises TypeError in a traced run. The np.fft functions take out from
-numpy 2.0 on, so the package requires numpy >= 2.0; under numpy 1.x each
-of these calls raises TypeError.
+forward_transform and inverse_transform return fresh arrays. A forward
+transform into an array the caller made once is numpy's own
+np.fft.rfftn(f, points, axes, None, out). irfftn_into writes the inverse
+into the caller's arrays: numpy's own irfftn passes in numpy's order, each
+pass into the caller's array and in place after the first, so its result
+equals irfftn's bit for bit, and an in-place pass copies nothing. Every
+np.fft call in the package passes out by position: perfbench's tracer
+wraps each np.fft function, and its byte counter takes the call's result
+as a parameter named out, so an out= keyword raises TypeError in a traced
+run. The np.fft functions take out from numpy 2.0 on, so the package
+requires numpy >= 2.0; under numpy 1.x each of these calls raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def _check_shape(f: np.ndarray, points: tuple[int, ...], name: str) -> np.ndarra
 def forward_transform(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real field (C, *points) -> unnormalized half spectrum (C, *half_points).
 
-    Raises NonFinite on a NaN or Inf value. rfftn_into makes the same check,
-    and the solver's nonlinear terms transform through it: a right-hand side
-    that overflows from a finite state fails there, as the blow-up it is."""
+    Raises NonFinite on a NaN or Inf value. The reference solver's steps
+    transform into their own buffers, unchecked; solvers.integrate checks
+    the state once per step instead."""
     f = _check_shape(f, grid.points, "field")
     if not np.isfinite(f).all():
         raise NonFinite("field contains non-finite values")
@@ -153,18 +154,6 @@ def inverse_transform(s: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum (C, *half_points) -> real field (C, *points)."""
     s = _check_shape(s, grid.half_points, "spectrum")
     return np.fft.irfftn(s, s=grid.points, axes=grid.axes)
-
-
-def rfftn_into(f: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
-    """forward_transform of f (C, *points) written into out, a complex128
-    (C, *half_points) array: rfft on the last axis, then fft in place on
-    the others, last to first. Raises NonFinite as forward_transform does."""
-    if not np.isfinite(f).all():
-        raise NonFinite("field contains non-finite values")
-    np.fft.rfft(f, grid.points[-1], -1, None, out)
-    for axis in range(-2, -grid.dim - 1, -1):
-        np.fft.fft(out, grid.points[axis], axis, None, out)
-    return out
 
 
 def irfftn_into(s: np.ndarray, grid: GridSpec, work: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("batch and val_every must be >= 1")
         if not 0 < self.max_lr < math.inf:
             raise ValueError(f"max_lr must be finite and positive, got {self.max_lr}")
+        if self.seed < 0:  # what np.random.default_rng refuses
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -355,10 +357,9 @@ def train(
             f"training grid {dataset_train.grid.points} does not match the model's "
             f"native resolution {model_cfg.native_points}"
         )
-    if abs(dataset_train.cadence - model_cfg.dt_model) > 1e-9 * model_cfg.dt_model:
-        raise ValueError(
-            f"dataset cadence {dataset_train.cadence} must equal dt_model {model_cfg.dt_model}"
-        )
+    for name, ds in (("training", dataset_train), ("validation", dataset_val)):
+        if abs(ds.cadence - model_cfg.dt_model) > 1e-9 * model_cfg.dt_model:
+            raise ValueError(f"{name} set cadence {ds.cadence} != dt_model {model_cfg.dt_model}")
 
     # adam_step returns new arrays, so the best parameters may share the current ones
     if state is None:

@@ -13,6 +13,14 @@ from sino.solvers import PDESpec, SolverConfig
 from sino.training import TrainConfig
 
 CASES = sorted(presets())
+# every preset's hash, in the table's order: a preset edit updates them on purpose
+PINNED_HASHES = {
+    "E1": "837bdbc6c9a1", "E6": "2a976faaa2ba", "E7": "6d4a4f39e11a",
+    "E1-desk": "37750fe189b5", "E6-desk": "3346bd3540b3", "E7-desk": "8c992c0a693d",
+    "E2": "873f7483de4e", "E3": "59b5f1bc3c4f", "E4": "76ccef8582d1", "E5": "8f46b73b44bb",
+    "E2-desk": "25cfb9401ffc", "E3-desk": "a842b5e41175", "E4-desk": "f04049a00533",
+    "E5-desk": "29c7200c4fe6",
+}
 
 
 NESTED = {"pde": PDESpec, "solver": SolverConfig, "model": ModelConfig, "train": TrainConfig}
@@ -42,12 +50,19 @@ class TestPresetSchema:
         assert presets()[case].config_hash() == h
         assert from_dict(json.loads(c.canonical_json())).config_hash() == h
 
+    def test_hash_is_pinned(self, case):
+        assert presets()[case].config_hash() == PINNED_HASHES[case]
+
     def test_keys_are_the_dataclass_fields(self, case):
         d = presets()[case].to_dict()
         assert list(d) == field_names(ExperimentConfig)
         assert {k for k, v in d.items() if isinstance(v, dict)} == set(NESTED) | {"grf"}
         for key, cls in NESTED.items():
             assert list(d[key]) == field_names(cls)
+
+
+def test_the_table_keeps_its_cases_and_order():
+    assert list(presets()) == list(PINNED_HASHES)
 
 
 class TestHashCoversEveryLevel:
@@ -253,6 +268,20 @@ class TestFromDict:
         d["train"].update(n1=4, n2=8)
         refused, err = self.refused_before_any_data(d, tmp_path, capsys, command)
         assert refused and "train.n1 + train.n2 + 1 = 13" in err and "solver.t_end" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_a_negative_seed_is_refused_before_any_data(self, command, tmp_path, capsys):
+        # ablate --seed -1 wrote nine containers before numpy refused the seed
+        out = tmp_path / "out"
+        assert cli.main([command, "--preset", "E6-desk", "--seed", "-1", "--out", str(out)]) == 2
+        assert "train.seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_negative_seed_in_a_config_is_refused(self):
+        d = self.base()
+        d["train"]["seed"] = -1
+        with pytest.raises(ValueError, match="train.seed must be >= 0"):
+            from_dict(d)
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_mlp_hidden_entries_must_be_positive(self, width):

@@ -213,6 +213,23 @@ class TestCheckpoint:
             with pytest.raises(ContainerError):
                 read_checkpoint(cut(path, n))
 
+    @pytest.mark.parametrize("old, new, named", [
+        (b"a.w", b"a\xffw", "a tensor name is not valid UTF-8"),
+        (b"case: x", b"case: \xff", "the config echo is not valid UTF-8"),
+        (b"b.w", b"a.w", "tensor 'a.w' appears twice"),
+    ], ids=["name-not-utf8", "echo-not-utf8", "repeated-name"])
+    def test_a_bad_body_under_a_valid_crc(self, tmp_path, old, new, named):
+        # byte 0xff in a name raised UnicodeDecodeError, which exited 2, and a
+        # repeated name silently kept the last of its tensors
+        path = tmp_path / "c.sino"
+        write_checkpoint(path, "case: x\n", {"a.w": np.zeros(2), "b.w": np.ones(2)})
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        body = blob[12:-4].replace(old, new)
+        path.write_bytes(blob[:12] + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ContainerError, match=named):
+            read_checkpoint(path)
+
 
 class TestCli:
     def test_truncated_container_exits_4(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from sino.spectral import (
     grf_sample,
     inverse_transform,
     irfftn_into,
-    rfftn_into,
     spectral_resample,
     two_thirds_mask,
 )
@@ -105,6 +104,13 @@ class TestForwardTransform:
         rhs = np.sum(weight * np.abs(forward_transform(f, g)) ** 2) / g.n_points
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    def test_a_non_finite_field_is_refused(self):
+        g = grid2(8)
+        f = random_field(g)
+        f[0, 3, 4] = np.inf
+        with pytest.raises(NonFinite):
+            forward_transform(f, g)
+
 
 class TestInverseTransform:
     def test_zeros(self):
@@ -132,16 +138,8 @@ TRANSFORM_GRIDS = {
 
 
 class TestTransformsIntoBuffers:
-    """rfftn_into and irfftn_into make numpy's rfftn and irfftn passes into
-    the caller's arrays, so they equal rfftn and irfftn bit for bit."""
-
-    @pytest.mark.parametrize("case", sorted(TRANSFORM_GRIDS))
-    def test_forward_equals_rfftn(self, case):
-        g = TRANSFORM_GRIDS[case]
-        f = random_field(g, seed=1, channels=3)
-        out = np.empty((3,) + g.half_points, dtype=np.complex128)
-        assert rfftn_into(f, g, out) is out
-        assert out.tobytes() == np.fft.rfftn(f, axes=g.axes).tobytes()
+    """irfftn_into makes numpy's irfftn passes into the caller's arrays, so
+    it equals irfftn bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(TRANSFORM_GRIDS))
     def test_inverse_equals_irfftn(self, case):
@@ -154,13 +152,6 @@ class TestTransformsIntoBuffers:
         assert out.tobytes() == expected and np.array_equal(s, kept)
         # s may be the work array itself: the passes then run in place
         assert irfftn_into(s, g, s, np.empty_like(out)).tobytes() == expected
-
-    def test_a_non_finite_field_is_refused(self):
-        g = TRANSFORM_GRIDS["2d"]
-        f = random_field(g)
-        f[0, 3, 4] = np.inf
-        with pytest.raises(NonFinite):
-            rfftn_into(f, g, np.empty((1,) + g.half_points, dtype=np.complex128))
 
 
 class TestSpectralDerivative:

@@ -727,6 +727,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(ds, ds, cfg, TrainConfig(iterations=1))
 
+    def test_a_validation_cadence_mismatch_is_refused_before_any_iteration(self, monkeypatch):
+        # evaluate_rollout refused it only at the first validation, after
+        # val_every iterations of training
+        import sino.training
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(0,), bandlimit=3)
+        val = TrajectoryDataset(grid=g, cadence=0.1, data=ds.data)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+
+        def refused_backward(*args):
+            raise AssertionError("an iteration ran")
+
+        monkeypatch.setattr(sino.training, "backward", refused_backward)
+        with pytest.raises(ValueError, match="validation set cadence 0.1"):
+            train(ds, val, cfg, TrainConfig(iterations=4, n1=0, val_every=2))
+
     def test_history_csv_round_trip(self, tmp_path):
         history = [(1, 0.004, 1.25e-3, None), (2, 0.0041, 7.5e-4, 0.5)]
         path = tmp_path / "history.csv"
