@@ -28,8 +28,17 @@ parameters under its echo; --config, --preset and --out only locate the
 run directory. It scores the test split (eval_test.csv). --superres N,
 N >= 2, also generates the run's test ICs stored at N times the training
 resolution and scores them (eval_superres_xN.csv); it prints that fine
-score beside the test-set score as native. --ood NAME scores one 2D
-pattern IC (eval_ood_NAME.csv).
+score beside the test-set score as native. That grid must not be finer
+than gen_points on any axis, since its truth would be the coarse
+simulation zero-padded: such an N is refused (exit 2) before any work.
+--ood NAME scores one 2D pattern IC (eval_ood_NAME.csv).
+train --resume refuses (exit 2), before writing anything, a checkpoint
+that has already run train.iterations iterations or more, unless the
+run's config is the checkpoint's own: then it rewrites the same files.
+generate replaces the splits under out_dir/data: it deletes manifest.txt,
+then every train_, val_ and test_*.sino there, and then writes the new
+containers and manifest, so the directory holds exactly what its manifest
+lists, and an interrupted generate leaves no manifest.
 generate and evaluate train nothing, so they take neither --seed nor an
 ablation flag; ablate trains every variant itself, so it takes no flag.
 
@@ -135,8 +144,14 @@ def load_split(data_dir, split: str) -> TrajectoryDataset:
 def cmd_generate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir) / "data"
     out.mkdir(parents=True, exist_ok=True)
+    splits = (("train", cfg.n_train), ("val", cfg.n_val), ("test", cfg.n_test))
+    # the manifest goes first, so a generate cut short leaves none
+    (out / "manifest.txt").unlink(missing_ok=True)
+    for split, _ in splits:
+        for old in out.glob(f"{split}_*.sino"):
+            old.unlink()
     files = []
-    for split, n in (("train", cfg.n_train), ("val", cfg.n_val), ("test", cfg.n_test)):
+    for split, n in splits:
         files += _generate_split(cfg, split, n, out)
         print(f"[generate] {split}: {n} trajectories")
     _write_manifest(out, cfg, files)
@@ -176,16 +191,22 @@ def _resume_state(cfg: ExperimentConfig, path) -> tuple[ExperimentConfig, TrainS
 
 def cmd_train(cfg: ExperimentConfig, resume_path=None) -> int:
     out = Path(cfg.out_dir)
-    ds_train = load_split(out / "data", "train")
-    ds_val = load_split(out / "data", "val")
     state = None
     if resume_path:
         ck_cfg, state = _resume_state(cfg, resume_path)
+        # a finished run resumed under its own config rewrites the same files
+        done = len(state.history) >= cfg.train.iterations
+        if done and ck_cfg.config_hash() != cfg.config_hash():
+            raise ValueError(f"{resume_path} has run {len(state.history)} iterations and this "
+                             f"run has {cfg.train.iterations}: none remain to train under "
+                             f"this config, which is not the checkpoint's")
         print(f"[train] resuming from {resume_path} after iteration {len(state.history)}")
         if ck_cfg.train.iterations != cfg.train.iterations:
             print(f"[train] the checkpoint's run has {ck_cfg.train.iterations} iterations and "
                   f"this one {cfg.train.iterations}: the remaining iterations follow the "
                   f"one-cycle schedule of {cfg.train.iterations}, so the history holds two")
+    ds_train = load_split(out / "data", "train")
+    ds_val = load_split(out / "data", "val")
     state = train(ds_train, ds_val, cfg.model, cfg.train, state,
                   log_every=max(1, cfg.train.iterations // 20))
     containers.write_checkpoint(out / "ckpt_last.sino", cfg.canonical_json(), state.to_tensors())
@@ -206,6 +227,10 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
     if superres > 1 and run.model.no_freq2vec:
         raise ValueError(f"--superres {superres}: the free multiplier table of a no_freq2vec "
                          f"run is bound to its native resolution {run.train_points}")
+    fine_points = tuple(n * superres for n in run.train_points)
+    if any(f > g for f, g in zip(fine_points, run.gen_points)):
+        raise ValueError(f"--superres {superres}: the grid {fine_points} is finer than the run's "
+                         f"gen_points {run.gen_points}, so its truth would be zero-padded")
     ds_test = load_split(out / "data", "test")
     if ds_test.grid != run.train_grid:
         raise ValueError(f"the test split's grid {ds_test.grid} is not the run's training "
@@ -217,8 +242,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
           f"({len(report.failures)} failures)")
     if superres:
         # the test split's ICs and solver, stored on the finer grid
-        fine_grid = GridSpec(points=tuple(n * superres for n in run.train_points),
-                             length=run.domain_length)
+        fine_grid = GridSpec(points=fine_points, length=run.domain_length)
         fine = generate_dataset(run.pde, run.test_solver(), run.gen_grid, fine_grid,
                                 run.n_test, split="test", grf=run.grf)
         fine_report = evaluation.evaluate_rollout(params, run.model, fine)
@@ -372,7 +396,6 @@ def main(argv=None) -> int:
             return cmd_ablate(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.channels, args.embed, args.sweep_n_traj)
-        raise ValueError(f"unknown command {args.command!r}")
     except NonFinite as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3

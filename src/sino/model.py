@@ -175,23 +175,8 @@ class ModelConfig:
         return tuple(2 * f for f in self.freq_norm)
 
     @property
-    def n_modes(self) -> int:
-        return math.prod(self.native_points)
-
-    @property
     def slb_channels(self) -> int:
         return self.c_in * self.K
-
-    @property
-    def mix_width(self) -> int:
-        """Input width of the output 1x1 map."""
-        if self.no_linear:
-            return self.C
-        return 2 * self.C
-
-    @property
-    def n_pi_factors(self) -> int:
-        return 1 if self.no_pi else 2
 
 
 def config_for_grid(grid: GridSpec, **kwargs) -> ModelConfig:
@@ -205,19 +190,19 @@ def config_for_grid(grid: GridSpec, **kwargs) -> ModelConfig:
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     if cfg.no_freq2vec:
-        shapes["freq2vec.table"] = (2 * cfg.K, cfg.n_modes)
+        shapes["freq2vec.table"] = (2 * cfg.K, math.prod(cfg.native_points))
     else:
         sizes = (cfg.dim,) + cfg.mlp_hidden + (2 * cfg.K,)
         for i in range(len(sizes) - 1):
             shapes[f"freq2vec.w{i}"] = (sizes[i], sizes[i + 1])
             shapes[f"freq2vec.b{i}"] = (sizes[i + 1],)
-    for p in range(cfg.n_pi_factors):
+    for p in range(1 if cfg.no_pi else 2):
         shapes[f"pi.{p}.w"] = (cfg.C, cfg.slb_channels)
         shapes[f"pi.{p}.b"] = (cfg.C,)
     if not cfg.no_linear:
         shapes["linear.w"] = (cfg.C, cfg.slb_channels)
         shapes["linear.b"] = (cfg.C,)
-    shapes["out.w"] = (cfg.c_in, cfg.mix_width)
+    shapes["out.w"] = (cfg.c_in, cfg.C if cfg.no_linear else 2 * cfg.C)
     shapes["out.b"] = (cfg.c_in,)
     return shapes
 
@@ -229,15 +214,11 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     for name, shape in _param_shapes(cfg).items():
         if name.split(".")[-1].startswith("b"):
             params[name] = np.zeros(shape)
-        elif name == "freq2vec.table":
-            lim = math.sqrt(6.0 / (1 + 2 * cfg.K))
-            params[name] = rng.uniform(-lim, lim, size=shape)
         else:
-            fan_in, fan_out = shape[0], shape[-1]
-            if name.startswith(("pi.", "linear.", "out.")):
-                # 1x1 maps are stored (out_channels, in_channels)
-                fan_in, fan_out = shape[1], shape[0]
-            lim = math.sqrt(6.0 / (fan_in + fan_out))
+            # Glorot's limit reads only fan_in + fan_out, whichever way a map
+            # is stored; the free table's fans are 1 and 2K
+            fans = 1 + 2 * cfg.K if name == "freq2vec.table" else sum(shape)
+            lim = math.sqrt(6.0 / fans)
             params[name] = rng.uniform(-lim, lim, size=shape)
     return params
 
@@ -275,7 +256,7 @@ def _freq2vec(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> Tensor
     n = math.prod(grid.half_points)
     index = freq_grid(grid).index.reshape(grid.dim, n)
     points = np.array(grid.points)[:, None]
-    modes = np.concatenate([index, np.where(index == -(points // 2), index, -index)], axis=1)
+    modes = np.concatenate([index, -index], axis=1)
     # the table holds every mode of the full grid, in numpy fft order
     flat = np.ravel_multi_index(tuple(modes % points), grid.points)
     raw = eg.getitem(pt["freq2vec.table"], (slice(None), flat))
@@ -322,7 +303,7 @@ def _pi_factors(pt: dict[str, Tensor], cfg: ModelConfig) -> tuple[tuple[Tensor, 
     """The two Pi factors (w, b), b as a column; under no_pi the second is
     the constant 1 (w = 0, b = 1)."""
     pi = [(pt[f"pi.{p}.w"], eg.reshape(pt[f"pi.{p}.b"], (cfg.C, 1)))
-          for p in range(cfg.n_pi_factors)]
+          for p in range(1 if cfg.no_pi else 2)]
     if cfg.no_pi:
         pi.append((Tensor(np.zeros((cfg.C, cfg.slb_channels))), Tensor(np.ones((cfg.C, 1)))))
     return tuple(pi)
@@ -405,7 +386,7 @@ def _rhs_maps(pt: dict[str, Tensor], cfg: ModelConfig, grid: GridSpec) -> _RhsMa
 # product) and "f1" of a forward that evaluates them, the form's products or
 # their cotangent "v", the features' cotangent "g_d", and a complex
 # "scratch". The features d and the spectra gz of their cotangent are not in
-# the arena yet: they are np.fft's own outputs (ROADMAP direction 7). np.fft
+# the arena yet: they are np.fft's own outputs (ROADMAP direction 9). np.fft
 # can write them into it, given out by position as spectral.irfftn_into does;
 # the benchmark's tracer refuses only an out= keyword.
 _ARENA: dict[str, np.ndarray] = {}

@@ -27,11 +27,11 @@ from sino.spectral import GridSpec, spectral_resample
 ABLATION_OPTIONS = ["--no-pi", "--no-filter", "--no-freq2vec", "--no-linear", "--euler"]
 
 
-def tiny_config(out, iterations=4):
+def tiny_config(out, iterations=4, gen_points=(16, 16)):
     """Burgers on 16^2: 11 snapshots per trajectory, a 4-iteration run."""
     c = presets()["E6-desk"]
     return replace(
-        c, case="tiny", gen_points=(16, 16), train_points=(16, 16),
+        c, case="tiny", gen_points=gen_points, train_points=(16, 16),
         solver=replace(c.solver, dt=5e-3, t_end=0.05),
         model=replace(c.model, K=2, C=4, mlp_hidden=(8,), freq_norm=(8, 8)),
         train=replace(c.train, iterations=iterations, n1=1, n2=2, val_every=2),
@@ -60,6 +60,18 @@ def run(tmp_path_factory):
     return path, cfg, root / "out"
 
 
+@pytest.fixture(scope="module")
+def fine_run(tmp_path_factory):
+    """The tiny run generated at 32^2, so that --superres 2 has a fine truth:
+    (config path, config, out dir)."""
+    root = tmp_path_factory.mktemp("cli_fine")
+    cfg = tiny_config(root / "out", gen_points=(32, 32))
+    path = write_config(root / "tiny.yaml", cfg)
+    assert cli.main(["generate", "--config", path]) == 0
+    assert cli.main(["train", "--config", path]) == 0
+    return path, cfg, root / "out"
+
+
 class TestRoundTrip:
     def test_generate_writes_splits_and_manifest(self, run):
         _, cfg, out = run
@@ -68,6 +80,26 @@ class TestRoundTrip:
         manifest = (out / "data" / "manifest.txt").read_text().splitlines()
         assert manifest[0] == f"config {cfg.config_hash()}"
         assert sorted(line.split()[1] for line in manifest[1:]) == names
+
+    def test_generate_replaces_the_splits(self, tmp_path, monkeypatch):
+        # a smaller generate leaves no container of the larger one behind
+        data = tmp_path / "out" / "data"
+        for n_train in (4, 2):
+            cfg = replace(tiny_config(tmp_path / "out"), n_train=n_train)
+            assert cli.main(["generate", "--config", write_config(tmp_path / "c.yaml", cfg)]) == 0
+        names = sorted(p.name for p in data.glob("*.sino"))
+        assert names == ["test_000.sino", "train_000.sino", "train_001.sino", "val_000.sino"]
+        manifest = (data / "manifest.txt").read_text().splitlines()
+        assert sorted(line.split()[1] for line in manifest[1:]) == names
+        assert cli.load_split(data, "train").n_traj == 2
+
+        # one cut short leaves no manifest, so ablate and sweep generate again
+        def failing_generate(*args, **kwargs):
+            raise NonFinite("injected")
+
+        monkeypatch.setattr(cli, "generate_dataset", failing_generate)
+        assert cli.main(["generate", "--config", str(tmp_path / "c.yaml")]) == 3
+        assert not (data / "manifest.txt").exists() and not list(data.glob("*.sino"))
 
     def test_train_writes_checkpoints_and_history(self, run):
         _, cfg, out = run
@@ -107,6 +139,23 @@ class TestRoundTrip:
         ckpt = str(tmp_path / "out" / "ckpt_last.sino")
         assert cli.main(["train", "--config", path, "--resume", ckpt]) == 0
         assert "one-cycle schedule of 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iterations, max_lr", [(2, None), (4, 5e-4)])
+    def test_resume_with_no_iteration_left_is_refused(self, run, tmp_path, capsys,
+                                                      iterations, max_lr):
+        # under another config it would rewrite the run under that config's hash
+        _, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        cfg = tiny_config(tmp_path / "out", iterations=iterations)
+        if max_lr is not None:
+            cfg = replace(cfg, train=replace(cfg.train, max_lr=max_lr))
+        path = write_config(tmp_path / "c.yaml", cfg)
+        ckpt = tmp_path / "out" / "ckpt_last.sino"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path, "--resume", str(ckpt)]) == 2
+        assert f"has run 4 iterations and this run has {iterations}" in capsys.readouterr().err
+        for name in ("ckpt_last.sino", "history.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes()
 
     def test_resume_from_a_best_checkpoint_is_refused(self, run, tmp_path):
         # a checkpoint of parameters alone is no training state
@@ -197,8 +246,8 @@ class TestRoundTrip:
         assert str(ckpt) in err and "another config schema" in err
         assert "unknown key train.div_factor" in err
 
-    def test_evaluate_writes_reports(self, run):
-        path, cfg, out = run
+    def test_evaluate_writes_reports(self, fine_run):
+        path, cfg, out = fine_run
         assert cli.main(["evaluate", "--config", path, "--superres", "2", "--ood", "star"]) == 0
         for name in ("eval_test.csv", "eval_superres_x2.csv", "eval_ood_star.csv"):
             rows = read_csv(out / name)
@@ -206,8 +255,8 @@ class TestRoundTrip:
             assert len(rows) == 1 + 11
             assert {r[1] for r in rows[1:]} == {cfg.config_hash()}
 
-    def test_superres_native_is_the_test_set_score(self, run, tmp_path, capsys):
-        path, cfg, out = run
+    def test_superres_native_is_the_test_set_score(self, fine_run, tmp_path, capsys):
+        path, cfg, out = fine_run
         shutil.copytree(out, tmp_path / "out")
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
@@ -402,6 +451,18 @@ class TestExitCodes:
             assert "--superres" in capsys.readouterr().err
             assert not list((tmp_path / "out").glob("eval_*.csv"))
 
+    def test_superres_finer_than_the_generation_grid_is_refused(self, run, tmp_path, capsys):
+        # the run generates on its 16^2 training grid: a 32^2 truth would be zero-padded
+        path, _, out = run
+        shutil.copytree(out, tmp_path / "out")
+        for report in (tmp_path / "out").glob("eval_*.csv"):
+            report.unlink()
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "out"),
+                         "--superres", "2"]) == 2
+        assert "gen_points (16, 16)" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("eval_*.csv"))
+
     def test_test_split_on_another_grid_is_refused(self, run, tmp_path, capsys):
         path, _, out = run
         shutil.copytree(out, tmp_path / "out")
@@ -432,10 +493,10 @@ class TestExitCodes:
         assert "pattern initial conditions are 2D" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("eval_*.csv"))
 
-    def test_superres_on_a_no_freq2vec_run_is_refused_before_any_work(self, run, tmp_path,
+    def test_superres_on_a_no_freq2vec_run_is_refused_before_any_work(self, fine_run, tmp_path,
                                                                       capsys):
         # the free table holds the native grid's modes and no others
-        path, _, out = run
+        path, _, out = fine_run
         shutil.copytree(out / "data", tmp_path / "out" / "data")
         out_arg = ["--out", str(tmp_path / "out")]
         assert cli.main(["train", "--config", path, *out_arg, "--no-freq2vec"]) == 0

@@ -1,8 +1,11 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sino.config import presets
 from sino.freq2vec import polynomial_table
 from sino.model import (
     ABLATION_FLAGS,
@@ -89,6 +92,46 @@ class TestParams:
     def test_exact_burgers_params_fill_the_parameter_table(self, grid):
         cfg, params = exact_burgers_params(grid, nu=0.01, dt_model=5e-3)
         assert [(k, v.shape) for k, v in params.items()] == list(_param_shapes(cfg).items())
+
+
+# SHA-256 of each preset's init_params at its train.seed, over the full model
+# and each ablation variant: a layout or init edit updates them on purpose
+PINNED_INITS = {
+    "E1": "4a953ed7128a4f1dbb297243f084216394ef5b83dae0e6d97404fae27749d840",
+    "E6": "827da193f21505a10c560560ab4d2e8a7b5cd7c7886d1637dc001ffbbb5f2c4b",
+    "E7": "2104a2532d9e8e974617a4cdf6daff1bd249f34b7c2594ae33c0256eeab59ab7",
+    "E1-desk": "1bb92b6ed95dca941daead0cb868e3274c545b36f380053ec30952eb3ba27830",
+    "E6-desk": "264392906c38b23309768bd7f202375a621ad5712911dae1d7ec6e69db370fe1",
+    "E7-desk": "53d8129668a7b0a33e7db8a73696fbe6282cb5c97e83ec9a2a02918289f92b1d",
+    "E2": "ca092d809c10d07583a1ed9bdb3ac778b77ec795629b80149f7f6dc6b0dc184b",
+    "E3": "ca092d809c10d07583a1ed9bdb3ac778b77ec795629b80149f7f6dc6b0dc184b",
+    "E4": "ca092d809c10d07583a1ed9bdb3ac778b77ec795629b80149f7f6dc6b0dc184b",
+    "E5": "ca092d809c10d07583a1ed9bdb3ac778b77ec795629b80149f7f6dc6b0dc184b",
+    "E2-desk": "1bb92b6ed95dca941daead0cb868e3274c545b36f380053ec30952eb3ba27830",
+    "E3-desk": "1bb92b6ed95dca941daead0cb868e3274c545b36f380053ec30952eb3ba27830",
+    "E4-desk": "1bb92b6ed95dca941daead0cb868e3274c545b36f380053ec30952eb3ba27830",
+    "E5-desk": "1bb92b6ed95dca941daead0cb868e3274c545b36f380053ec30952eb3ba27830",
+}
+
+
+def init_digest(model_cfg, seed):
+    h = hashlib.sha256()
+    for variant in ("full",) + ABLATION_FLAGS:
+        cfg = model_cfg if variant == "full" else replace(model_cfg, **{variant: True})
+        for name, value in init_params(cfg, seed).items():
+            h.update(f"{variant} {name} {value.shape}".encode())
+            h.update(value.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PINNED_INITS))
+def test_init_params_are_pinned(case):
+    c = presets()[case]
+    assert init_digest(c.model, c.train.seed) == PINNED_INITS[case]
+
+
+def test_every_preset_has_a_pinned_init():
+    assert list(presets()) == list(PINNED_INITS)
 
 
 class TestFreq2Vec:
