@@ -1,7 +1,8 @@
 """Command-line entry points: dataset generation, training, evaluation,
 ablation and hyperparameter sweeps.
 
-A run takes a case preset (--preset) or a YAML config (--config). The YAML
+A run takes exactly one of a case preset (--preset) and a YAML config
+(--config); argparse refuses neither, both and an unknown preset. The YAML
 schema is the dataclass field names: the top-level keys are the fields of
 config.ExperimentConfig, and pde, solver, model and train hold the fields of
 PDESpec, SolverConfig, ModelConfig and TrainConfig. Lists become tuples, a
@@ -18,6 +19,11 @@ required one is a validation error. For example:
     train: {iterations: 200}
     out_dir: runs/burgers-16
 
+Datasets and checkpoints are containers of one layout, version 2
+(containers). A container of another version, such as one written before
+that layout, exits 4 naming its version: regenerate the data (generate) or
+retrain the run (train).
+
 A run keeps one checkpoint, ckpt_last.sino: its config echo and its whole
 training state. train --resume and evaluate read it through
 training.TrainState.from_tensors, which refuses (exit 4) any tensor set
@@ -31,7 +37,9 @@ resolution and scores them (eval_superres_xN.csv); it prints that fine
 score beside the test-set score as native. That grid must not be finer
 than gen_points on any axis, since its truth would be the coarse
 simulation zero-padded: such an N is refused (exit 2) before any work.
---ood NAME scores one 2D pattern IC (eval_ood_NAME.csv).
+--ood NAME scores one 2D pattern IC (eval_ood_NAME.csv), scaled to the RMS
+of a draw from the run's own IC distribution (its PDE kind's GRF settings
+and the config's grf).
 train --resume refuses (exit 2), before writing anything, a checkpoint
 that has already run train.iterations iterations or more, unless the
 run's config is the checkpoint's own: then it rewrites the same files.
@@ -78,17 +86,8 @@ from .training import TrainState, train
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.preset and args.config:
-        raise ValueError("pass either --preset or --config, not both")
-    if args.preset:
-        table = presets()
-        if args.preset not in table:
-            raise ValueError(f"unknown preset {args.preset!r}; choose from {sorted(table)}")
-        cfg = table[args.preset]
-    elif args.config:
-        cfg = load_yaml(args.config)
-    else:
-        raise ValueError("one of --preset or --config is required")
+    # argparse requires exactly one of --preset and --config, and a known preset
+    cfg = presets()[args.preset] if args.preset else load_yaml(args.config)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "seed", None) is not None:
@@ -251,7 +250,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint=None, superres: int = 0,
               f"fine {fine_report.aggregate_rel_l2:.6g}")
     if ood:
         ood_set = evaluation.pattern_test_set(ood, run.pde, run.test_solver(), run.gen_grid,
-                                              run.train_grid)
+                                              run.train_grid, run.grf)
         report = evaluation.evaluate_rollout(params, run.model, ood_set)
         evaluation.export_csv(report, out / f"eval_ood_{ood}.csv", run_hash)
         print(f"[evaluate] OOD {ood}: rel_l2 {report.aggregate_rel_l2:.6g}")
@@ -338,9 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    preset_names = sorted(presets())
+
     def common(p, seed=True, ablation_flags=True):
-        p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--preset", help="case preset id (E1..E7, E1-desk..E7-desk)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="YAML experiment config")
+        source.add_argument("--preset", choices=preset_names, help="case preset id")
         p.add_argument("--out", help="output directory override")
         # generate and evaluate train nothing; ablate sets each flag itself
         if seed:

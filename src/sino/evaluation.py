@@ -23,7 +23,7 @@ import numpy as np
 from . import containers
 from . import model as sino_model
 from .model import ModelConfig
-from .solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate
+from .solvers import PDESpec, SolverConfig, TrajectoryDataset, grf_settings, integrate
 from .spectral import GridSpec, forward_transform, freq_grid, grf_sample, inverse_transform, spectral_resample
 
 
@@ -213,11 +213,14 @@ def builtin_raster(name: str) -> np.ndarray:
 
 
 def pattern_test_set(name: str, pde: PDESpec, solver: SolverConfig, gen_grid: GridSpec,
-                     grid: GridSpec) -> TrajectoryDataset:
+                     grid: GridSpec, grf: dict | None = None) -> TrajectoryDataset:
     """One trajectory from the builtin raster `name`: its pattern IC on grid,
-    repeated over the PDE's channels, simulated on gen_grid and stored on
-    grid, as a generated test set is."""
-    ic = np.repeat(pattern_ic(builtin_raster(name), grid), pde.channels, axis=0)
+    at the RMS of a draw from the run's IC distribution (the PDE kind's GRF
+    settings updated by grf), repeated over the PDE's channels, simulated on
+    gen_grid and stored on grid, as a generated test set is."""
+    ref = grf_sample(grid, 0, **grf_settings(pde.kind, grf))
+    ic = pattern_ic(builtin_raster(name), grid, float(np.sqrt(np.mean(ref**2))))
+    ic = np.repeat(ic, pde.channels, axis=0)
     truth = integrate(pde, solver, gen_grid, spectral_resample(ic, grid, gen_grid), grid)
     return TrajectoryDataset(grid=grid, cadence=solver.save_dt, data=truth[np.newaxis])
 

@@ -11,12 +11,13 @@ full-horizon validation error.
 
 A run is a TrainState: the parameters, the Adam state, the best parameters
 with their validation error and iteration, and one (iteration, lr,
-train_loss, val_rel_l2 | None) history row per iteration, a skipped
-non-finite one included. train starts from one and returns one, and a
-checkpoint stores it whole. A resumed run continues at iteration
-len(history) + 1 and replays the sampler's batch * len(history) draws, so
-it continues the original stream only under the same seed, batch, n1 and
-n2; the Adam step count lags by the skipped iterations, which take no step.
+train_loss, val_rel_l2 | None) history row per iteration, a skipped one
+included: an iteration whose rollout or global gradient norm is non-finite
+takes no Adam step, and its row has a NaN loss. train starts from one and
+returns one, and a checkpoint stores it whole. A resumed run continues at
+iteration len(history) + 1 and replays the sampler's batch * len(history)
+draws, so it continues the original stream only under the same seed,
+batch, n1 and n2; the Adam step count lags by the skipped iterations.
 """
 
 from __future__ import annotations
@@ -103,9 +104,10 @@ def adam_step(
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict, float]:
-    """Scale the whole bundle so its global l2 norm is at most max_norm."""
+    """Scale the whole bundle so its global l2 norm is at most max_norm; a
+    non-finite norm comes back with the bundle unscaled."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
+    if not max_norm < total < math.inf:
         return grads, total
     factor = max_norm / total
     return {k: g * factor for k, g in grads.items()}, total
@@ -386,6 +388,9 @@ def train(
             segments[:, 0] = _warm_up(dataset_train.data[traj, start], ns, state.params,
                                       model_cfg, grid)
             loss, grads = backward(state.params, model_cfg, grid, segments)
+            grads, norm = clip_global_norm(grads, GRAD_CLIP)
+            if not math.isfinite(norm):
+                raise NonFinite(f"non-finite gradient norm {norm}")
         except NonFinite:
             nonfinite_streak += 1
             if nonfinite_streak > 5:
@@ -396,7 +401,6 @@ def train(
             continue
         nonfinite_streak = 0
 
-        grads, _ = clip_global_norm(grads, GRAD_CLIP)
         state.params = adam_step(state.opt, state.params, grads, lr)
 
         val = None

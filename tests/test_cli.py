@@ -439,6 +439,19 @@ class TestExitCodes:
         args = cli.build_parser().parse_args(["ablate", "--preset", "E6-desk", "--seed", "3"])
         assert args.seed == 3
 
+    @pytest.mark.parametrize("source, named", [
+        ([], "one of the arguments --config --preset is required"),
+        (["--preset", "E6-desk", "--config", "c.yaml"], "not allowed with argument"),
+        (["--preset", "E9-desk"], "invalid choice: 'E9-desk'"),
+    ], ids=["neither", "both", "unknown-preset"])
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "ablate", "sweep"])
+    def test_one_known_config_source_is_required(self, tmp_path, capsys, command, source, named):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, *source, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_superres_is_refused_before_any_work(self, run, tmp_path, capsys):
         path, _, out = run
         shutil.copytree(out, tmp_path / "out")

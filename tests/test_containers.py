@@ -10,6 +10,7 @@ import pytest
 from sino import cli
 from sino.config import presets
 from sino.containers import (
+    CKPT_MAGIC,
     FIELD_MAGIC,
     read_checkpoint,
     read_field_container,
@@ -21,10 +22,31 @@ from sino.errors import ContainerError
 from sino.spectral import GridSpec
 
 GRID = GridSpec(points=(4, 6), length=(2 * math.pi, 1.0))
-# magic, version, ndim, channels, points, lengths, snapshots, cadence
-FIELD_HEADER = 8 + 4 + 1 + 4 + 8 * 2 + 8 * 2 + 8 + 8
+# offsets in field_file's container: magic, version, echo_len, the empty
+# echo and n_tensors, then each tensor in name order (name_len, name, rank,
+# dims, data): cadence (), length (2,), and snapshots (S, C, *points) last
+SNAPSHOT_DIMS = (8 + 4 + 8 + 4) + (4 + 7 + 1 + 8) + (4 + 6 + 1 + 8 + 8 * 2) + (4 + 9 + 1)
+POINTS = SNAPSHOT_DIMS + 8 * 2  # points[0]
+FIELD_HEADER = SNAPSHOT_DIMS + 8 * 4  # the first payload byte
 # cadence and snapshot count outside what the reader accepts
 BAD_HEADERS = [(math.nan, 2), (math.inf, 2), (0.0, 2), (-0.5, 2), (0.5, 0)]
+
+
+def container_bytes(magic, echo, tensors):
+    """A container laid out by hand from the format: tensors is a list of
+    (name, array) pairs in the order they are written."""
+    body = struct.pack("<Q", len(echo)) + echo + struct.pack("<I", len(tensors))
+    for name, data in tensors:
+        data = np.asarray(data, dtype=np.float64)
+        body += struct.pack("<I", len(name)) + name + struct.pack("<B", data.ndim)
+        body += struct.pack(f"<{data.ndim}Q", *data.shape) + data.astype("<f8").tobytes()
+    return magic + struct.pack("<I", 2) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def dataset_bytes(snaps, length=GRID.length, cadence=0.5):
+    """A dataset container with a valid CRC, whatever the values it holds."""
+    return container_bytes(FIELD_MAGIC, b"", [(b"cadence", cadence), (b"length", length),
+                                              (b"snapshots", snaps)])
 
 
 def field_file(tmp_path, name="f.sino", seed=0):
@@ -63,21 +85,19 @@ class TestFieldContainer:
                 read_field_container(cut(path, n))
 
     def test_bad_ndim(self, tmp_path):
-        path, _ = field_file(tmp_path)
-        blob = bytearray(path.read_bytes())
-        for ndim in (0, 1, 4, 255):
-            blob[12] = ndim
-            path.write_bytes(bytes(blob))
+        # snapshots of rank ndim + 2, with as many lengths, under a valid CRC
+        path = tmp_path / "f.sino"
+        for ndim in (0, 1, 4):
+            path.write_bytes(dataset_bytes(np.zeros((2, 1) + (4,) * ndim), length=[1.0] * ndim))
             with pytest.raises(ContainerError, match="ndim"):
                 read_field_container(path)
 
     @pytest.mark.parametrize("cadence, snapshots", BAD_HEADERS)
     def test_header_values_outside_the_crc(self, tmp_path, cadence, snapshots):
-        # the CRC covers the payload only, and a NaN cadence fails every later test
-        path, _ = field_file(tmp_path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<Qd", blob, 49, snapshots, cadence)
-        path.write_bytes(bytes(blob))
+        # a valid CRC vouches for the bytes, not the values: another writer's
+        # file may hold them, and a NaN cadence fails every later test
+        path = tmp_path / "f.sino"
+        path.write_bytes(dataset_bytes(np.zeros((snapshots, 1) + GRID.points), cadence=cadence))
         with pytest.raises(ContainerError, match="finite positive cadence and a snapshot"):
             read_field_container(path)
 
@@ -110,11 +130,11 @@ class TestFieldContainer:
             read_field_container(path)
 
     @pytest.mark.parametrize("offset, value", [
-        (17, 2**63),           # points[0]: the payload cannot fit
-        (17, 2**64 - 2),       # a product that wraps in 64-bit arithmetic
-        (49, 2**62),           # snapshots
-        (17, 5),               # an odd point count is no grid
-    ])
+        (POINTS, 2**63),           # points[0]: the payload cannot fit
+        (POINTS, 2**64 - 2),       # a product that wraps in 64-bit arithmetic
+        (SNAPSHOT_DIMS, 2**62),    # snapshots
+        (POINTS, 5),               # an odd point count is no grid
+    ], ids=["points-2^63", "points-2^64-2", "snapshots-2^62", "points-5"])
     def test_implausible_counts(self, tmp_path, offset, value):
         path, _ = field_file(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -123,12 +143,33 @@ class TestFieldContainer:
         with pytest.raises(ContainerError):
             read_field_container(path)
 
-    def test_an_infinite_length_is_no_grid(self, tmp_path):
-        # lengths[0] follows the two point counts; the payload CRC does not cover it
+    @pytest.mark.parametrize("dims", [(0, 2**63, 4, 6), (0, 2**62, 2**62, 6)])
+    def test_a_shape_numpy_cannot_make(self, tmp_path, dims):
+        # no elements, so the file holds the data, yet numpy makes no such array
         path, _ = field_file(tmp_path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<d", blob, 33, math.inf)
+        struct.pack_into("<4Q", blob, SNAPSHOT_DIMS, *dims)
         path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="no array has the declared shape"):
+            read_field_container(path)
+
+    @pytest.mark.parametrize("tensors", [
+        [(b"cadence", 0.5), (b"snapshots", np.zeros((2, 1) + GRID.points))],
+        [(b"cadence", [0.5]), (b"length", GRID.length), (b"snapshots", np.zeros((2, 1, 4, 6)))],
+        [(b"cadence", 0.5), (b"length", (1.0,) * 3), (b"snapshots", np.zeros((2, 1, 4, 6)))],
+        [(b"cadence", 0.5), (b"length", GRID.length), (b"snapshots", np.zeros((2, 1, 4, 6))),
+         (b"step", 3.0)],
+    ], ids=["no-length", "cadence-of-rank-1", "3-lengths-for-2d", "extra-tensor"])
+    def test_a_dataset_is_its_three_tensors(self, tmp_path, tensors):
+        path = tmp_path / "f.sino"
+        path.write_bytes(container_bytes(FIELD_MAGIC, b"", tensors))
+        with pytest.raises(ContainerError, match="a dataset holds snapshots"):
+            read_field_container(path)
+
+    def test_an_infinite_length_is_no_grid(self, tmp_path):
+        # under a valid CRC, as another writer's file may hold it
+        path = tmp_path / "f.sino"
+        path.write_bytes(dataset_bytes(np.zeros((2, 1) + GRID.points), length=(math.inf, 1.0)))
         with pytest.raises(ContainerError, match="bad grid: domain length must be finite"):
             read_field_container(path)
 
@@ -137,12 +178,9 @@ class TestFieldContainer:
         with pytest.raises(ValueError, match="C >= 1"):
             write_field_container(tmp_path / "f.sino", GRID, 0.5, np.zeros((3, 0) + GRID.points))
         assert list(tmp_path.iterdir()) == []
-        # the header of a valid file, its channel count set to 0, and the CRC
-        # of the empty payload that header declares
-        path, _ = field_file(tmp_path)
-        header = bytearray(path.read_bytes()[:FIELD_HEADER])
-        struct.pack_into("<I", header, 13, 0)
-        path.write_bytes(bytes(header) + struct.pack("<I", zlib.crc32(b"")))
+        # the same block in a file with a valid CRC
+        path = tmp_path / "f.sino"
+        path.write_bytes(dataset_bytes(np.zeros((3, 0) + GRID.points)))
         with pytest.raises(ContainerError, match="needs a channel"):
             read_field_container(path)
 
@@ -161,12 +199,7 @@ class TestFieldContainer:
     def test_file_bytes_follow_the_format(self, tmp_path, snaps):
         path = tmp_path / "f.sino"
         write_field_container(path, GRID, 0.5, snaps)
-        payload = np.ascontiguousarray(snaps, dtype=np.float64).astype("<f8").tobytes()
-        expected = (FIELD_MAGIC + struct.pack("<IBI", 1, 2, snaps.shape[1])
-                    + struct.pack("<2Q2d", *GRID.points, *GRID.length)
-                    + struct.pack("<Qd", len(snaps), 0.5)
-                    + payload + struct.pack("<I", zlib.crc32(payload)))
-        assert path.read_bytes() == expected
+        assert path.read_bytes() == dataset_bytes(snaps)
         _, _, back = read_field_container(path)
         assert back.dtype == np.float64 and back.flags.c_contiguous
         assert back.tobytes() == np.asarray(snaps, dtype=np.float64).tobytes()
@@ -201,6 +234,42 @@ class TestFieldContainer:
         assert np.array_equal(back, snaps)
 
 class TestCheckpoint:
+    def test_file_bytes_follow_the_format(self, tmp_path):
+        # names in order, a float32 and a Fortran-ordered tensor stored as
+        # C-ordered float64, and a scalar of rank 0
+        fortran = np.arange(6.0).reshape(3, 2).T
+        path = tmp_path / "c.sino"
+        write_checkpoint(path, "case: é\n", {"step": np.array(3.0), "b": fortran,
+                                               "a.w": np.ones(4, np.float32)})
+        assert path.read_bytes() == container_bytes(
+            CKPT_MAGIC, "case: é\n".encode("utf-8"),
+            [(b"a.w", np.ones(4)), (b"b", np.ascontiguousarray(fortran)), (b"step", 3.0)])
+        echo, tensors = read_checkpoint(path)
+        assert echo == "case: é\n" and list(tensors) == ["a.w", "b", "step"]
+        assert all(t.dtype == np.float64 and t.flags.c_contiguous for t in tensors.values())
+        assert np.array_equal(tensors["b"], fortran) and tensors["step"].shape == ()
+
+    def test_tensors_are_held_once(self, tmp_path):
+        # as for a dataset's payload: the writer hands each array's buffer
+        # to the file and the CRC, the reader reads into the arrays it returns
+        rng = np.random.default_rng(7)
+        tensors = {f"t{i}": rng.standard_normal((64, 256)) for i in range(10)}
+        nbytes = sum(t.nbytes for t in tensors.values())
+        path = tmp_path / "c.sino"
+        for run in ("write", "read"):
+            tracemalloc.start()
+            try:
+                if run == "write":
+                    write_checkpoint(path, "case: x\n", tensors)
+                else:
+                    _, back = read_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = 0.1 if run == "write" else 1.1
+            assert peak <= bound * nbytes, f"{run} peaked at {peak / nbytes:.2f}x"
+        assert all(np.array_equal(back[k], tensors[k]) for k in tensors)
+
     def test_roundtrip(self, tmp_path):
         echo, tensors = read_checkpoint(checkpoint_file(tmp_path))
         assert echo == "case: x\n"
@@ -231,6 +300,24 @@ class TestCheckpoint:
             read_checkpoint(path)
 
 
+@pytest.mark.parametrize("make, read", [
+    (lambda tmp_path: field_file(tmp_path)[0], read_field_container),
+    (checkpoint_file, read_checkpoint),
+], ids=["dataset", "checkpoint"])
+def test_every_single_bit_flip_raises_container_error(tmp_path, make, read):
+    # the magic and version are checked first and the CRC covers the rest;
+    # a dataset's CRC once covered its payload alone, and a flip in a domain
+    # length or the cadence read back as another grid or cadence
+    blob = make(tmp_path).read_bytes()
+    path = tmp_path / "flipped.sino"
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ContainerError):
+            read(path)
+
+
 class TestCli:
     def test_truncated_container_exits_4(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -251,6 +338,21 @@ class TestCli:
         (data / "manifest.txt").write_text("config x\n")
         assert cli.main(["train", "--preset", "E6-desk", "--out", str(tmp_path)]) == 4
         assert "payload CRC mismatch" in capsys.readouterr().err
+
+    def test_a_version_1_file_exits_4(self, tmp_path, capsys):
+        # containers written before the version 2 layout are not read
+        data = tmp_path / "data"
+        data.mkdir()
+        path, _ = field_file(data, "train_000.sino")
+        ckpt = checkpoint_file(tmp_path)
+        for p in (path, ckpt):
+            p.write_bytes(p.read_bytes()[:8] + struct.pack("<I", 1) + p.read_bytes()[12:])
+        (data / "manifest.txt").write_text("config x\n")
+        assert cli.main(["train", "--preset", "E6-desk", "--out", str(tmp_path)]) == 4
+        assert "unsupported version 1" in capsys.readouterr().err
+        assert cli.main(["evaluate", "--preset", "E6-desk", "--out", str(tmp_path),
+                         "--checkpoint", str(ckpt)]) == 4
+        assert "unsupported version 1" in capsys.readouterr().err
 
     def test_manifest_tells_files_apart(self, tmp_path):
         # same grid, length and header, different payloads: a whole-file

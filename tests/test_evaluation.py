@@ -14,11 +14,12 @@ from sino.evaluation import (
     pcc,
 )
 from sino.model import exact_burgers_params, init_params, config_for_grid
-from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, integrate
+from sino.solvers import PDESpec, SolverConfig, TrajectoryDataset, grf_settings, integrate
 from sino.spectral import (
     GridSpec,
     forward_transform,
     freq_grid,
+    grf_sample,
     inverse_transform,
     spectral_resample,
 )
@@ -280,10 +281,26 @@ class TestPatternIC:
         ds = pattern_test_set("star", pde, solver, gen, grid)
         assert ds.grid == grid and ds.cadence == solver.save_dt
         assert ds.data.shape == (1, 5, pde.channels) + grid.points
-        ic = pattern_ic(builtin_raster("star"), grid)
+        # at the RMS of a draw from Burgers' own IC distribution
+        ref = grf_sample(grid, 0, **grf_settings("burgers"))
+        ic = pattern_ic(builtin_raster("star"), grid, float(np.sqrt(np.mean(ref**2))))
         ic = np.concatenate([ic] * pde.channels)
         truth = integrate(pde, solver, gen, spectral_resample(ic, grid, gen), grid)
         assert np.array_equal(ds.data[0], truth)
+
+
+    @pytest.mark.parametrize("grf, rms", [(None, 0.17653153262514718), ({"tau": 7.0}, None)])
+    def test_the_ood_ic_has_the_run_ics_amplitude(self, grf, rms):
+        # it took NSE's amplitude (0.1488 here) whatever the run's IC distribution
+        pde = PDESpec(kind="burgers", nu=0.01)
+        solver = SolverConfig(dt=5e-3, t_end=5e-3, save_dt=5e-3)
+        ds = pattern_test_set("smiley", pde, solver, grid2(), grid2(), grf)
+        ref = grf_sample(grid2(), 0, **grf_settings("burgers", grf))
+        expected = math.sqrt(float(np.mean(ref**2)))
+        if rms is not None:
+            assert expected == pytest.approx(rms, rel=1e-12)
+        for channel in ds.data[0, 0]:
+            assert math.sqrt(float(np.mean(channel**2))) == pytest.approx(expected, rel=1e-10)
 
 
 class TestExportCsv:

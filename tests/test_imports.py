@@ -196,6 +196,36 @@ def test_the_scan_sees_an_fft_out_keyword():
     assert fft_out_keywords(source) == ["line 2: irfft", "line 3: fft"]
 
 
+BINARY_MODULES = ("struct", "zlib")
+
+
+def binary_imports(source: str) -> list[str]:
+    """The imports of source that bind a binary-layout module (BINARY_MODULES)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] in BINARY_MODULES]
+    return found
+
+
+@pytest.mark.parametrize("name", [name for name in SRC if name != "containers.py"])
+def test_only_containers_packs_bytes(name):
+    # the binary layout of datasets and checkpoints has one owner
+    assert binary_imports(SRC[name].read_text()) == []
+
+
+def test_the_scan_sees_a_binary_import():
+    source = ("import os, struct\nfrom zlib import crc32\nimport numpy as np\n"
+              "from .struct import x\nimport zlib as z\n")
+    assert binary_imports(source) == ["line 1: struct", "line 2: zlib", "line 5: zlib"]
+
+
 def code_lines(source: str) -> int:
     """The lines of source that hold code: not blank, not only a comment and
     not part of a module, class or function docstring."""

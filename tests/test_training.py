@@ -424,6 +424,13 @@ class TestClipAndSchedule:
         clipped, total = clip_global_norm(grads, 1.0)
         assert clipped["a"] is grads["a"]
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_norm_comes_back_unscaled(self, bad):
+        # scaling by max_norm / inf made every entry NaN
+        grads = {"a": np.array([3.0, bad]), "b": np.full(2, 2.0)}
+        clipped, total = clip_global_norm(grads, 1.0)
+        assert not math.isfinite(total) and clipped is grads
+
     def test_onecycle_endpoints_and_peak(self):
         total, max_lr = 1000, 0.01
         assert onecycle_lr(0, total, max_lr) == pytest.approx(max_lr / 25.0)
@@ -697,6 +704,30 @@ class TestTrainLoop:
         assert it == 1 and math.isnan(loss) and val is None
         assert math.isfinite(state.history[1][2]) and math.isfinite(state.history[1][3])
         assert state.opt.step == 1 and state.best_iteration == 2
+
+    def test_an_infinite_gradient_skips_the_iteration(self, monkeypatch):
+        # one gradient entry of iteration 2 is inf: its row has a NaN loss and
+        # it takes no Adam step, where the clip made every parameter NaN
+        import sino.training
+        g = grid2(8)
+        ds = heat_dataset(g, 0.05, 0.05, 15, seeds=(3, 4), bandlimit=3)
+        cfg = config_for_grid(g, c_in=1, K=2, C=3, dt_model=0.05, mlp_hidden=(8,))
+        calls, real_backward = iter(range(1, 100)), sino.training.backward
+
+        def infinite_backward(*args):
+            loss, grads = real_backward(*args)
+            if next(calls) == 2:
+                grads = {**grads, "pi.0.w": grads["pi.0.w"].copy()}
+                grads["pi.0.w"].flat[0] = math.inf
+            return loss, grads
+
+        monkeypatch.setattr(sino.training, "backward", infinite_backward)
+        state = train(ds, ds, cfg, TrainConfig(iterations=4, n1=0, val_every=2))
+        assert [math.isnan(row[2]) for row in state.history] == [False, True, False, False]
+        assert state.history[1][3] is None and state.opt.step == 3
+        assert math.isfinite(state.best_val) and state.best_iteration == 4
+        for bundle in (state.params, state.best_params):
+            assert all(np.isfinite(p).all() for p in bundle.values())
 
     def test_six_consecutive_non_finite_iterations_raise(self):
         # every window diverges at its first supervised step
